@@ -488,7 +488,7 @@ void Run() {
   std::printf(
       "concurrent cache: %zu misses, %zu hits, %zu coalesced over %d "
       "queries (%zu hot engines)\n",
-      stats.cache.misses, stats.cache.hits, stats.cache.coalesced,
+      stats.cache.misses, stats.cache.hits, stats.admission.coalesced,
       kClients * kQueriesPerClient, stats.hot_engines);
   if (cold_ms / hot_ms < 10.0) {
     std::fprintf(stderr,

@@ -42,9 +42,9 @@ TimingBreakdown TimingBreakdown::Partition(double build_ms,
   double a = std::max(0.0, precompute_delta_ms);
   double b = std::max(0.0, cascading_delta_ms);
   if (a + b > wall_ms) {
-    // Concurrent Prewarm/Run on a shared engine and multi-thread fills
-    // both inflate the shared counters past this run's wall clock; scale
-    // the shares down so the breakdown stays a partition of wall time.
+    // A multi-thread pre-warm sums per-chunk time past this run's wall
+    // clock; scale the shares down so the breakdown stays a partition of
+    // wall time.
     const double scale = (a + b) > 0.0 ? wall_ms / (a + b) : 0.0;
     a *= scale;
     b *= scale;
@@ -211,9 +211,8 @@ TSExplainResult TSExplain::Run(const SegmentationSpec& spec) {
 
   // Timing: explainer-internal buckets are modules (a)+(b); the remainder
   // of this call is module (c). Partition makes the buckets a
-  // non-negative decomposition of this run's wall clock even when the
-  // shared explainer counters were advanced by other threads too
-  // (concurrent Prewarm / threads > 1 per-thread sums).
+  // non-negative decomposition of this run's wall clock even when
+  // threads > 1 per-chunk sums exceed it.
   const ExplainerTiming timing_after = explainer_->timing();
   result.timing = TimingBreakdown::Partition(
       build_ms_, timing_after.precompute_ms - timing_before.precompute_ms,

@@ -136,11 +136,9 @@ struct SegmentationSpec {
 
 /// Latency breakdown matching the paper's Figure 15 categories. The
 /// buckets are a NON-NEGATIVE PARTITION of this run's wall clock by
-/// construction (see Partition): at threads = 1 with no concurrent user
-/// of the engine it is the exact per-module attribution; with threads > 1
-/// (per-thread elapsed sums exceed wall clock) or a concurrent
-/// Prewarm/Run on the same engine (the shared explainer counters advance
-/// under both runs), the (a)/(b) shares are scaled down to fit — the old
+/// construction (see Partition): at threads = 1 it is the exact
+/// per-module attribution; with threads > 1 (per-chunk elapsed sums
+/// exceed wall clock) the (a)/(b) shares are scaled down to fit — the old
 /// behavior of clamping only module (c) could silently report
 /// sum(modules) > total with double-attributed time.
 struct TimingBreakdown {

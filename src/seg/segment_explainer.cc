@@ -1,6 +1,8 @@
 #include "src/seg/segment_explainer.h"
 
+#include <algorithm>
 #include <cmath>
+#include <unordered_set>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
@@ -16,17 +18,6 @@ inline uint64_t SegmentKey(int a, int b) {
          static_cast<uint64_t>(static_cast<uint32_t>(b));
 }
 
-// Shard selector: mix the key so consecutive segments spread across shards
-// (a raw modulo would put all unit segments with the same low bits on one
-// shard during the pre-warm fan-out).
-inline size_t ShardFor(uint64_t key, size_t num_shards) {
-  uint64_t h = key;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  return static_cast<size_t>(h) & (num_shards - 1);
-}
-
 }  // namespace
 
 SegmentExplainer::SegmentExplainer(const ExplanationCube& cube,
@@ -35,56 +26,37 @@ SegmentExplainer::SegmentExplainer(const ExplanationCube& cube,
     : cube_(cube),
       registry_(registry),
       options_(options),
-      shards_(kNumShards) {
-  static_assert((kNumShards & (kNumShards - 1)) == 0,
-                "shard count must be a power of two");
+      solver_(registry),
+      gamma_(registry.num_explanations(), 0.0) {
   TSE_CHECK_GE(options_.m, 1);
   if (options_.active != nullptr) {
     TSE_CHECK_EQ(options_.active->size(), registry.num_explanations());
   }
 }
 
-std::unique_ptr<SegmentExplainer::WorkerState>
-SegmentExplainer::AcquireWorkerState() {
-  {
-    MutexLock lock(pool_mu_);
-    if (!worker_pool_.empty()) {
-      std::unique_ptr<WorkerState> state = std::move(worker_pool_.back());
-      worker_pool_.pop_back();
-      return state;
-    }
-  }
-  auto state = std::make_unique<WorkerState>(registry_);
-  state->gamma.assign(registry_.num_explanations(), 0.0);
-  return state;
-}
-
-void SegmentExplainer::ReleaseWorkerState(
-    std::unique_ptr<WorkerState> state) {
-  MutexLock lock(pool_mu_);
-  worker_pool_.push_back(std::move(state));
-}
-
-TopExplanations SegmentExplainer::ComputeTop(int a, int b) {
-  std::unique_ptr<WorkerState> ws = AcquireWorkerState();
-  double precompute_ms = 0.0;
-  double cascading_ms = 0.0;
+TopExplanations SegmentExplainer::ComputeTop(CascadingAnalysts& solver,
+                                             std::vector<double>& gamma,
+                                             int a, int b,
+                                             ExplainerTiming& timing) const {
+  TSE_CHECK_GE(a, 0);
+  TSE_CHECK_LT(a, b);
+  TSE_CHECK_LT(b, n());
   {
     // Module (a): batch-fill gamma for every (active) candidate cell.
-    ScopedTimer t(&precompute_ms);
+    ScopedTimer t(&timing.precompute_ms);
     cube_.ScoreAll(options_.metric, static_cast<size_t>(a),
-                   static_cast<size_t>(b), options_.active, &ws->gamma);
+                   static_cast<size_t>(b), options_.active, &gamma);
   }
 
   TopExplanations result;
   {
     // Module (b): Cascading Analysts (optionally guess-and-verify).
-    ScopedTimer t(&cascading_ms);
+    ScopedTimer t(&timing.cascading_ms);
     if (options_.use_guess_verify) {
-      result = GuessVerifyTopM(ws->solver, ws->gamma, options_.m,
-                               options_.active, options_.initial_guess);
+      result = GuessVerifyTopM(solver, gamma, options_.m, options_.active,
+                               options_.initial_guess);
     } else {
-      result = ws->solver.TopM(ws->gamma, options_.m, options_.active);
+      result = solver.TopM(gamma, options_.m, options_.active);
     }
     // Cache the ideal DCG (Eq. 4) for the distance computations.
     result.idcg = 0.0;
@@ -93,60 +65,57 @@ TopExplanations SegmentExplainer::ComputeTop(int a, int b) {
           result.gammas[r] / std::log2(static_cast<double>(r) + 2.0);
     }
   }
-  ReleaseWorkerState(std::move(ws));
-  {
-    MutexLock lock(stats_mu_);
-    timing_.precompute_ms += precompute_ms;
-    timing_.cascading_ms += cascading_ms;
-    ++ca_invocations_;
-  }
   return result;
 }
 
 const TopExplanations& SegmentExplainer::TopFor(int a, int b) {
-  TSE_CHECK_GE(a, 0);
-  TSE_CHECK_LT(a, b);
-  TSE_CHECK_LT(b, n());
   const uint64_t key = SegmentKey(a, b);
-  CacheShard& shard = shards_[ShardFor(key, kNumShards)];
-  CacheEntry* entry = nullptr;
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      entry = it->second.get();
-      // Single-flight: another thread is computing this segment; wait for
-      // it instead of redoing the CA work (keeps ca_invocations exact).
-      while (!entry->ready) shard.cv.Wait(shard.mu);
-      return entry->top;
-    }
-    auto owned = std::make_unique<CacheEntry>();
-    entry = owned.get();
-    shard.map.emplace(key, std::move(owned));
+  auto it = cache_.find(key);
+  if (it == cache_.end()) {
+    it = cache_.emplace(key, ComputeTop(solver_, gamma_, a, b, timing_))
+             .first;
+    ++ca_invocations_;
   }
-
-  TopExplanations result = ComputeTop(a, b);
-  {
-    MutexLock lock(shard.mu);
-    entry->top = std::move(result);
-    entry->ready = true;
-  }
-  shard.cv.NotifyAll();
-  return entry->top;
+  return it->second;
 }
 
 void SegmentExplainer::Prewarm(
     const std::vector<std::pair<int, int>>& segments, int threads) {
-  if (segments.empty()) return;
-  if (threads <= 1 || segments.size() == 1) {
-    for (const auto& [a, b] : segments) TopFor(a, b);
+  // The distinct segments not cached yet, in list order.
+  std::vector<std::pair<int, int>> missing;
+  std::unordered_set<uint64_t> listed;
+  for (const auto& [a, b] : segments) {
+    const uint64_t key = SegmentKey(a, b);
+    if (cache_.count(key) == 0 && listed.insert(key).second) {
+      missing.emplace_back(a, b);
+    }
+  }
+  if (threads <= 1 || missing.size() <= 1) {
+    for (const auto& [a, b] : missing) TopFor(a, b);
     return;
   }
-  ThreadPool::Shared().ParallelFor(
-      segments.size(), threads,
-      [this, &segments](size_t i) {
-        TopFor(segments[i].first, segments[i].second);
-      });
+  const size_t chunks =
+      std::min(missing.size(), static_cast<size_t>(threads));
+  std::vector<TopExplanations> tops(missing.size());
+  std::vector<ExplainerTiming> chunk_timing(chunks);
+  ThreadPool::Shared().ParallelFor(chunks, threads, [&](size_t c) {
+    CascadingAnalysts solver(registry_);
+    std::vector<double> gamma(registry_.num_explanations(), 0.0);
+    const size_t end = missing.size() * (c + 1) / chunks;
+    for (size_t i = missing.size() * c / chunks; i < end; ++i) {
+      tops[i] = ComputeTop(solver, gamma, missing[i].first,
+                           missing[i].second, chunk_timing[c]);
+    }
+  });
+  for (size_t i = 0; i < missing.size(); ++i) {
+    cache_.emplace(SegmentKey(missing[i].first, missing[i].second),
+                   std::move(tops[i]));
+  }
+  for (const ExplainerTiming& t : chunk_timing) {
+    timing_.precompute_ms += t.precompute_ms;
+    timing_.cascading_ms += t.cascading_ms;
+  }
+  ca_invocations_ += missing.size();
 }
 
 DiffScore SegmentExplainer::Score(ExplId e, int a, int b) const {
@@ -158,34 +127,6 @@ DiffScore SegmentExplainer::Score(ExplId e, int a, int b) const {
                      static_cast<size_t>(b));
 }
 
-void SegmentExplainer::ClearCache() {
-  // Take each shard's lock: a racing TopFor must never observe a
-  // half-cleared map (it previously iterated the shards unlocked, which
-  // was a data race whenever the streaming pipeline cleared while a
-  // background pre-warm was still draining).
-  for (CacheShard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    shard.map.clear();
-  }
-}
-
-ExplainerTiming SegmentExplainer::timing() const {
-  MutexLock lock(stats_mu_);
-  return timing_;
-}
-
-size_t SegmentExplainer::cache_size() const {
-  size_t total = 0;
-  for (const CacheShard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    total += shard.map.size();
-  }
-  return total;
-}
-
-size_t SegmentExplainer::ca_invocations() const {
-  MutexLock lock(stats_mu_);
-  return ca_invocations_;
-}
+void SegmentExplainer::ClearCache() { cache_.clear(); }
 
 }  // namespace tsexplain

@@ -8,25 +8,22 @@
 // repeatedly while computing distances and variances, so this cache is what
 // makes the n^3 phase feasible.
 //
-// Concurrency: TopFor is REENTRANT. The cache is sharded (one mutex +
-// condition variable per shard) with single-flight semantics -- concurrent
-// requests for the same segment compute it exactly once, so instrumentation
-// like ca_invocations() is deterministic at any thread count. Each in-flight
-// computation checks a CascadingAnalysts solver + gamma scratch out of a
-// small free pool (solvers are stateful; one is never shared between two
-// concurrent computations). Returned references stay valid until
-// ClearCache(), which must not run concurrently with TopFor.
+// Ownership: a SegmentExplainer belongs to one engine and, like it, is
+// used by one thread at a time (the service serializes each engine's Run
+// and each session's ops). TopFor and ClearCache are therefore plain
+// single-owner code. Prewarm is the one fan-out: it computes the missing
+// segments on worker threads, each chunk with its own solver and scratch,
+// and inserts the results on the calling thread. Returned references stay
+// valid until ClearCache().
 
 #ifndef TSEXPLAIN_SEG_SEGMENT_EXPLAINER_H_
 #define TSEXPLAIN_SEG_SEGMENT_EXPLAINER_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "src/common/mutex.h"
 #include "src/cube/explanation_cube.h"
 #include "src/diff/cascading_analysts.h"
 #include "src/diff/guess_verify.h"
@@ -34,15 +31,15 @@
 namespace tsexplain {
 
 /// Wall-clock breakdown mirroring the paper's Figure 15 categories. Under a
-/// concurrent pre-warm the buckets sum per-thread elapsed time (CPU-like,
+/// multi-thread pre-warm the buckets sum per-chunk elapsed time (CPU-like,
 /// may exceed wall clock).
 struct ExplainerTiming {
   double precompute_ms = 0.0;  // module (a): gamma vector fills
   double cascading_ms = 0.0;   // module (b): CA / guess-and-verify
 };
 
-/// Computes and caches E*_m per segment. TopFor/Score are thread-safe;
-/// ClearCache is not (quiesce callers first).
+/// Computes and caches E*_m per segment. Not thread-safe: one caller at a
+/// time (Prewarm fans out internally).
 class SegmentExplainer {
  public:
   struct Options {
@@ -63,21 +60,20 @@ class SegmentExplainer {
   /// The reference stays valid until ClearCache().
   const TopExplanations& TopFor(int a, int b);
 
-  /// Computes (and caches) TopFor for every listed segment, fanning the
-  /// cache misses out over the shared ThreadPool with up to `threads`
-  /// workers. Segments should be unique (duplicates are safe but waste a
-  /// queue slot). Results -- including ca_invocations() -- are bit-identical
-  /// to calling TopFor serially in any order.
+  /// Computes (and caches) TopFor for every listed segment. The distinct
+  /// missing segments are split into at most `threads` contiguous chunks
+  /// computed on the shared ThreadPool, each with its own solver; the
+  /// results are inserted in list order. Results -- including
+  /// ca_invocations() and cache_size() -- are bit-identical to calling
+  /// TopFor serially in any order.
   void Prewarm(const std::vector<std::pair<int, int>>& segments, int threads);
 
   /// gamma/tau of one explanation on segment [a, b] (O(1) cube lookup,
   /// not cached). Respects the support filter.
   DiffScore Score(ExplId e, int a, int b) const;
 
-  /// Resets the cache (used by the streaming pipeline when data changes).
-  /// Takes each shard's lock, so it is data-race-free against concurrent
-  /// TopFor — but references THOSE callers already hold become dangling,
-  /// so callers must still quiesce before clearing (see class comment).
+  /// Resets the cache (used by the streaming pipeline when data changes);
+  /// references returned by TopFor become dangling.
   void ClearCache();
 
   int n() const { return static_cast<int>(cube_.n()); }
@@ -86,53 +82,28 @@ class SegmentExplainer {
   const ExplanationRegistry& registry() const { return registry_; }
   const Options& options() const { return options_; }
 
-  ExplainerTiming timing() const;
-  size_t cache_size() const;
-  size_t ca_invocations() const;
+  ExplainerTiming timing() const { return timing_; }
+  size_t cache_size() const { return cache_.size(); }
+  size_t ca_invocations() const { return ca_invocations_; }
 
  private:
-  // One CA solver + gamma scratch, checked out for the duration of one
-  // cache-miss computation. Pooled so repeated invocations do not allocate
-  // and concurrent ones never share state.
-  struct WorkerState {
-    explicit WorkerState(const ExplanationRegistry& registry)
-        : solver(registry) {}
-    CascadingAnalysts solver;
-    std::vector<double> gamma;
-  };
-
-  // Single-flight cache entry: `ready` flips under the shard mutex once
-  // `top` is populated; waiters block on the shard condition variable. Held
-  // by unique_ptr so references survive rehashing and concurrent inserts.
-  struct CacheEntry {
-    TopExplanations top;
-    bool ready = false;
-  };
-  struct CacheShard {
-    mutable Mutex mu;
-    CondVar cv;
-    std::unordered_map<uint64_t, std::unique_ptr<CacheEntry>> map
-        TSE_GUARDED_BY(mu);
-  };
-  static constexpr size_t kNumShards = 64;  // power of two
-
-  TopExplanations ComputeTop(int a, int b);
-  std::unique_ptr<WorkerState> AcquireWorkerState();
-  void ReleaseWorkerState(std::unique_ptr<WorkerState> state);
+  // Modules (a)+(b) for segment [a, b] with the given solver and gamma
+  // scratch; adds the elapsed time to `timing`.
+  TopExplanations ComputeTop(CascadingAnalysts& solver,
+                             std::vector<double>& gamma, int a, int b,
+                             ExplainerTiming& timing) const;
 
   const ExplanationCube& cube_;
   const ExplanationRegistry& registry_;
   Options options_;
 
-  std::vector<CacheShard> shards_;  // sized kNumShards
-
-  Mutex pool_mu_;
-  std::vector<std::unique_ptr<WorkerState>> worker_pool_
-      TSE_GUARDED_BY(pool_mu_);
-
-  mutable Mutex stats_mu_;
-  ExplainerTiming timing_ TSE_GUARDED_BY(stats_mu_);
-  size_t ca_invocations_ TSE_GUARDED_BY(stats_mu_) = 0;
+  // Keyed by SegmentKey(a, b). unordered_map never moves its elements, so
+  // references handed out by TopFor survive later inserts.
+  std::unordered_map<uint64_t, TopExplanations> cache_;
+  CascadingAnalysts solver_;
+  std::vector<double> gamma_;
+  ExplainerTiming timing_;
+  size_t ca_invocations_ = 0;
 };
 
 }  // namespace tsexplain

@@ -74,8 +74,8 @@ VarianceTable VarianceTable::Compute(VarianceCalculator& calc,
     const size_t num_objects = m - 1;
     // Pre-warm every object's explanation list across the shared pool,
     // then pin the cached pointers so the matrix fill never touches the
-    // explainer's cache. Each distance is computed exactly once either
-    // way, so ca_invocations and the distances stay bit-identical to the
+    // explainer's cache. Each list is computed exactly once either way,
+    // so ca_invocations and the distances stay bit-identical to the
     // serial order.
     if (threads > 1) {
       std::vector<std::pair<int, int>> segments;
@@ -123,11 +123,10 @@ VarianceTable VarianceTable::Compute(VarianceCalculator& calc,
   }
 
   // Concurrent CA fan-out: the dominant cost here is the O(M^2/2) centroid
-  // (plus O(n) unit) TopFor computations. The explainer is reentrant with a
-  // single-flight cache, so gather every distinct segment the fill loops
-  // will need and pre-warm them across the shared pool. Deduplication keeps
-  // each segment computed exactly once, so ca_invocations and all results
-  // are bit-identical to the serial order.
+  // (plus O(n) unit) TopFor computations. Gather every distinct segment the
+  // fill loops will need and pre-warm them in chunks across the shared
+  // pool. Deduplication keeps each segment computed exactly once, so
+  // ca_invocations and all results are bit-identical to the serial order.
   const int n = explainer.n();
   if (threads > 1) {
     std::vector<std::pair<int, int>> segments;

@@ -39,10 +39,10 @@ class VarianceTable {
   ///
   /// `threads` > 1 parallelizes both metric families end to end: the
   /// distinct TopFor computations (O(M^2/2) centroids + O(n) units, or the
-  /// M-1 coarse objects for all-pair metrics) are deduplicated and fanned
-  /// out over the shared ThreadPool (the explainer is reentrant with a
-  /// single-flight cache), then the distance fills -- pure reads of the
-  /// cube and the cached lists -- fan out across rows on the same pool.
+  /// M-1 coarse objects for all-pair metrics) are deduplicated and
+  /// computed in chunks over the shared ThreadPool (SegmentExplainer::
+  /// Prewarm), then the distance fills -- pure reads of the cube and the
+  /// cached lists -- fan out across rows on the same pool.
   /// Results (including ca_invocations) are bit-identical to the
   /// sequential fill.
   static VarianceTable Compute(VarianceCalculator& calc,

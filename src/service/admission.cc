@@ -66,8 +66,16 @@ AdmissionController::Ticket::Ticket(Ticket&& other) noexcept
       retry_after_ms_(other.retry_after_ms_),
       key(std::move(other.key)),
       tenant(std::move(other.tenant)),
-      start_ms_(other.start_ms_) {
+      start_ms_(other.start_ms_),
+      flight_(std::move(other.flight_)),
+      answer_(std::move(other.answer_)) {
   other.controller_ = nullptr;
+}
+
+void AdmissionController::Ticket::Publish(Answer answer) {
+  TSE_CHECK(outcome_ == Outcome::kAdmitted) << "only a leader publishes";
+  MutexLock lock(controller_->mu_);
+  flight_->answer = std::move(answer);
 }
 
 AdmissionController::Ticket::~Ticket() {
@@ -111,7 +119,7 @@ AdmissionController::Ticket AdmissionController::Admit(
 
   for (;;) {
     // Duplicate batching: an in-flight leader for this key exists — wait
-    // for it instead of consuming a slot; the result is then cached.
+    // for it instead of consuming a slot, then take its outcome.
     auto fit = inflight_.find(key);
     if (fit != inflight_.end()) {
       const std::shared_ptr<Flight> flight = fit->second;
@@ -122,6 +130,7 @@ AdmissionController::Ticket AdmissionController::Admit(
       ticket.controller_ = this;  // releases the tenant count
       ticket.outcome_ = Outcome::kCoalesced;
       ticket.tenant = tenant_counted ? tenant : std::string();
+      ticket.answer_ = flight->answer;
       return ticket;
     }
 
@@ -135,11 +144,12 @@ AdmissionController::Ticket AdmissionController::Admit(
       if (static_cast<size_t>(active_) > stats_.peak_active) {
         stats_.peak_active = static_cast<size_t>(active_);
       }
-      inflight_.emplace(key, std::make_shared<Flight>());
+      Ticket ticket;
+      ticket.flight_ = std::make_shared<Flight>();
+      inflight_.emplace(key, ticket.flight_);
       // Queued duplicates of this key can now batch onto the new leader
       // instead of waiting for a slot of their own.
       if (queued_ > 0) cv_.NotifyAll();
-      Ticket ticket;
       ticket.controller_ = this;
       ticket.outcome_ = Outcome::kAdmitted;
       ticket.granted_threads_ =
@@ -183,11 +193,8 @@ void AdmissionController::Release(Ticket& ticket) {
     if (ticket.outcome_ == Outcome::kAdmitted) {
       --active_;
       AdmissionMetrics::Get().active.Set(static_cast<int64_t>(active_));
-      auto it = inflight_.find(ticket.key);
-      if (it != inflight_.end()) {
-        it->second->done = true;  // waiters hold the shared_ptr
-        inflight_.erase(it);
-      }
+      ticket.flight_->done = true;  // waiters hold the shared_ptr
+      inflight_.erase(ticket.key);
       const double elapsed = NowMs() - ticket.start_ms_;
       if (elapsed >= 0.0) {
         ewma_run_ms_ = 0.8 * ewma_run_ms_ + 0.2 * elapsed;

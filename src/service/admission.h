@@ -13,11 +13,12 @@
 //    `overloaded` error carrying a retry-after hint, so the caller backs
 //    off instead of queueing unboundedly;
 //  * duplicate in-flight queries BATCH: a request whose key is already
-//    admitted does not consume a slot or a queue position — it waits for
-//    the leader to finish (the "window" is the leader's run) and then
-//    serves the leader's now-cached result. This extends the
-//    ResultCache's single-flight upward: duplicates no longer occupy
-//    admission capacity while they wait;
+//    admitted does not consume a slot or a queue position — it parks on
+//    the leader's flight (the "window" is the leader's run) and receives
+//    the leader's published outcome, its value or its error. This is the
+//    service's one single-flight: N concurrent identical cold queries
+//    compute once, and followers never depend on the value still being
+//    in the ResultCache;
 //  * per-tenant in-flight caps: a tenant at its cap is shed with
 //    `quota_exceeded` BEFORE it can occupy queue slots, so one tenant
 //    cannot monopolize admission;
@@ -49,6 +50,8 @@
 
 namespace tsexplain {
 
+struct CachedResult;  // result_cache.h
+
 struct AdmissionOptions {
   /// Queries allowed to run concurrently. 0 = auto: the shared
   /// ThreadPool's size (one running query per worker).
@@ -64,12 +67,20 @@ struct AdmissionOptions {
 };
 
 class AdmissionController {
+  struct Flight;  // one admitted key: its leader's outcome, once done
+
  public:
   enum class Outcome {
-    kAdmitted,       // run it; `granted_threads` is the allocation
-    kCoalesced,      // a leader for this key finished; serve from cache
+    kAdmitted,       // run it and Publish; `granted_threads` is the allocation
+    kCoalesced,      // a leader for this key finished; `answer` is its outcome
     kShedOverload,   // queue full: reply `overloaded` + retry-after
     kShedTenant,     // tenant at cap: reply `quota_exceeded` + retry-after
+  };
+
+  /// What a leader hands to every follower batched onto its key.
+  struct Answer {
+    std::shared_ptr<const CachedResult> value;  // null: the leader failed
+    std::string error;                          // why, when value is null
   };
 
   struct Stats {
@@ -84,9 +95,9 @@ class AdmissionController {
     size_t peak_queued = 0;     // never exceeds queue_depth (asserted in tests)
   };
 
-  /// RAII admission lease. Admitted tickets release their slot (and wake
-  /// batched followers) on destruction; every outcome releases its
-  /// tenant in-flight count.
+  /// RAII admission lease. Admitted tickets release their slot (and hand
+  /// their published Answer to batched followers) on destruction; every
+  /// outcome releases its tenant in-flight count.
   class Ticket {
    public:
     Ticket(Ticket&& other) noexcept;
@@ -103,6 +114,13 @@ class AdmissionController {
     int granted_threads() const { return granted_threads_; }
     double retry_after_ms() const { return retry_after_ms_; }
 
+    /// Leader (kAdmitted) only: records the outcome the followers batched
+    /// onto this key receive once the ticket is released. A leader
+    /// released without publishing hands its followers an error.
+    void Publish(Answer answer);
+    /// Follower (kCoalesced) only: the leader's published outcome.
+    const Answer& answer() const { return answer_; }
+
    private:
     friend class AdmissionController;
     Ticket() = default;
@@ -114,6 +132,8 @@ class AdmissionController {
     std::string key;
     std::string tenant;
     double start_ms_ = 0.0;
+    std::shared_ptr<Flight> flight_;  // leader: where Publish writes
+    Answer answer_;                   // follower: the leader's outcome
   };
 
   explicit AdmissionController(AdmissionOptions options);
@@ -143,8 +163,10 @@ class AdmissionController {
   int pool_size() const { return pool_size_; }
 
  private:
+  // Fields are guarded by mu_; `answer` is final once `done` is set.
   struct Flight {
     bool done = false;
+    Answer answer{nullptr, "the batched leader ended without an answer"};
   };
 
   void Release(Ticket& ticket) TSE_EXCLUDES(mu_);

@@ -10,6 +10,7 @@
 
 #include "src/common/metrics.h"
 #include "src/common/strings.h"
+#include "src/common/thread_pool.h"
 #include "src/common/timer.h"
 #include "src/service/query_key.h"
 #include "src/storage/cache_snapshot.h"
@@ -208,75 +209,58 @@ ExplainResponse ExplainService::AdmitAndCompute(
         int granted_threads, QueryTrace* trace, int compute_span,
         std::string* error)>& compute) {
   Timer timer;
-  // A batched (coalesced) outcome normally lands on the leader's cached
-  // value; when the leader failed (or its entry was evicted instantly)
-  // we re-enter admission as a potential leader ourselves. Two re-entries
-  // are plenty: repeated leader failures mean the query itself fails.
-  std::string compute_error;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    const int wait_span = trace ? trace->BeginSpan("admission_wait") : -1;
-    AdmissionController::Ticket ticket =
-        admission_.Admit(cache_key, tenant, requested_threads);
-    if (trace) trace->EndSpan(wait_span);
-    switch (ticket.outcome()) {
-      case AdmissionController::Outcome::kShedOverload: {
-        ExplainResponse response = ErrorResponse(
-            error_code::kOverloaded,
-            "server overloaded: admission queue full; retry later");
-        response.retry_after_ms = ticket.retry_after_ms();
-        response.admission_outcome = "shed_overload";
-        return response;
-      }
-      case AdmissionController::Outcome::kShedTenant: {
-        ExplainResponse response = ErrorResponse(
-            error_code::kQuotaExceeded,
-            "tenant '" + tenant + "' is at its in-flight quota");
-        response.retry_after_ms = ticket.retry_after_ms();
-        response.admission_outcome = "shed_tenant";
-        return response;
-      }
-      case AdmissionController::Outcome::kCoalesced: {
-        const ResultCache::ValuePtr value = cache_.Lookup(cache_key);
-        if (value) {
-          ExplainResponse response = ServedResponse(
-              cache_key, value, /*cache_hit=*/true, timer.ElapsedMs());
-          response.admission_outcome = "coalesced";
-          ServiceMetrics::Get().cold_ms.Observe(response.latency_ms);
-          return response;
-        }
-        continue;  // leader failed: retry admission
-      }
-      case AdmissionController::Outcome::kAdmitted: {
+  const int wait_span = trace ? trace->BeginSpan("admission_wait") : -1;
+  AdmissionController::Ticket ticket =
+      admission_.Admit(cache_key, tenant, requested_threads);
+  if (trace) trace->EndSpan(wait_span);
+  AdmissionController::Answer answer;
+  bool cache_hit = true;
+  switch (ticket.outcome()) {
+    case AdmissionController::Outcome::kShedOverload: {
+      ExplainResponse response = ErrorResponse(
+          error_code::kOverloaded,
+          "server overloaded: admission queue full; retry later");
+      response.retry_after_ms = ticket.retry_after_ms();
+      response.admission_outcome = "shed_overload";
+      return response;
+    }
+    case AdmissionController::Outcome::kShedTenant: {
+      ExplainResponse response = ErrorResponse(
+          error_code::kQuotaExceeded,
+          "tenant '" + tenant + "' is at its in-flight quota");
+      response.retry_after_ms = ticket.retry_after_ms();
+      response.admission_outcome = "shed_tenant";
+      return response;
+    }
+    case AdmissionController::Outcome::kCoalesced:
+      answer = ticket.answer();
+      break;
+    case AdmissionController::Outcome::kAdmitted: {
+      // A leader that finished between the caller's Lookup and this
+      // admission has already Put the value (the caller counted its miss).
+      answer.value = cache_.Lookup(cache_key, /*count=*/false);
+      if (!answer.value) {
+        cache_hit = false;
         const int compute_span = trace ? trace->BeginSpan("compute") : -1;
-        bool was_hit = false;
-        const ResultCache::ValuePtr value = cache_.GetOrCompute(
-            cache_key,
-            [&]() -> ResultCache::ValuePtr {
-              return compute(ticket.granted_threads(), trace, compute_span,
-                             &compute_error);
-            },
-            &was_hit);
+        answer.value = compute(ticket.granted_threads(), trace, compute_span,
+                               &answer.error);
         if (trace) trace->EndSpan(compute_span);
-        if (!value) {
-          ExplainResponse response = ErrorResponse(
-              error_code::kInternal, compute_error.empty()
-                                         ? "computation failed"
-                                         : compute_error);
-          response.admission_outcome = "admitted";
-          return response;
-        }
-        ExplainResponse response =
-            ServedResponse(cache_key, value, was_hit, timer.ElapsedMs());
-        response.admission_outcome = "admitted";
-        ServiceMetrics::Get().cold_ms.Observe(response.latency_ms);
-        return response;
+        if (answer.value) cache_.Put(cache_key, answer.value);
       }
+      ticket.Publish(answer);
+      break;
     }
   }
-  return ErrorResponse(error_code::kInternal,
-                       compute_error.empty()
-                           ? "query kept failing under coalesced retries"
-                           : compute_error);
+  ExplainResponse response =
+      answer.value
+          ? ServedResponse(cache_key, answer.value, cache_hit,
+                           timer.ElapsedMs())
+          : ErrorResponse(error_code::kInternal,
+                          answer.error.empty() ? "computation failed"
+                                               : answer.error);
+  response.admission_outcome = ticket.admitted() ? "admitted" : "coalesced";
+  if (response.ok) ServiceMetrics::Get().cold_ms.Observe(response.latency_ms);
+  return response;
 }
 
 ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
@@ -924,28 +908,6 @@ bool ExplainService::LoadCache(const std::string& path, std::string* error,
   if (restored) *restored = kept;
   if (fenced) *fenced = dropped;
   return true;
-}
-
-std::future<ExplainResponse> ServiceExecutor::SubmitExplain(
-    ExplainRequest request) {
-  auto promise = std::make_shared<std::promise<ExplainResponse>>();
-  std::future<ExplainResponse> future = promise->get_future();
-  ExplainService* service = &service_;
-  pool_.Submit([service, promise, request = std::move(request)] {
-    promise->set_value(service->Explain(request));
-  });
-  return future;
-}
-
-std::future<ExplainResponse> ServiceExecutor::SubmitSessionExplain(
-    uint64_t session_id) {
-  auto promise = std::make_shared<std::promise<ExplainResponse>>();
-  std::future<ExplainResponse> future = promise->get_future();
-  ExplainService* service = &service_;
-  pool_.Submit([service, promise, session_id] {
-    promise->set_value(service->ExplainSession(session_id));
-  });
-  return future;
 }
 
 }  // namespace tsexplain

@@ -4,13 +4,15 @@
 // results from a sharded LRU cache.
 //
 // Layering:
-//   DatasetRegistry  — named immutable tables + hot engines (per engine
-//                      key), built once and reused.
-//   CanonicalizeQuery— stable cache/engine keys (query_key.h).
-//   ResultCache      — sharded LRU + single-flight (result_cache.h).
-//   ExplainService   — validation, the explain/recommend entry points,
-//                      and streaming sessions wrapping StreamingTSExplain.
-//   ServiceExecutor  — per-query futures on a shared ThreadPool.
+//   DatasetRegistry    — named immutable tables + hot engines (per engine
+//                        key), built once and reused.
+//   CanonicalizeQuery  — stable cache/engine keys (query_key.h).
+//   ResultCache        — sharded LRU (result_cache.h).
+//   AdmissionController— bounded concurrency + the one single-flight:
+//                        identical cold queries batch onto one leader
+//                        and receive its outcome (admission.h).
+//   ExplainService     — validation, the explain/recommend entry points,
+//                        and streaming sessions wrapping StreamingTSExplain.
 //
 // All entry points are thread-safe; responses carry error codes instead
 // of aborting, so a malformed query can never take the server down (the
@@ -27,14 +29,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/mutex.h"
-#include "src/common/thread_pool.h"
 #include "src/pipeline/recommend.h"
 #include "src/pipeline/report_json.h"
 #include "src/pipeline/streaming.h"
@@ -266,13 +266,14 @@ class ExplainService {
                         const std::vector<storage::SessionLogAppend>& replayed)
       TSE_REQUIRES(session.mu);
 
-  /// Runs the admission + single-flight compute for one (cold) cache
-  /// key; shared by Explain and ExplainSession. `trace` may be null;
-  /// when set, admission waits and the compute get spans, and the
-  /// compute callback receives the trace plus its "compute" span index
-  /// so it can graft engine-phase children under it (the callback only
-  /// runs on the single-flight leader, which is exactly the request
-  /// whose trace can see inside the computation).
+  /// Runs admission + the compute for one cache key its caller missed
+  /// on; shared by Explain and ExplainSession. The admitted leader
+  /// computes, Puts the value and publishes it to every batched
+  /// follower. `trace` may be null; when set, admission waits and the
+  /// compute get spans, and the compute callback receives the trace plus
+  /// its "compute" span index so it can graft engine-phase children under
+  /// it (the callback only runs on the leader, which is exactly the
+  /// request whose trace can see inside the computation).
   ExplainResponse AdmitAndCompute(
       const std::string& cache_key, const std::string& tenant,
       int requested_threads, QueryTrace* trace,
@@ -295,24 +296,6 @@ class ExplainService {
   uint64_t next_session_id_ TSE_GUARDED_BY(sessions_mu_) = 1;
   std::map<uint64_t, std::shared_ptr<Session>> sessions_
       TSE_GUARDED_BY(sessions_mu_);
-};
-
-/// Per-query futures on a shared ThreadPool: the serving layer submits
-/// requests and multiplexes completions without a thread per client.
-class ServiceExecutor {
- public:
-  explicit ServiceExecutor(ExplainService& service,
-                           ThreadPool& pool = ThreadPool::Shared())
-      : service_(service), pool_(pool) {}
-
-  std::future<ExplainResponse> SubmitExplain(ExplainRequest request);
-  std::future<ExplainResponse> SubmitSessionExplain(uint64_t session_id);
-
-  ThreadPool& pool() { return pool_; }
-
- private:
-  ExplainService& service_;
-  ThreadPool& pool_;
 };
 
 }  // namespace tsexplain

@@ -1,7 +1,9 @@
 #include "src/service/protocol.h"
 
 #include <chrono>
+#include <iterator>
 #include <utility>
+#include <vector>
 
 #include "src/common/metrics.h"
 #include "src/common/metrics_history.h"
@@ -256,16 +258,44 @@ bool ParseQueryConfig(const JsonValue& request, TSExplainConfig* config,
   return true;
 }
 
+namespace {
+
+// Every op the handler answers. healthz is the one non-barrier op beyond
+// the reads: liveness must answer while everything else is wedged, so
+// transports run it inline without draining (protocol.h).
+constexpr ProtocolHandler::OpInfo kOps[] = {
+    {"register", true, false},        {"list_datasets", false, false},
+    {"drop_dataset", true, false},    {"explain", false, true},
+    {"recommend", false, false},      {"open_session", true, false},
+    {"append", true, false},          {"explain_session", false, true},
+    {"close_session", true, false},   {"save_cache", true, false},
+    {"load_cache", true, false},      {"recover_session", true, false},
+    {"healthz", false, false},        {"state", true, false},
+    {"stats", true, false},           {"metrics", true, false},
+    {"metrics_history", true, false}, {"shutdown", true, false},
+};
+
+const ProtocolHandler::OpInfo* FindOp(const std::string& op) {
+  for (const ProtocolHandler::OpInfo& info : kOps) {
+    if (op == info.name) return &info;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::vector<ProtocolHandler::OpInfo> ProtocolHandler::Ops() {
+  return {std::begin(kOps), std::end(kOps)};
+}
+
 bool ProtocolHandler::IsBarrierOp(const std::string& op) {
-  // healthz is the one non-barrier write-free op beyond the read list:
-  // liveness must answer while everything else is wedged, so transports
-  // run it inline without draining (protocol.h).
-  return !(op == "explain" || op == "explain_session" ||
-           op == "recommend" || op == "list_datasets" || op == "healthz");
+  const OpInfo* info = FindOp(op);
+  return info == nullptr || info->barrier;
 }
 
 bool ProtocolHandler::IsExpensiveOp(const std::string& op) {
-  return op == "explain" || op == "explain_session";
+  const OpInfo* info = FindOp(op);
+  return info != nullptr && info->expensive;
 }
 
 std::string ProtocolHandler::OpOf(const JsonValue& request) {
@@ -383,6 +413,10 @@ std::string ProtocolHandler::HandleInternal(const JsonValue& request,
                      "request must be a JSON object");
   }
   const std::string op = OpOf(request);
+  if (FindOp(op) == nullptr) {
+    return MakeError(&request, op, error_code::kUnknownOp,
+                     op.empty() ? "missing 'op'" : "unknown op: " + op);
+  }
 
   if (op == "register") {
     const std::string name = request.GetString("name");
@@ -909,9 +943,8 @@ std::string ProtocolHandler::HandleInternal(const JsonValue& request,
     // Counter and gauge fields are sourced from the process-wide metrics
     // registry — the same series the `metrics` op exports — so the two
     // views can never disagree. Structural fields (datasets, sessions,
-    // tenants, capacity) stay with the service. Field names and order
-    // are byte-compatible with the pre-registry wire shape (asserted by
-    // tests/server_smoke_test.sh).
+    // tenants, capacity) stay with the service. docs/SERVICE.md has the
+    // field list; tests/server_smoke_test.sh asserts on it.
     const ServiceStats stats = service_.Stats();
     const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
     const auto counter = [&snapshot](const char* name) -> long long {
@@ -966,8 +999,6 @@ std::string ProtocolHandler::HandleInternal(const JsonValue& request,
     json.Int(counter("cache.hits"));
     json.Key("misses");
     json.Int(counter("cache.misses"));
-    json.Key("coalesced");
-    json.Int(counter("cache.coalesced"));
     json.Key("evictions");
     json.Int(counter("cache.evictions"));
     json.Key("budget_evictions");
@@ -1093,8 +1124,9 @@ std::string ProtocolHandler::HandleInternal(const JsonValue& request,
     return json.str();
   }
 
+  // A table entry without a handler (tests/test_service.cc catches it).
   return MakeError(&request, op, error_code::kUnknownOp,
-                   op.empty() ? "missing 'op'" : "unknown op: " + op);
+                   "unknown op: " + op);
 }
 
 }  // namespace tsexplain

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/common/json.h"
 #include "src/service/explain_service.h"
@@ -70,6 +71,16 @@ class ProtocolHandler {
   /// the id and carries the service's retry-after hint, exactly like a
   /// service-level shed.
   std::string MakeOverloaded(const JsonValue& request) const;
+
+  /// One row of the op table: every op the handler answers, with the
+  /// properties the transport dispatches on. A name missing from the
+  /// table is answered `unknown_op`.
+  struct OpInfo {
+    const char* name;
+    bool barrier;    // see IsBarrierOp
+    bool expensive;  // see IsExpensiveOp
+  };
+  static std::vector<OpInfo> Ops();
 
   /// Ops the transport must run inline as ordering barriers (after
   /// draining previously dispatched reads) instead of fanning out to the

@@ -32,8 +32,6 @@ size_t RoundUpPow2(size_t v) {
 struct CacheMetrics {
   Counter& hits = MetricRegistry::Global().GetCounter("cache.hits");
   Counter& misses = MetricRegistry::Global().GetCounter("cache.misses");
-  Counter& coalesced =
-      MetricRegistry::Global().GetCounter("cache.coalesced");
   Counter& evictions =
       MetricRegistry::Global().GetCounter("cache.evictions");
   Counter& budget_evictions =
@@ -127,7 +125,7 @@ void ResultCache::InsertLocked(Shard& shard, const BudgetList& budgets,
                                const std::string& key,
                                const ValuePtr& value) {
   // An existing entry under this key is stale by definition (the caller
-  // computed a fresh value): its accounting is dropped FIRST so
+  // brings a fresh value): its accounting is dropped FIRST so
   // bytes_used is never double-charged and the eviction loop below never
   // runs against a stale cost — and an oversized fresh value removes the
   // stale entry rather than leaving it to be served.
@@ -187,66 +185,23 @@ void ResultCache::InsertLocked(Shard& shard, const BudgetList& budgets,
   }
 }
 
-ResultCache::ValuePtr ResultCache::GetOrCompute(const std::string& key,
-                                                const ComputeFn& compute,
-                                                bool* was_hit) {
-  Shard& shard = ShardFor(key);
-  std::shared_ptr<Flight> flight;
-  bool leader = false;
-  {
-    MutexLock lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      // Touch: move to the LRU front.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-      ++shard.hits;
-      CacheMetrics::Get().hits.Inc();
-      if (was_hit) *was_hit = true;
-      return it->second.value;
-    }
-    auto fit = shard.inflight.find(key);
-    if (fit != shard.inflight.end()) {
-      flight = fit->second;
-      ++shard.coalesced;
-      CacheMetrics::Get().coalesced.Inc();
-    } else {
-      flight = std::make_shared<Flight>();
-      flight->future = flight->promise.get_future().share();
-      shard.inflight.emplace(key, flight);
-      leader = true;
-      ++shard.misses;
-      CacheMetrics::Get().misses.Inc();
-    }
-  }
-
-  if (!leader) {
-    if (was_hit) *was_hit = true;  // another thread's work served us
-    return flight->future.get();
-  }
-
-  if (was_hit) *was_hit = false;
-  ValuePtr value = compute();  // outside the lock: may be seconds long
-  if (value) {
-    const BudgetsPtr budgets = SnapshotBudgets();
-    MutexLock lock(shard.mu);
-    shard.inflight.erase(key);
-    InsertLocked(shard, *budgets, key, value);
-  } else {
-    MutexLock lock(shard.mu);
-    shard.inflight.erase(key);
-  }
-  flight->promise.set_value(value);
-  return value;
-}
-
-ResultCache::ValuePtr ResultCache::Lookup(const std::string& key) {
+ResultCache::ValuePtr ResultCache::Lookup(const std::string& key,
+                                          bool count) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return nullptr;
+  if (it == shard.entries.end()) {
+    if (count) {
+      ++shard.misses;
+      CacheMetrics::Get().misses.Inc();
+    }
+    return nullptr;
+  }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-  ++shard.hits;
-  CacheMetrics::Get().hits.Inc();
+  if (count) {
+    ++shard.hits;
+    CacheMetrics::Get().hits.Inc();
+  }
   return it->second.value;
 }
 
@@ -456,7 +411,6 @@ ResultCache::Stats ResultCache::stats() const {
     MutexLock lock(shard.mu);
     stats.hits += shard.hits;
     stats.misses += shard.misses;
-    stats.coalesced += shard.coalesced;
     stats.evictions += shard.evictions;
     stats.budget_evictions += shard.budget_evictions;
     stats.invalidations += shard.invalidations;

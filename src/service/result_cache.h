@@ -1,4 +1,4 @@
-// Sharded LRU result cache with single-flight computation deduplication.
+// Sharded LRU result cache.
 //
 // Keys are canonical query keys (see query_key.h); values are immutable
 // computed results shared out by shared_ptr, so eviction never invalidates
@@ -6,19 +6,13 @@
 // list, and byte accounting; a key's shard is a hash of the key, so
 // unrelated queries do not contend.
 //
-// Single-flight: when N threads ask for the same missing key
-// concurrently, exactly one (the leader) runs the compute function; the
-// rest block on a shared_future and receive the leader's value. The
-// compute runs OUTSIDE the shard lock, so long computations never block
-// unrelated cache traffic. A compute returning nullptr signals
-// "failed, do not cache": waiters get the nullptr too, and the next
-// request starts a fresh flight.
+// The cache never computes anything: the service looks a key up, and on a
+// miss computes the value under admission control and Puts it. Concurrent
+// identical misses are deduplicated there (admission.h), not here.
 
 #ifndef TSEXPLAIN_SERVICE_RESULT_CACHE_H_
 #define TSEXPLAIN_SERVICE_RESULT_CACHE_H_
 
-#include <functional>
-#include <future>
 #include <list>
 #include <memory>
 #include <string>
@@ -46,13 +40,11 @@ struct CachedResult {
 class ResultCache {
  public:
   using ValuePtr = std::shared_ptr<const CachedResult>;
-  /// Must not throw; returns nullptr on failure (not cached).
-  using ComputeFn = std::function<ValuePtr()>;
 
   struct Stats {
-    size_t hits = 0;         // served from a completed entry
-    size_t misses = 0;       // led a computation
-    size_t coalesced = 0;    // waited on another thread's computation
+    size_t hits = 0;         // counted lookups that found the key
+    size_t misses = 0;       // counted lookups that did not
+    size_t coalesced = 0;    // always 0: duplicates batch in admission.h
     size_t evictions = 0;    // entries removed to respect capacity
     size_t budget_evictions = 0;  // subset of evictions: prefix budgets
     size_t invalidations = 0;
@@ -70,21 +62,16 @@ class ResultCache {
   /// not leave the process-wide registry drifting.
   ~ResultCache();
 
-  /// Returns the cached value for `key`, computing it single-flight on a
-  /// miss. `was_hit` (optional) reports whether this call avoided running
-  /// `compute` itself (fresh hit or coalesced onto a concurrent flight).
-  ValuePtr GetOrCompute(const std::string& key, const ComputeFn& compute,
-                        bool* was_hit = nullptr);
+  /// The resident value for `key` (LRU-touched) or nullptr. Counts one
+  /// hit or one miss unless `count` is false, which the service uses to
+  /// re-check a key its request already missed on.
+  ValuePtr Lookup(const std::string& key, bool count = true);
 
-  /// Hit-only probe: the resident value (LRU-touched, counted as a hit)
-  /// or nullptr, never starting a flight. The service's fast path uses
-  /// this so hot requests bypass admission control entirely.
-  ValuePtr Lookup(const std::string& key);
-
-  /// Direct insert/overwrite with the same accounting and eviction as a
-  /// completed flight: overwriting never double-charges `bytes_used`,
-  /// and an oversized value drops any stale resident entry rather than
-  /// leaving it to be served. Used for warm-starts and tests.
+  /// Insert/overwrite, evicting LRU entries until every bound holds:
+  /// overwriting never double-charges `bytes_used`, and a value larger
+  /// than its shard (or its prefix budget's shard share) is not cached —
+  /// and drops any stale resident entry rather than leaving it to be
+  /// served.
   void Put(const std::string& key, const ValuePtr& value);
 
   /// Installs (or resizes) a byte budget for every key starting with
@@ -117,11 +104,10 @@ class ResultCache {
   /// persistence layer's export hook; O(entries).
   std::vector<std::pair<std::string, ValuePtr>> ExportEntries() const;
 
-  /// Drops one key (no-op when absent). In-flight computations are not
-  /// interrupted, but their value will land AFTER the invalidation and
-  /// may be re-evicted by a later invalidation only; callers that need
-  /// strict fencing should invalidate after the flight completes (the
-  /// service's session mutex provides exactly that ordering).
+  /// Drops one key (no-op when absent). A computation still running for
+  /// the key Puts its value AFTER the invalidation; callers that need
+  /// strict fencing invalidate after it completes (the service's session
+  /// mutex provides exactly that ordering).
   void Invalidate(const std::string& key);
 
   /// Drops every resident entry whose key starts with `prefix`; returns
@@ -144,22 +130,15 @@ class ResultCache {
     int budget = -1;  // index into the budget list; -1 = unbudgeted
     std::list<std::string>::iterator lru_pos;
   };
-  struct Flight {
-    std::promise<ValuePtr> promise;
-    std::shared_future<ValuePtr> future;
-  };
   struct Shard {
     mutable Mutex mu;
     std::unordered_map<std::string, Entry> entries TSE_GUARDED_BY(mu);
     std::list<std::string> lru TSE_GUARDED_BY(mu);  // front = most recent
-    std::unordered_map<std::string, std::shared_ptr<Flight>> inflight
-        TSE_GUARDED_BY(mu);
     size_t bytes_used TSE_GUARDED_BY(mu) = 0;
     // Parallel to the budget list.
     std::vector<size_t> budget_bytes TSE_GUARDED_BY(mu);
     size_t hits TSE_GUARDED_BY(mu) = 0;
     size_t misses TSE_GUARDED_BY(mu) = 0;
-    size_t coalesced TSE_GUARDED_BY(mu) = 0;
     size_t evictions TSE_GUARDED_BY(mu) = 0;
     size_t budget_evictions TSE_GUARDED_BY(mu) = 0;
     size_t invalidations TSE_GUARDED_BY(mu) = 0;

@@ -8,7 +8,7 @@
 #   - explain                          -> ok, result object, cache_hit
 #                                         false cold / true hot
 #   - concurrent identical explains    -> all ok, exactly one computation
-#                                         (stats misses stay at 1)
+#                                         (stats admitted stays at 1)
 #   - open_session/append/explain_session -> session grows, re-explains
 #   - error paths: parse_error, unknown_op, not_found, bad_request —
 #     all as responses, never as a crash
@@ -118,10 +118,10 @@ response_for 13 "$OUT" | grep -q '"code":"unknown_op"' || fail unknown_op "$(res
 grep -q '"code":"parse_error"' "$OUT" || fail parse_error "no parse_error response"
 response_for 14 "$OUT" | grep -q '"code":"bad_request"' || fail bad_append "$(response_for 14 "$OUT")"
 
-# Single-flight proof: 5 identical explains, exactly 1 dataset-query miss
-# (+1 for the session explain), the rest hits/coalesced.
+# Single-flight proof: 5 identical explains, exactly 1 admitted dataset
+# query (+1 for the session explain), the rest hits or batched onto it.
 STATS=$(response_for 15 "$OUT")
-echo "$STATS" | grep -q '"misses":2' || fail single_flight "$STATS"
+echo "$STATS" | grep -q '"admitted":2' || fail single_flight "$STATS"
 echo "$STATS" | grep -q '"datasets":1' || fail stats_datasets "$STATS"
 echo "$STATS" | grep -q '"open_sessions":1' || fail stats_sessions "$STATS"
 response_for 16 "$OUT" | grep -q '"op":"shutdown"' || fail shutdown "$(response_for 16 "$OUT")"

@@ -1,12 +1,14 @@
 // AdmissionController contract: bounded concurrency, bounded queue with
-// shedding, duplicate batching (coalescing), per-tenant in-flight caps,
-// adaptive thread grants, transport backlog bounding — plus the tenant
-// identity/quota helpers from quota.h.
+// shedding, duplicate batching (followers receive the leader's published
+// value or error), per-tenant in-flight caps, adaptive thread grants,
+// transport backlog bounding — plus the tenant identity/quota helpers
+// from quota.h.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "src/common/thread_pool.h"
 #include "src/service/admission.h"
 #include "src/service/quota.h"
+#include "src/service/result_cache.h"
 
 namespace tsexplain {
 namespace {
@@ -107,34 +110,66 @@ TEST(AdmissionControllerTest, DuplicateKeysBatchWithoutConsumingSlots) {
   options.max_concurrent = 1;
   options.queue_depth = 0;  // any queued duplicate would be shed instead
   AdmissionController admission(options);
+  constexpr int kFollowers = 3;
 
+  // Parks kFollowers duplicates of `key` on `leader`, lets the leader
+  // publish `answer`, and returns what each follower received.
+  auto batch = [&](const std::string& key,
+                   std::unique_ptr<AdmissionController::Ticket> leader,
+                   const AdmissionController::Answer& answer) {
+    const size_t coalesced_before = admission.stats().coalesced;
+    std::vector<AdmissionController::Answer> received(kFollowers);
+    std::vector<AdmissionController::Outcome> outcomes(
+        kFollowers, AdmissionController::Outcome::kAdmitted);
+    std::vector<std::thread> followers;
+    followers.reserve(kFollowers);
+    for (int f = 0; f < kFollowers; ++f) {
+      followers.emplace_back([&, f] {
+        auto ticket = admission.Admit(key, "", 1);
+        outcomes[static_cast<size_t>(f)] = ticket.outcome();
+        received[static_cast<size_t>(f)] = ticket.answer();
+      });
+    }
+    EXPECT_TRUE(WaitFor(admission, [&](const AdmissionController::Stats& s) {
+      return s.coalesced == coalesced_before + kFollowers;
+    }));
+    // Despite queue_depth = 0, nothing was shed: duplicates do not occupy
+    // queue slots. They are parked on the leader's flight.
+    EXPECT_EQ(admission.stats().shed_overload, 0u);
+    leader->Publish(answer);
+    leader.reset();  // leader finishes -> followers get its answer
+    for (std::thread& follower : followers) follower.join();
+    for (const AdmissionController::Outcome outcome : outcomes) {
+      EXPECT_EQ(outcome, AdmissionController::Outcome::kCoalesced);
+    }
+    return received;
+  };
+
+  // The leader publishes a value: every follower gets that same pointer.
   auto leader = std::make_unique<AdmissionController::Ticket>(
       admission.Admit("hot-query", "", 1));
-  EXPECT_TRUE(leader->admitted());
-
-  constexpr int kFollowers = 3;
-  std::vector<std::thread> followers;
-  std::atomic<int> coalesced{0};
-  followers.reserve(kFollowers);
-  for (int f = 0; f < kFollowers; ++f) {
-    followers.emplace_back([&] {
-      auto ticket = admission.Admit("hot-query", "", 1);
-      if (ticket.outcome() == AdmissionController::Outcome::kCoalesced) {
-        coalesced.fetch_add(1);
-      }
-    });
+  ASSERT_TRUE(leader->admitted());
+  auto value = std::make_shared<CachedResult>();
+  value->json = "{}";
+  for (const AdmissionController::Answer& answer :
+       batch("hot-query", std::move(leader), {value, ""})) {
+    EXPECT_EQ(answer.value.get(), value.get());
   }
-  ASSERT_TRUE(WaitFor(admission, [](const AdmissionController::Stats& s) {
-    return s.coalesced == kFollowers;
-  }));
-  // Despite queue_depth = 0, nothing was shed: duplicates do not occupy
-  // queue slots. They are parked on the leader's flight.
-  EXPECT_EQ(admission.stats().shed_overload, 0u);
-
-  leader.reset();  // leader finishes -> followers return kCoalesced
-  for (std::thread& follower : followers) follower.join();
-  EXPECT_EQ(coalesced.load(), kFollowers);
   EXPECT_EQ(admission.stats().admitted, 1u);
+
+  // The leader fails: every follower gets its error, and none of them is
+  // admitted to retry the computation.
+  leader = std::make_unique<AdmissionController::Ticket>(
+      admission.Admit("failing-query", "", 1));
+  ASSERT_TRUE(leader->admitted());
+  EXPECT_EQ(admission.stats().admitted, 2u);
+  for (const AdmissionController::Answer& answer :
+       batch("failing-query", std::move(leader), {nullptr, "engine gone"})) {
+    EXPECT_EQ(answer.value, nullptr);
+    EXPECT_EQ(answer.error, "engine gone");
+  }
+  EXPECT_EQ(admission.stats().admitted, 2u);
+  EXPECT_EQ(admission.stats().coalesced, 2u * kFollowers);
 }
 
 TEST(AdmissionControllerTest, TenantInflightCapShedsOnlyThatTenant) {

@@ -2,9 +2,10 @@
 //  * parallel cube build (time-partitioned scan) is bit-identical to the
 //    serial scan at any thread count,
 //  * ExplanationCube::ScoreAll equals the scalar Score per candidate,
-//  * the concurrent TopFor pre-warm (reentrant SegmentExplainer +
-//    single-flight sharded cache) yields bit-identical results AND
-//    deterministic ca_invocations between threads=1 and threads=8,
+//  * the chunked TopFor pre-warm (deduplicated missing segments computed
+//    over at most `threads` chunks, each with its own solver) yields
+//    bit-identical results AND deterministic ca_invocations between
+//    threads=1 and threads=8,
 //  * Prewarm with duplicate segments computes each segment exactly once.
 
 #include <gtest/gtest.h>
@@ -146,8 +147,8 @@ TEST(ParallelCore, PrewarmedPipelineBitIdenticalAndCaCountDeterministic) {
   TSExplain single(*ds.table, BaseConfig(1));
   TSExplain multi(*ds.table, BaseConfig(8));
   ExpectIdenticalResults(single.Run(), multi.Run());
-  // Single-flight + pre-warm dedup: the number of CA invocations (cache
-  // misses) must not depend on the thread count.
+  // Pre-warm dedup: the number of CA invocations (cache misses) must not
+  // depend on the thread count.
   EXPECT_EQ(single.explainer().ca_invocations(),
             multi.explainer().ca_invocations());
   EXPECT_EQ(single.explainer().cache_size(),

@@ -66,8 +66,8 @@ TEST(PipelineDeterminism, VanillaIdenticalAcrossThreadCounts) {
   const TSExplainResult single_result = single.Run();
   ExpectIdenticalResults(single_result, multi.Run());
   ExpectIdenticalResults(single_result, wide.Run());
-  // The pre-warm fan-out dedups + single-flights cache misses, so the CA
-  // invocation count is thread-count independent too.
+  // The pre-warm computes each distinct missing segment exactly once, so
+  // the CA invocation count is thread-count independent too.
   EXPECT_EQ(single.explainer().ca_invocations(),
             multi.explainer().ca_invocations());
   EXPECT_EQ(single.explainer().ca_invocations(),

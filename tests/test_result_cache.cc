@@ -1,13 +1,9 @@
-// ResultCache contract: LRU eviction + byte accounting, invalidation
-// scoping, and single-flight deduplication under concurrency.
+// ResultCache contract: hit/miss counting, LRU eviction + byte
+// accounting, prefix budgets, and invalidation scoping.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/service/result_cache.h"
 
@@ -27,18 +23,13 @@ size_t CostOf(const std::string& payload) {
 
 TEST(ResultCache, HitAfterMiss) {
   ResultCache cache(1 << 20, /*num_shards=*/1);
-  bool hit = true;
-  int computes = 0;
-  auto compute = [&] {
-    ++computes;
-    return MakeValue("payload");
-  };
-  ResultCache::ValuePtr first = cache.GetOrCompute("k", compute, &hit);
-  EXPECT_FALSE(hit);
-  ResultCache::ValuePtr second = cache.GetOrCompute("k", compute, &hit);
-  EXPECT_TRUE(hit);
-  EXPECT_EQ(computes, 1);
-  EXPECT_EQ(first.get(), second.get());  // literally the same object
+  EXPECT_EQ(cache.Lookup("k"), nullptr);
+  const ResultCache::ValuePtr value = MakeValue("payload");
+  cache.Put("k", value);
+  EXPECT_EQ(cache.Lookup("k").get(), value.get());  // the same object
+  // An uncounted re-check sees the entry without moving the counters.
+  EXPECT_EQ(cache.Lookup("k", /*count=*/false).get(), value.get());
+  EXPECT_EQ(cache.Lookup("absent", /*count=*/false), nullptr);
   const ResultCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -51,76 +42,59 @@ TEST(ResultCache, LruEvictionAndAccounting) {
   const size_t cost = CostOf(payload);
   // Room for exactly three entries.
   ResultCache cache(3 * cost, /*num_shards=*/1);
-  auto compute = [&] { return MakeValue(payload); };
-  bool hit = false;
-  cache.GetOrCompute("a", compute, &hit);
-  cache.GetOrCompute("b", compute, &hit);
-  cache.GetOrCompute("c", compute, &hit);
+  cache.Put("a", MakeValue(payload));
+  cache.Put("b", MakeValue(payload));
+  cache.Put("c", MakeValue(payload));
   EXPECT_EQ(cache.stats().entries, 3u);
   EXPECT_EQ(cache.stats().bytes_used, 3 * cost);
 
   // Touch "a" so "b" is the LRU victim when "d" lands.
-  cache.GetOrCompute("a", compute, &hit);
-  EXPECT_TRUE(hit);
-  cache.GetOrCompute("d", compute, &hit);
-  EXPECT_FALSE(hit);
+  EXPECT_NE(cache.Lookup("a"), nullptr);
+  cache.Put("d", MakeValue(payload));
   const ResultCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.entries, 3u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.bytes_used, 3 * cost);  // accounting stays exact
 
-  cache.GetOrCompute("a", compute, &hit);
-  EXPECT_TRUE(hit);  // survived (was MRU)
-  cache.GetOrCompute("b", compute, &hit);
-  EXPECT_FALSE(hit);  // evicted
+  EXPECT_NE(cache.Lookup("a"), nullptr);  // survived (was MRU)
+  EXPECT_EQ(cache.Lookup("b"), nullptr);  // evicted
 }
 
-TEST(ResultCache, OversizedValueIsServedButNotCached) {
+TEST(ResultCache, OversizedValueIsNotCached) {
   ResultCache cache(64, /*num_shards=*/1);
-  bool hit = true;
-  const ResultCache::ValuePtr value =
-      cache.GetOrCompute("big", [] { return MakeValue(std::string(1000, 'x')); }, &hit);
-  ASSERT_NE(value, nullptr);
-  EXPECT_FALSE(hit);
+  cache.Put("big", MakeValue(std::string(1000, 'x')));
+  EXPECT_EQ(cache.Lookup("big"), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().bytes_used, 0u);
 }
 
 TEST(ResultCache, InvalidateRemovesOnlyTheKey) {
   ResultCache cache(1 << 20, 1);
-  auto compute = [] { return MakeValue("p"); };
-  bool hit = false;
-  cache.GetOrCompute("keep", compute, &hit);
-  cache.GetOrCompute("drop", compute, &hit);
+  cache.Put("keep", MakeValue("p"));
+  cache.Put("drop", MakeValue("p"));
   cache.Invalidate("drop");
   cache.Invalidate("never-existed");  // no-op
-  cache.GetOrCompute("keep", compute, &hit);
-  EXPECT_TRUE(hit);
-  cache.GetOrCompute("drop", compute, &hit);
-  EXPECT_FALSE(hit);
+  EXPECT_NE(cache.Lookup("keep"), nullptr);
+  EXPECT_EQ(cache.Lookup("drop"), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
 
 TEST(ResultCache, InvalidatePrefixScopes) {
   // Many shards: the scan must cover all of them.
   ResultCache cache(1 << 20, 8);
-  auto compute = [] { return MakeValue("p"); };
-  bool hit = false;
   for (int i = 0; i < 16; ++i) {
-    cache.GetOrCompute("session/7/q" + std::to_string(i), compute, &hit);
-    cache.GetOrCompute("session/8/q" + std::to_string(i), compute, &hit);
+    cache.Put("session/7/q" + std::to_string(i), MakeValue("p"));
+    cache.Put("session/8/q" + std::to_string(i), MakeValue("p"));
   }
   EXPECT_EQ(cache.InvalidatePrefix("session/7/"), 16u);
   for (int i = 0; i < 16; ++i) {
-    cache.GetOrCompute("session/8/q" + std::to_string(i), compute, &hit);
-    EXPECT_TRUE(hit);
-    cache.GetOrCompute("session/7/q" + std::to_string(i), compute, &hit);
-    EXPECT_FALSE(hit);
+    EXPECT_NE(cache.Lookup("session/8/q" + std::to_string(i)), nullptr);
+    EXPECT_EQ(cache.Lookup("session/7/q" + std::to_string(i)), nullptr);
   }
 }
 
-// Regression: overwriting a resident key (a completed flight landing
-// after prefix-invalidation races, warm-start Puts) must charge
+// Regression: overwriting a resident key (a recomputation landing after
+// a prefix-invalidation race, warm-start Puts) must charge
 // bytes_used for exactly the resident entries — never the sum of old and
 // new costs — and eviction must never run against the replaced entry's
 // stale cost.
@@ -175,18 +149,16 @@ TEST(ResultCache, PrefixBudgetEvictsWithinTheNamespaceOnly) {
   ResultCache cache(100 * cost, /*num_shards=*/1);
   cache.SetPrefixBudget("tenant/a/", 3 * cost);
 
-  bool hit = false;
-  auto compute = [&] { return MakeValue(payload); };
-  cache.GetOrCompute("global-1", compute, &hit);
-  cache.GetOrCompute("tenant/a/q1", compute, &hit);
-  cache.GetOrCompute("tenant/a/q2", compute, &hit);
-  cache.GetOrCompute("tenant/a/q3", compute, &hit);
+  cache.Put("global-1", MakeValue(payload));
+  cache.Put("tenant/a/q1", MakeValue(payload));
+  cache.Put("tenant/a/q2", MakeValue(payload));
+  cache.Put("tenant/a/q3", MakeValue(payload));
   EXPECT_EQ(cache.stats().entries, 4u);
   EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 3 * cost);
 
   // A fourth tenant entry evicts the tenant's own LRU tail (q1) — the
   // global entry is untouchable by this namespace's pressure.
-  cache.GetOrCompute("tenant/a/q4", compute, &hit);
+  cache.Put("tenant/a/q4", MakeValue(payload));
   EXPECT_EQ(cache.stats().entries, 4u);
   EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 3 * cost);
   EXPECT_EQ(cache.stats().budget_evictions, 1u);
@@ -202,27 +174,20 @@ TEST(ResultCache, PrefixBudgetTouchKeepsHotEntriesResident) {
   const size_t cost = CostOf(payload);
   ResultCache cache(100 * cost, 1);
   cache.SetPrefixBudget("tenant/a/", 2 * cost);
-  bool hit = false;
-  auto compute = [&] { return MakeValue(payload); };
-  cache.GetOrCompute("tenant/a/hot", compute, &hit);
-  cache.GetOrCompute("tenant/a/cold", compute, &hit);
-  cache.GetOrCompute("tenant/a/hot", compute, &hit);  // touch
-  EXPECT_TRUE(hit);
-  cache.GetOrCompute("tenant/a/new", compute, &hit);  // evicts "cold"
+  cache.Put("tenant/a/hot", MakeValue(payload));
+  cache.Put("tenant/a/cold", MakeValue(payload));
+  EXPECT_NE(cache.Lookup("tenant/a/hot"), nullptr);  // touch
+  cache.Put("tenant/a/new", MakeValue(payload));     // evicts "cold"
   EXPECT_NE(cache.Lookup("tenant/a/hot"), nullptr);
   EXPECT_EQ(cache.Lookup("tenant/a/cold"), nullptr);
 }
 
-TEST(ResultCache, ValueOverItsPrefixBudgetIsServedNotCached) {
+TEST(ResultCache, ValueOverItsPrefixBudgetIsNotCached) {
   const std::string payload(1000, 'x');
   ResultCache cache(1 << 20, 1);
   cache.SetPrefixBudget("tenant/tiny/", 8);  // smaller than any entry
-  bool hit = true;
-  const ResultCache::ValuePtr value =
-      cache.GetOrCompute("tenant/tiny/q", [&] { return MakeValue(payload); },
-                         &hit);
-  ASSERT_NE(value, nullptr);
-  EXPECT_FALSE(hit);
+  cache.Put("tenant/tiny/q", MakeValue(payload));
+  EXPECT_EQ(cache.Lookup("tenant/tiny/q"), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.PrefixBytes("tenant/tiny/"), 0u);
 }
@@ -231,12 +196,10 @@ TEST(ResultCache, ShrinkingABudgetEvictsResidentEntriesImmediately) {
   const std::string payload(1000, 'x');
   const size_t cost = CostOf(payload);
   ResultCache cache(100 * cost, 1);
-  bool hit = false;
-  auto compute = [&] { return MakeValue(payload); };
   // Entries land before any budget exists (unbudgeted attribution).
-  cache.GetOrCompute("tenant/a/q1", compute, &hit);
-  cache.GetOrCompute("tenant/a/q2", compute, &hit);
-  cache.GetOrCompute("tenant/a/q3", compute, &hit);
+  cache.Put("tenant/a/q1", MakeValue(payload));
+  cache.Put("tenant/a/q2", MakeValue(payload));
+  cache.Put("tenant/a/q3", MakeValue(payload));
   // No budget registered yet: PrefixBytes falls back to a full scan and
   // reports the actual resident bytes (the operator-facing stats path).
   EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 3 * cost);
@@ -249,63 +212,6 @@ TEST(ResultCache, ShrinkingABudgetEvictsResidentEntriesImmediately) {
   EXPECT_NE(cache.Lookup("tenant/a/q2"), nullptr);
   EXPECT_NE(cache.Lookup("tenant/a/q3"), nullptr);
   EXPECT_EQ(cache.stats().bytes_used, 2 * cost);
-}
-
-TEST(ResultCache, FailedComputeIsNotCached) {
-  ResultCache cache(1 << 20, 1);
-  bool hit = true;
-  const ResultCache::ValuePtr failed =
-      cache.GetOrCompute("k", [] { return ResultCache::ValuePtr(); }, &hit);
-  EXPECT_EQ(failed, nullptr);
-  EXPECT_FALSE(hit);
-  // The next request retries instead of serving the failure.
-  const ResultCache::ValuePtr ok =
-      cache.GetOrCompute("k", [] { return MakeValue("p"); }, &hit);
-  ASSERT_NE(ok, nullptr);
-  EXPECT_FALSE(hit);
-}
-
-TEST(ResultCache, SingleFlightUnderConcurrentIdenticalQueries) {
-  ResultCache cache(1 << 20, 8);
-  std::atomic<int> computes{0};
-
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 25;
-  std::vector<std::thread> threads;
-  std::vector<int> non_hits(kThreads, 0);
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        const std::string key = "query-" + std::to_string(round);
-        bool hit = false;
-        const ResultCache::ValuePtr value = cache.GetOrCompute(
-            key,
-            [&] {
-              computes.fetch_add(1);
-              // Give other threads time to pile onto this flight.
-              std::this_thread::sleep_for(std::chrono::milliseconds(2));
-              return MakeValue("value-" + key);
-            },
-            &hit);
-        ASSERT_NE(value, nullptr);
-        EXPECT_EQ(value->json, "value-" + key);
-        if (!hit) ++non_hits[static_cast<size_t>(t)];
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-
-  // Exactly one computation per distinct key, no matter how many threads
-  // raced; and never two flights for the same key at once.
-  EXPECT_EQ(computes.load(), kRounds);
-  const ResultCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, static_cast<size_t>(kRounds));
-  EXPECT_EQ(stats.hits + stats.coalesced,
-            static_cast<size_t>(kThreads * kRounds - kRounds));
-  int total_non_hits = 0;
-  for (int count : non_hits) total_non_hits += count;
-  EXPECT_EQ(total_non_hits, kRounds);
 }
 
 }  // namespace

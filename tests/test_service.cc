@@ -1,7 +1,7 @@
 // End-to-end coverage of the explanation service (src/service/): dataset
 // registry, cached + concurrent explains bit-identical to direct
-// TSExplain::Run, single-flight behavior at the service level, streaming
-// sessions with scoped cache invalidation, and the executor futures.
+// TSExplain::Run, single-flight behavior at the service level, and
+// streaming sessions with scoped cache invalidation.
 
 #include <gtest/gtest.h>
 
@@ -346,35 +346,15 @@ TEST(ExplainServiceTest, ConcurrentMixedQueriesBitIdenticalToSerial) {
     }
   }
 
-  // The cache served most of the traffic: at most one computation per
-  // distinct query key (5 distinct keys among 6 variants).
+  // One admitted computation per distinct query key (5 distinct keys
+  // among 6 variants); every other request was a hit or was batched onto
+  // a leader by admission.
   const ServiceStats stats = service.Stats();
-  EXPECT_EQ(stats.cache.misses, 5u);
-  EXPECT_GE(stats.cache.hits + stats.cache.coalesced,
+  EXPECT_EQ(stats.admission.admitted, 5u);
+  EXPECT_GE(stats.cache.hits + stats.admission.coalesced,
             static_cast<size_t>(kThreads * kRounds + 2 - 5));
   // The k-variants shared one hot engine; m/diff-metric got their own.
   EXPECT_EQ(stats.hot_engines, 3u);
-}
-
-TEST(ExplainServiceTest, ExecutorFuturesDeliver) {
-  ExplainService service;
-  std::string error;
-  ASSERT_TRUE(service.registry().RegisterTable("ds", MakeTable(13),
-                                               "<table>", &error));
-  ServiceExecutor executor(service);
-  std::vector<std::future<ExplainResponse>> futures;
-  for (int i = 0; i < 8; ++i) {
-    ExplainRequest request;
-    request.dataset = "ds";
-    request.config = BaseConfig();
-    request.config.fixed_k = 2 + (i % 3);
-    futures.push_back(executor.SubmitExplain(std::move(request)));
-  }
-  for (auto& future : futures) {
-    const ExplainResponse response = future.get();
-    ASSERT_TRUE(response.ok) << response.error;
-    EXPECT_FALSE(response.json.empty());
-  }
 }
 
 TEST(ExplainServiceTest, SessionAppendInvalidatesOnlyThatSession) {
@@ -868,6 +848,31 @@ TEST(ProtocolTest, HandlerEndToEnd) {
   const std::string gone =
       handle(R"({"op":"explain_session","id":10,"session":1})");
   EXPECT_NE(gone.find("\"code\":\"not_found\""), std::string::npos);
+}
+
+TEST(ProtocolTest, EveryTableOpHasAHandler) {
+  // The op table is the one list of op names: each entry must reach a
+  // handler (a bare request may fail validation, but never as unknown_op).
+  ExplainService service;
+  ProtocolHandler handler(service);
+  const std::vector<ProtocolHandler::OpInfo> ops = ProtocolHandler::Ops();
+  ASSERT_FALSE(ops.empty());
+  for (const ProtocolHandler::OpInfo& op : ops) {
+    JsonValue request;
+    std::string error;
+    ASSERT_TRUE(ParseJson(std::string(R"({"op":")") + op.name + "\"}",
+                          &request, &error))
+        << error;
+    const std::string reply = handler.Handle(request);
+    EXPECT_EQ(reply.find("\"code\":\"unknown_op\""), std::string::npos)
+        << op.name << ": " << reply;
+  }
+  // Unknown ops are barriers; healthz is the one non-barrier non-read.
+  EXPECT_TRUE(ProtocolHandler::IsBarrierOp("no_such_op"));
+  EXPECT_FALSE(ProtocolHandler::IsExpensiveOp("no_such_op"));
+  EXPECT_FALSE(ProtocolHandler::IsBarrierOp("healthz"));
+  EXPECT_FALSE(ProtocolHandler::IsBarrierOp("explain"));
+  EXPECT_TRUE(ProtocolHandler::IsBarrierOp("stats"));
 }
 
 TEST(ProtocolTest, OverloadAndTenantWireShapes) {
