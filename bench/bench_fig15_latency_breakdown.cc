@@ -32,20 +32,23 @@ void Run() {
       TSExplain engine(*w.table, config);
       const TSExplainResult result = engine.Run();
       const double wall = timer.ElapsedMs();
+      // A cold query: precomputation covers the engine's construction
+      // (registry + cube + masks) plus this run's gamma scoring.
+      const double precompute_ms =
+          engine.build_ms() + result.timing.precompute_ms;
+      const double total_ms = engine.build_ms() + result.timing.TotalMs();
       std::printf("  %-10s %s %s %s %s  (wall %s)\n",
                   bench::PresetName(preset),
-                  bench::FormatMs(result.timing.precompute_ms).c_str(),
+                  bench::FormatMs(precompute_ms).c_str(),
                   bench::FormatMs(result.timing.cascading_ms).c_str(),
                   bench::FormatMs(result.timing.segmentation_ms).c_str(),
-                  bench::FormatMs(result.timing.TotalMs()).c_str(),
+                  bench::FormatMs(total_ms).c_str(),
                   bench::FormatMs(wall).c_str());
       bench::EmitResult("fig15." + bench::ResultSlug(w.name) + "." +
                             bench::ResultSlug(bench::PresetName(preset)),
-                        result.timing.TotalMs());
-      if (preset == bench::OptPreset::kVanilla) {
-        vanilla_total = result.timing.TotalMs();
-      }
-      best_total = std::min(best_total, result.timing.TotalMs());
+                        total_ms);
+      if (preset == bench::OptPreset::kVanilla) vanilla_total = total_ms;
+      best_total = std::min(best_total, total_ms);
     }
     std::printf("  speedup Vanilla -> best preset: %.1fx\n",
                 vanilla_total / best_total);

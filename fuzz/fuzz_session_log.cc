@@ -4,14 +4,20 @@
 // (ReadSessionLog), and full recovery (RecoverStreamingSession) against a
 // fixed base table with a validated config override — exactly how the
 // service replays a log from a crashed process. Torn tails must truncate
-// to a clean log that replays the same record prefix.
+// to a clean log that replays the same record prefix. Every log that
+// recovers must also give the batch pipeline's answers: the recovered
+// session, and a live session replaying the same appends after each one,
+// match a fresh TSExplain over the session's table.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "fuzz/fuzz_util.h"
+#include "src/pipeline/report_json.h"
+#include "src/pipeline/streaming.h"
 #include "src/pipeline/tsexplain.h"
 #include "src/storage/append_log.h"
 #include "src/storage/session_log.h"
@@ -48,6 +54,30 @@ tsexplain::TSExplainConfig SafeConfig() {
   return config;
 }
 
+// Everything RenderJsonReport emits except the timing_ms block.
+std::string RenderUntimed(const tsexplain::ExplanationCube& cube,
+                          tsexplain::TSExplainResult result) {
+  result.timing = tsexplain::TimingBreakdown();
+  return tsexplain::RenderJsonReport(cube, result);
+}
+
+// Same question, same answer: the session engine's full-candidate run and
+// its section 8 answer equal a fresh engine's over the same table.
+void AssertMatchesFreshEngine(tsexplain::StreamingTSExplain& session) {
+  const tsexplain::TSExplainConfig& config = session.engine().config();
+  const tsexplain::SegmentationSpec spec =
+      tsexplain::SegmentationSpec::FromConfig(config);
+  tsexplain::TSExplain fresh(session.table(), config);
+  FUZZ_ASSERT(RenderUntimed(session.cube(), session.engine().Run(spec)) ==
+              RenderUntimed(fresh.cube(), fresh.Run(spec)));
+  const std::vector<int> candidates = session.IncrementalCandidates();
+  const tsexplain::TSExplainResult answer = session.Explain();
+  FUZZ_ASSERT(RenderUntimed(session.cube(), answer) ==
+              RenderUntimed(fresh.cube(), candidates.empty()
+                                              ? fresh.Run(spec)
+                                              : fresh.Run(spec, candidates)));
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -79,6 +109,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                                                   &safe);
   if (recovered.ok()) {
     FUZZ_ASSERT(recovered.status.ok());
+    AssertMatchesFreshEngine(*recovered.engine);
+    tsexplain::StreamingTSExplain live(BaseTable(), safe);
+    AssertMatchesFreshEngine(live);
+    for (const tsexplain::storage::SessionLogAppend& append :
+         recovered.contents.appends) {
+      live.AppendBucket(append.label, append.rows);
+      AssertMatchesFreshEngine(live);
+    }
   } else {
     FUZZ_ASSERT(!recovered.status.ok());
     FUZZ_ASSERT(!recovered.status.message.empty());

@@ -307,8 +307,7 @@ void ExplanationCube::AppendBucket(const AggState& overall,
     slice_sums_.push_back(partial.sum);
     slice_counts_.push_back(partial.count);
   }
-  time_labels_.push_back(label.empty() ? std::to_string(time_labels_.size())
-                                       : label);
+  time_labels_.push_back(label);
 }
 
 }  // namespace tsexplain

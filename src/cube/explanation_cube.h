@@ -78,11 +78,12 @@ class ExplanationCube {
   TimeSeries SliceSeries(ExplId e) const;
 
   /// Appends one new time bucket of partials (streaming extension,
-  /// section 8). `slice_partials` must be aligned with the registry ids and
-  /// `overall` must equal the sum over disjoint order-1 slices.
+  /// section 8). `slice_partials` must be aligned with the registry ids,
+  /// `overall` must equal the sum over disjoint order-1 slices, and
+  /// `label` is the table's label for the bucket.
   void AppendBucket(const AggState& overall,
                     const std::vector<AggState>& slice_partials,
-                    const std::string& label = "");
+                    const std::string& label);
 
   /// Smooths every partial series with a trailing moving average of window
   /// `w` (paper section 7.4: fuzzy datasets are smoothed before being

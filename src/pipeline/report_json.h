@@ -122,8 +122,8 @@ std::string RenderJsonReport(const TSExplain& engine,
                              const ReportOptions& options = {});
 
 /// Cube-level overload: everything the report needs beyond the result is
-/// the cube's overall/slice series, so streaming engines (which have a
-/// cube but no TSExplain) serialize through the same code path.
+/// the cube's overall/slice series, so batch engines and streaming
+/// sessions serialize through the same code path.
 std::string RenderJsonReport(const ExplanationCube& cube,
                              const TSExplainResult& result,
                              const ReportOptions& options = {});

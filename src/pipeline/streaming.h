@@ -7,14 +7,18 @@
 // series' cutting points and newly arrived data points, and updates the
 // segmentation results."
 //
-// StreamingTSExplain implements exactly that: the first Explain() is a full
-// run; every AppendBucket() extends the cube with new partials (the
-// explainer's caches for old segments remain valid because gamma depends
-// only on the endpoint partials, which never change); subsequent Explain()
-// calls restrict the cut candidates to { previous cuts } + { points
+// StreamingTSExplain is a thin owner around one TSExplain engine: it owns
+// the growing table, lets the engine absorb each appended bucket
+// (TSExplain::AppendBucket keeps the cached explanations of old segments,
+// whose endpoint partials never change), and applies the section 8
+// candidate policy. The first Explain() is the engine's full Run(spec);
+// later calls restrict the cut candidates to { previous cuts } + { points
 // appended since the last run }, making each refresh cheap instead of
-// O(n^3) wide. If an appended row introduces a never-seen cell, the
-// registry/cube are rebuilt (rare; documented in DESIGN.md).
+// O(n^3) wide. When the engine cannot absorb a bucket (a never-seen cell,
+// or smoothing on), the session builds a fresh engine over its table. Either
+// way the engine is exactly what a fresh TSExplain over the grown table
+// would be, so a session answers every question the way the batch pipeline
+// does (tests/test_streaming.cc checks this after every append).
 
 #ifndef TSEXPLAIN_PIPELINE_STREAMING_H_
 #define TSEXPLAIN_PIPELINE_STREAMING_H_
@@ -38,17 +42,17 @@ struct StreamRow {
 /// Incremental TSExplain over an internally owned, growing Table.
 ///
 /// Thread safety: NONE here by design — every method mutates the owned
-/// table / cube / caches, and the owner must serialize all calls
-/// externally. In the service, that owner is ExplainService::Session,
-/// whose `engine` field is TSE_GUARDED_BY(Session::mu); standalone users
-/// (CLI, benches, tests) drive one instance from one thread. The
-/// append-observer callback runs synchronously inside AppendBucket and
-/// therefore inherits the caller's serialization.
+/// table / engine, and the owner must serialize all calls externally. In
+/// the service, that owner is ExplainService::Session, whose `engine`
+/// field is TSE_GUARDED_BY(Session::mu); standalone users (CLI, benches,
+/// tests) drive one instance from one thread. The append-observer
+/// callback runs synchronously inside AppendBucket and therefore inherits
+/// the caller's serialization.
 class StreamingTSExplain {
  public:
-  /// Copies `initial` into the internal table and builds the cube.
-  /// Sketch (O2) applies to the first full run only; incremental runs
-  /// already restrict the candidates.
+  /// Copies `initial` (at least three time buckets) into the internal
+  /// table and builds the engine. Sketch (O2) applies to the first full
+  /// run only; incremental runs already restrict the candidates.
   StreamingTSExplain(const Table& initial, TSExplainConfig config);
 
   /// Appends one new time bucket with its rows.
@@ -61,22 +65,30 @@ class StreamingTSExplain {
   /// bit-identical at any thread count.
   TSExplainResult Explain(int threads_override = 0);
 
+  /// The cut candidates the next Explain() runs module (c) over: the
+  /// previous run's cuts plus every point appended since (section 8).
+  /// Empty before the first Explain(), which is a full run.
+  std::vector<int> IncrementalCandidates() const;
+
   /// Number of time buckets currently covered.
   int n() const { return static_cast<int>(table_->num_time_buckets()); }
 
   /// The live cube (overall/slice series for report serialization; see
   /// report_json.h's cube-level RenderJsonReport overload).
-  const ExplanationCube& cube() const { return *cube_; }
+  const ExplanationCube& cube() const { return engine_->cube(); }
 
   /// The internally owned, growing table (schema lookups for appends).
   const Table& table() const { return *table_; }
+
+  /// The engine over table(); replaced when an append forces a rebuild.
+  TSExplain& engine() { return *engine_; }
 
   /// Whether the last AppendBucket forced a full rebuild (new cells).
   bool last_append_rebuilt() const { return last_append_rebuilt_; }
 
   /// Append observer: invoked at the END of every AppendBucket (after the
-  /// table and cube absorbed the bucket) with the bucket's label and rows.
-  /// This is the persistence layer's append-log hook — the service
+  /// table and engine absorbed the bucket) with the bucket's label and
+  /// rows. This is the persistence layer's append-log hook — the service
   /// subscribes a storage::SessionLogWriter here (src/storage/
   /// session_log.h), keeping the pipeline free of storage dependencies.
   /// Replay during recovery constructs the engine BEFORE subscribing, so
@@ -88,24 +100,12 @@ class StreamingTSExplain {
   }
 
  private:
-  void BuildEngine();
-  std::vector<bool> ComputeActiveMask() const;
-  TSExplainResult RunWithCandidates(const std::vector<int>& positions,
-                                    int threads);
-
   std::unique_ptr<Table> table_;
   TSExplainConfig config_;
-  std::vector<AttrId> explain_by_;
-  int measure_idx_ = -1;
-  ExplanationRegistry registry_;
-  std::unique_ptr<ExplanationCube> cube_;
-  /// Combined canonical + support-filter mask (empty = all selectable).
-  std::vector<bool> active_mask_;
-  std::unique_ptr<SegmentExplainer> explainer_;
+  std::unique_ptr<TSExplain> engine_;
 
-  std::vector<int> last_cuts_;
+  std::vector<int> last_cuts_;  // empty until the first Explain()
   int last_n_ = 0;
-  bool first_run_done_ = false;
   bool last_append_rebuilt_ = false;
   AppendObserver append_observer_;
 };

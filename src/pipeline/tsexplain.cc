@@ -33,11 +33,9 @@ int ResolveMeasure(const Table& table, const std::string& name) {
 
 }  // namespace
 
-TimingBreakdown TimingBreakdown::Partition(double build_ms,
-                                           double precompute_delta_ms,
+TimingBreakdown TimingBreakdown::Partition(double precompute_delta_ms,
                                            double cascading_delta_ms,
                                            double wall_ms) {
-  if (build_ms < 0.0) build_ms = 0.0;
   if (wall_ms < 0.0) wall_ms = 0.0;
   double a = std::max(0.0, precompute_delta_ms);
   double b = std::max(0.0, cascading_delta_ms);
@@ -50,10 +48,10 @@ TimingBreakdown TimingBreakdown::Partition(double build_ms,
     b *= scale;
   }
   TimingBreakdown timing;
-  timing.precompute_ms = build_ms + a;
+  timing.precompute_ms = a;
   timing.cascading_ms = b;
   timing.segmentation_ms = std::max(0.0, wall_ms - a - b);
-  timing.total_ms = build_ms + wall_ms;
+  timing.total_ms = wall_ms;
   return timing;
 }
 
@@ -89,41 +87,8 @@ TSExplain::TSExplain(const Table& table, TSExplainConfig config)
     cube_->SmoothInPlace(config_.smooth_window);
   }
 
-  // Selectable mask: dedupe of equal-slice conjunctions, then the support
-  // filter on top.
-  canonical_count_ = registry_.num_explanations();
-  active_count_ = registry_.num_explanations();
-  if (config_.dedupe_redundant) {
-    active_mask_ = ComputeCanonicalMask(*cube_, registry_);
-    canonical_count_ = CountActive(active_mask_);
-    active_count_ = canonical_count_;
-  }
-  if (config_.use_filter) {
-    std::vector<bool> filter =
-        ComputeSupportFilter(*cube_, config_.filter_ratio);
-    active_mask_ = active_mask_.empty() ? std::move(filter)
-                                        : AndMasks(active_mask_, filter);
-    active_count_ = CountActive(active_mask_);
-  }
-  if (!config_.exclude.empty()) {
-    std::vector<bool> allowed(registry_.num_explanations(), true);
-    for (size_t e = 0; e < registry_.num_explanations(); ++e) {
-      for (const Predicate& p :
-           registry_.explanation(static_cast<ExplId>(e)).predicates()) {
-        const std::string rendered = table_.PredicateString(p.attr, p.value);
-        const std::string& value =
-            table_.dictionary(p.attr).ToString(p.value);
-        for (const std::string& banned : config_.exclude) {
-          if (banned == rendered || banned == value) {
-            allowed[e] = false;
-          }
-        }
-      }
-    }
-    active_mask_ = active_mask_.empty() ? std::move(allowed)
-                                        : AndMasks(active_mask_, allowed);
-    active_count_ = CountActive(active_mask_);
-  }
+  rows_absorbed_ = table.num_rows();
+  UpdateMask();
 
   SegmentExplainer::Options options;
   options.m = config_.m;
@@ -141,30 +106,36 @@ TSExplainResult TSExplain::Run() {
 }
 
 TSExplainResult TSExplain::Run(const SegmentationSpec& spec) {
-  Timer total_timer;
-  const ExplainerTiming timing_before = explainer_->timing();
+  std::vector<int> candidates;
+  if (!spec.use_sketch) {
+    candidates.resize(static_cast<size_t>(explainer_->n()));
+    std::iota(candidates.begin(), candidates.end(), 0);
+    return Run(spec, candidates);
+  }
+  // O2: the sketch picks the candidates, and the run's timing covers it.
+  const Timer timer;
+  const ExplainerTiming before = explainer_->timing();
+  VarianceCalculator calc(*explainer_, spec.variance_metric);
+  candidates = SelectSketch(calc, spec.sketch_params).positions;
+  TSExplainResult result = Run(spec, candidates);
+  result.sketch_positions = std::move(candidates);
+  result.timing = TimingSince(before, timer);
+  return result;
+}
+
+TSExplainResult TSExplain::Run(const SegmentationSpec& spec,
+                               const std::vector<int>& candidates) {
+  const Timer timer;
+  const ExplainerTiming before = explainer_->timing();
 
   TSExplainResult result;
   result.epsilon = canonical_count_;
   result.filtered_epsilon = active_count_;
 
-  const int n = explainer_->n();
-  VarianceCalculator calc(*explainer_, spec.variance_metric);
-
-  // Candidate cut positions: all points, or the sketch (O2).
-  std::vector<int> positions;
-  if (spec.use_sketch) {
-    SketchResult sketch = SelectSketch(calc, spec.sketch_params);
-    result.sketch_positions = sketch.positions;
-    positions = std::move(sketch.positions);
-  } else {
-    positions.resize(static_cast<size_t>(n));
-    std::iota(positions.begin(), positions.end(), 0);
-  }
-
   // Module (c): weighted variance table + DP over the candidates.
+  VarianceCalculator calc(*explainer_, spec.variance_metric);
   const VarianceTable table =
-      VarianceTable::Compute(calc, positions, /*max_span=*/-1,
+      VarianceTable::Compute(calc, candidates, /*max_span=*/-1,
                              ResolveThreadCount(spec.threads));
   const int dp_max_k = spec.fixed_k > 0 ? spec.fixed_k : spec.max_k;
   KSegmentationDp dp(table, dp_max_k);
@@ -209,16 +180,95 @@ TSExplainResult TSExplain::Run(const SegmentationSpec& spec) {
     seg.high_variance_hint = seg.variance > 0.1 && above_peers;
   }
 
-  // Timing: explainer-internal buckets are modules (a)+(b); the remainder
-  // of this call is module (c). Partition makes the buckets a
-  // non-negative decomposition of this run's wall clock even when
-  // threads > 1 per-chunk sums exceed it.
-  const ExplainerTiming timing_after = explainer_->timing();
-  result.timing = TimingBreakdown::Partition(
-      build_ms_, timing_after.precompute_ms - timing_before.precompute_ms,
-      timing_after.cascading_ms - timing_before.cascading_ms,
-      total_timer.ElapsedMs());
+  result.timing = TimingSince(before, timer);
   return result;
+}
+
+bool TSExplain::AppendBucket() {
+  // Smoothing mixes past raw partials into the new bucket, and the cube
+  // only keeps smoothed values.
+  if (config_.smooth_window > 1) return false;
+  const size_t t = cube_->n();
+  if (table_.num_time_buckets() != t + 1) return false;
+
+  // The new bucket's per-cell partials, accumulated in row order exactly
+  // as the cube constructor does, so a grown cube equals a fresh one.
+  std::vector<AggState> slice_partials(registry_.num_explanations());
+  AggState overall{};
+  const size_t num_attrs = explain_by_.size();
+  std::vector<Predicate> preds;
+  for (size_t row = rows_absorbed_; row < table_.num_rows(); ++row) {
+    if (static_cast<size_t>(table_.time(row)) != t) return false;
+    const double value =
+        measure_idx_ < 0 ? 1.0 : table_.measure(row, measure_idx_);
+    overall.Add(value);
+    for (uint32_t mask = 1; mask < (1u << num_attrs); ++mask) {
+      if (__builtin_popcount(mask) > config_.max_order) continue;
+      preds.clear();
+      for (size_t idx = 0; idx < num_attrs; ++idx) {
+        if (mask & (1u << idx)) {
+          preds.push_back(
+              Predicate{explain_by_[idx], table_.dim(row, explain_by_[idx])});
+        }
+      }
+      const ExplId id = registry_.Lookup(Explanation::FromPredicates(preds));
+      if (id == kInvalidExplId) return false;  // a never-seen cell
+      slice_partials[static_cast<size_t>(id)].Add(value);
+    }
+  }
+
+  cube_->AppendBucket(overall, slice_partials, table_.time_labels().back());
+  rows_absorbed_ = table_.num_rows();
+  // Gamma depends only on a segment's endpoint partials, which never
+  // change, so cached explanations stay valid -- unless a cell's status
+  // flipped (support gained, equal slices diverged).
+  if (UpdateMask()) explainer_->ClearCache();
+  return true;
+}
+
+bool TSExplain::UpdateMask() {
+  const size_t epsilon = registry_.num_explanations();
+  std::vector<bool> mask;
+  canonical_count_ = epsilon;
+  if (config_.dedupe_redundant) {
+    mask = ComputeCanonicalMask(*cube_, registry_);
+    canonical_count_ = CountActive(mask);
+  }
+  if (config_.use_filter) {
+    std::vector<bool> filter =
+        ComputeSupportFilter(*cube_, config_.filter_ratio);
+    mask = mask.empty() ? std::move(filter) : AndMasks(mask, filter);
+  }
+  if (!config_.exclude.empty()) {
+    std::vector<bool> allowed(epsilon, true);
+    for (size_t e = 0; e < epsilon; ++e) {
+      for (const Predicate& p :
+           registry_.explanation(static_cast<ExplId>(e)).predicates()) {
+        const std::string rendered = table_.PredicateString(p.attr, p.value);
+        const std::string& value =
+            table_.dictionary(p.attr).ToString(p.value);
+        for (const std::string& banned : config_.exclude) {
+          if (banned == rendered || banned == value) {
+            allowed[e] = false;
+          }
+        }
+      }
+    }
+    mask = mask.empty() ? std::move(allowed) : AndMasks(mask, allowed);
+  }
+  active_count_ = mask.empty() ? epsilon : CountActive(mask);
+  if (mask == active_mask_) return false;
+  // Swapped in place: the explainer holds a pointer to active_mask_.
+  active_mask_.swap(mask);
+  return true;
+}
+
+TimingBreakdown TSExplain::TimingSince(const ExplainerTiming& before,
+                                       const Timer& timer) const {
+  const ExplainerTiming after = explainer_->timing();
+  return TimingBreakdown::Partition(
+      after.precompute_ms - before.precompute_ms,
+      after.cascading_ms - before.cascading_ms, timer.ElapsedMs());
 }
 
 double TSExplain::EvaluateScheme(const std::vector<int>& cuts) {

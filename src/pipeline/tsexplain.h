@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/timer.h"
 #include "src/cube/canonical_mask.h"
 #include "src/cube/explanation_cube.h"
 #include "src/cube/support_filter.h"
@@ -134,28 +135,28 @@ struct SegmentationSpec {
   static SegmentationSpec FromConfig(const TSExplainConfig& config);
 };
 
-/// Latency breakdown matching the paper's Figure 15 categories. The
-/// buckets are a NON-NEGATIVE PARTITION of this run's wall clock by
-/// construction (see Partition): at threads = 1 it is the exact
+/// Latency breakdown matching the paper's Figure 15 categories for ONE
+/// Run call. The buckets are a NON-NEGATIVE PARTITION of that call's wall
+/// clock by construction (see Partition): at threads = 1 it is the exact
 /// per-module attribution; with threads > 1 (per-chunk elapsed sums
-/// exceed wall clock) the (a)/(b) shares are scaled down to fit — the old
-/// behavior of clamping only module (c) could silently report
-/// sum(modules) > total with double-attributed time.
+/// exceed wall clock) the (a)/(b) shares are scaled down to fit. Engine
+/// construction is not part of any run: one-shot cold figures add
+/// TSExplain::build_ms() themselves.
 struct TimingBreakdown {
-  double precompute_ms = 0.0;    // module (a): cube build + gamma fills
+  double precompute_ms = 0.0;    // module (a): gamma scoring
   double cascading_ms = 0.0;     // module (b): CA / guess-and-verify
   double segmentation_ms = 0.0;  // module (c): distances, variance, DP
-  double total_ms = 0.0;         // this run's wall clock (incl. build)
+  double total_ms = 0.0;         // this run's wall clock
   double TotalMs() const {
     return precompute_ms + cascading_ms + segmentation_ms;
   }
 
   /// Builds the breakdown from per-run explainer deltas: every bucket
-  /// >= 0 and TotalMs() == total_ms == build_ms + wall_ms (up to fp
-  /// rounding), whatever the deltas claim. Negative deltas (impossible
-  /// outside clock skew) clamp to zero; overshooting deltas scale down
-  /// proportionally; module (c) is the exact remainder.
-  static TimingBreakdown Partition(double build_ms, double precompute_delta_ms,
+  /// >= 0 and TotalMs() == total_ms == wall_ms (up to fp rounding),
+  /// whatever the deltas claim. Negative deltas (impossible outside clock
+  /// skew) clamp to zero; overshooting deltas scale down proportionally;
+  /// module (c) is the exact remainder.
+  static TimingBreakdown Partition(double precompute_delta_ms,
                                    double cascading_delta_ms, double wall_ms);
 };
 
@@ -178,10 +179,12 @@ struct TSExplainResult {
 
 /// The TSExplain engine. Owns the registry, cube, and caches; one instance
 /// answers repeated Run() calls (e.g. with different fixed_k) without
-/// re-scanning the relation.
+/// re-scanning the relation, and absorbs appended time buckets (the
+/// streaming extension, section 8).
 class TSExplain {
  public:
   /// Builds the registry and cube from `table` (module (a) precomputation).
+  /// The engine keeps a reference: `table` must outlive it.
   TSExplain(const Table& table, TSExplainConfig config);
 
   /// Runs segmentation + per-segment explanation per the configuration.
@@ -189,8 +192,26 @@ class TSExplain {
 
   /// Same, but with the segmentation knobs overridden: the engine state
   /// (cube, caches, masks) is untouched, so one instance serves arbitrary
-  /// spec variations of its query without re-scanning the relation.
+  /// spec variations of its query without re-scanning the relation. The
+  /// cut candidates are the sketch (O2) or every point.
   TSExplainResult Run(const SegmentationSpec& spec);
+
+  /// Runs module (c) and the final-segment explain over caller-chosen cut
+  /// candidates: sorted, distinct, from 0 to n-1 inclusive. The streaming
+  /// extension passes the previous cuts plus the points appended since;
+  /// `spec.use_sketch` is ignored.
+  TSExplainResult Run(const SegmentationSpec& spec,
+                      const std::vector<int>& candidates);
+
+  /// Absorbs the time bucket the table has just taken (its rows must be
+  /// the table's rows appended since construction or the last call): the
+  /// cube grows by one bucket, the mask is refreshed, and cached segment
+  /// explanations survive unless the mask changed. Returns false, leaving
+  /// the engine untouched, when the table did not gain exactly one bucket,
+  /// a row needs a cell the registry lacks, or smoothing is on (it mixes
+  /// past partials into the new bucket); the caller must then build a
+  /// fresh engine over the table.
+  bool AppendBucket();
 
   /// Recomputes the total variance of an arbitrary scheme under this
   /// engine's metric at unit-object granularity (used for Table 7 quality
@@ -203,20 +224,36 @@ class TSExplain {
   const ExplanationCube& cube() const { return *cube_; }
   SegmentExplainer& explainer() { return *explainer_; }
   const TSExplainConfig& config() const { return config_; }
+  /// Wall clock of construction (registry + cube + masks), in ms. Not part
+  /// of any Run's timing.
+  double build_ms() const { return build_ms_; }
 
   /// Renders the top explanations of an arbitrary segment (two-relations
   /// diff on its endpoints, paper section 3.1).
   std::vector<ExplanationItem> ExplainSegment(int begin, int end);
 
  private:
+  /// Recomputes the selectable mask (canonical dedupe, then the support
+  /// filter, then the exclude list) and both epsilon counts from the
+  /// current cube; returns whether the mask changed. Construction and
+  /// AppendBucket share it, so a grown engine's mask equals a fresh one's.
+  bool UpdateMask();
+
+  /// This run's breakdown: explainer deltas since `before`, wall clock
+  /// since `timer` started.
+  TimingBreakdown TimingSince(const ExplainerTiming& before,
+                              const Timer& timer) const;
+
   const Table& table_;
   TSExplainConfig config_;
   std::vector<AttrId> explain_by_;
   int measure_idx_ = -1;
   ExplanationRegistry registry_;
   std::unique_ptr<ExplanationCube> cube_;
-  /// Combined selectable mask: canonical (dedupe) AND support filter.
-  /// Empty when neither option is enabled.
+  /// Table rows the cube covers (AppendBucket absorbs the rest).
+  size_t rows_absorbed_ = 0;
+  /// Combined selectable mask: canonical (dedupe) AND support filter AND
+  /// exclude list. Empty when none is enabled.
   std::vector<bool> active_mask_;
   size_t canonical_count_ = 0;
   size_t active_count_ = 0;

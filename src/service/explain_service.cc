@@ -171,6 +171,38 @@ ExplainResponse FinishTraced(ExplainResponse response, QueryTrace* trace,
   return response;
 }
 
+// The compute Explain and ExplainSession share: runs the engine, grafts
+// its own breakdown (modules (a)/(b)/(c), see tsexplain.h) as children of
+// an "engine_run" span, and renders the wire JSON. `cube` is the run's
+// engine cube (a run never rebuilds its engine). `trace` may be null.
+ResultCache::ValuePtr RunAndRender(const std::function<TSExplainResult()>& run,
+                                   const ExplanationCube& cube,
+                                   const ReportOptions& report,
+                                   QueryTrace* trace, int compute_span) {
+  auto cached = std::make_shared<CachedResult>();
+  const double run_start = trace ? trace->ElapsedMs() : 0.0;
+  cached->result = std::make_shared<TSExplainResult>(run());
+  if (trace) {
+    // Finalize squares any residue into an "other" child.
+    const int run_span = trace->AddSpan(
+        "engine_run", run_start, trace->ElapsedMs() - run_start, compute_span);
+    const TimingBreakdown& t = cached->result->timing;
+    double offset = run_start;
+    trace->AddSpan("gamma_score", offset, t.precompute_ms, run_span);
+    offset += t.precompute_ms;
+    trace->AddSpan("ca_fanout", offset, t.cascading_ms, run_span);
+    offset += t.cascading_ms;
+    trace->AddSpan("segmentation", offset, t.segmentation_ms, run_span);
+  }
+  const double render_start = trace ? trace->ElapsedMs() : 0.0;
+  cached->json = RenderJsonReport(cube, *cached->result, report);
+  if (trace) {
+    trace->AddSpan("json_render", render_start,
+                   trace->ElapsedMs() - render_start, compute_span);
+  }
+  return cached;
+}
+
 }  // namespace
 
 namespace {
@@ -336,46 +368,14 @@ ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
         }
         const SegmentationSpec spec =
             SegmentationSpec::FromConfig(run_config);
-        auto cached = std::make_shared<CachedResult>();
-        {
-          // Run mutates the engine's explanation caches; serialize per
-          // engine. Distinct engines still run fully in parallel.
-          MutexLock lock(*handle.mu);
-          const double run_start =
-              compute_trace ? compute_trace->ElapsedMs() : 0.0;
-          cached->result =
-              std::make_shared<TSExplainResult>(handle.engine->Run(spec));
-          if (compute_trace) {
-            // Graft the engine's own breakdown (module (a)/(b)/(c), see
-            // tsexplain.h) as children of the run span; Finalize squares
-            // any residue into an "other" child.
-            const int run_span = compute_trace->AddSpan(
-                "engine_run", run_start,
-                compute_trace->ElapsedMs() - run_start, compute_span);
-            const TimingBreakdown& t = cached->result->timing;
-            double offset = run_start;
-            compute_trace->AddSpan("cube_build", offset, t.precompute_ms,
-                                   run_span);
-            offset += t.precompute_ms;
-            compute_trace->AddSpan("ca_fanout", offset, t.cascading_ms,
-                                   run_span);
-            offset += t.cascading_ms;
-            compute_trace->AddSpan("segmentation", offset,
-                                   t.segmentation_ms, run_span);
-          }
-          const double render_start =
-              compute_trace ? compute_trace->ElapsedMs() : 0.0;
-          cached->json = RenderJsonReport(
-              handle.engine->cube(), *cached->result,
-              WireReportOptions(request.include_trendlines,
-                                request.include_k_curve));
-          if (compute_trace) {
-            compute_trace->AddSpan(
-                "json_render", render_start,
-                compute_trace->ElapsedMs() - render_start, compute_span);
-          }
-        }
-        return cached;
+        // Run mutates the engine's explanation caches; serialize per
+        // engine. Distinct engines still run fully in parallel.
+        MutexLock lock(*handle.mu);
+        return RunAndRender([&] { return handle.engine->Run(spec); },
+                            handle.engine->cube(),
+                            WireReportOptions(request.include_trendlines,
+                                              request.include_k_curve),
+                            compute_trace, compute_span);
       });
   return FinishTraced(std::move(response), trace, timer.ElapsedMs());
 }
@@ -683,37 +683,11 @@ ExplainResponse ExplainService::ExplainSession(uint64_t session_id,
       ResolveThreadCount(session->config.threads), trace,
       [&](int granted_threads, QueryTrace* compute_trace, int compute_span,
           std::string* /*compute_error*/) -> ResultCache::ValuePtr {
-        auto cached = std::make_shared<CachedResult>();
-        const double run_start =
-            compute_trace ? compute_trace->ElapsedMs() : 0.0;
-        cached->result = std::make_shared<TSExplainResult>(
-            session->engine->Explain(granted_threads));
-        if (compute_trace) {
-          const int run_span = compute_trace->AddSpan(
-              "engine_run", run_start,
-              compute_trace->ElapsedMs() - run_start, compute_span);
-          const TimingBreakdown& t = cached->result->timing;
-          double offset = run_start;
-          compute_trace->AddSpan("cube_build", offset, t.precompute_ms,
-                                 run_span);
-          offset += t.precompute_ms;
-          compute_trace->AddSpan("ca_fanout", offset, t.cascading_ms,
-                                 run_span);
-          offset += t.cascading_ms;
-          compute_trace->AddSpan("segmentation", offset, t.segmentation_ms,
-                                 run_span);
-        }
-        const double render_start =
-            compute_trace ? compute_trace->ElapsedMs() : 0.0;
-        cached->json = RenderJsonReport(
-            session->engine->cube(), *cached->result,
-            WireReportOptions(include_trendlines, include_k_curve));
-        if (compute_trace) {
-          compute_trace->AddSpan(
-              "json_render", render_start,
-              compute_trace->ElapsedMs() - render_start, compute_span);
-        }
-        return cached;
+        return RunAndRender(
+            [&] { return session->engine->Explain(granted_threads); },
+            session->engine->cube(),
+            WireReportOptions(include_trendlines, include_k_curve),
+            compute_trace, compute_span);
       });
   return FinishTraced(std::move(response), trace, timer.ElapsedMs());
 }

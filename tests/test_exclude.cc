@@ -1,11 +1,8 @@
-// Tests for time-grain resampling and explanation exclusion lists.
+// Tests for explanation exclusion lists.
 
 #include <gtest/gtest.h>
 
-#include "src/datagen/synthetic.h"
 #include "src/pipeline/tsexplain.h"
-#include "src/table/group_by.h"
-#include "src/table/resample.h"
 
 namespace tsexplain {
 namespace {
@@ -20,63 +17,6 @@ Table MakeDailyTable() {
     table.AppendRow(t, {"b"}, {10.0});
   }
   return table;
-}
-
-TEST(Resample, SumsArePreservedPerGroup) {
-  const Table daily = MakeDailyTable();
-  const auto weekly = ResampleTable(daily, 3);
-  // 10 buckets / 3 -> groups {0,1,2}, {3,4,5}, {6,7,8}, {9}.
-  EXPECT_EQ(weekly->num_time_buckets(), 4u);
-  const TimeSeries total = GroupByTime(*weekly, AggregateFunction::kSum, 0);
-  EXPECT_DOUBLE_EQ(total.values[0], 0 + 1 + 2 + 30.0);
-  EXPECT_DOUBLE_EQ(total.values[1], 3 + 4 + 5 + 30.0);
-  EXPECT_DOUBLE_EQ(total.values[3], 9 + 10.0);
-}
-
-TEST(Resample, CountAndAvgSemanticsSurvive) {
-  const Table daily = MakeDailyTable();
-  const auto weekly = ResampleTable(daily, 5);
-  const TimeSeries counts =
-      GroupByTime(*weekly, AggregateFunction::kCount, -1);
-  EXPECT_DOUBLE_EQ(counts.values[0], 10.0);  // 5 days x 2 rows
-  const TimeSeries avg = GroupByTime(*weekly, AggregateFunction::kAvg, 0);
-  EXPECT_DOUBLE_EQ(avg.values[0], (0 + 1 + 2 + 3 + 4 + 50.0) / 10.0);
-}
-
-TEST(Resample, DefaultLabelsAndCustomLabels) {
-  const Table daily = MakeDailyTable();
-  const auto weekly = ResampleTable(daily, 3);
-  EXPECT_EQ(weekly->time_labels()[0], "d0..d2");
-  EXPECT_EQ(weekly->time_labels()[3], "d9");  // singleton group
-  const auto custom = ResampleTable(
-      daily, 3, [](const std::string& first, const std::string&) {
-        return "week of " + first;
-      });
-  EXPECT_EQ(custom->time_labels()[0], "week of d0");
-}
-
-TEST(Resample, FactorOneIsIdentity) {
-  const Table daily = MakeDailyTable();
-  const auto same = ResampleTable(daily, 1);
-  EXPECT_EQ(same->num_time_buckets(), daily.num_time_buckets());
-  EXPECT_EQ(same->num_rows(), daily.num_rows());
-  EXPECT_EQ(same->time_labels(), daily.time_labels());
-}
-
-TEST(Resample, PipelineRunsOnCoarseGrain) {
-  SyntheticConfig sconfig;
-  sconfig.length = 90;
-  sconfig.seed = 3;
-  sconfig.num_interior_cuts = 2;
-  const SyntheticDataset ds = GenerateSynthetic(sconfig);
-  const auto coarse = ResampleTable(*ds.table, 3);
-  TSExplainConfig config;
-  config.measure = "value";
-  config.explain_by_names = {"category"};
-  config.max_order = 1;
-  TSExplain engine(*coarse, config);
-  const TSExplainResult result = engine.Run();
-  EXPECT_EQ(result.segmentation.cuts.back(), 29);  // 90 / 3 buckets
 }
 
 TEST(Exclude, BareValueMutesEveryAttribute) {

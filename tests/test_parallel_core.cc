@@ -187,42 +187,40 @@ TEST(ParallelCore, PrewarmDuplicatesComputeOnce) {
   EXPECT_EQ(explainer.ca_invocations(), 59u);
 }
 
-// ISSUE satellite: the timing breakdown is a non-negative partition of
-// the run's wall clock BY CONSTRUCTION — even when the shared explainer
-// counters were advanced by other threads (concurrent Prewarm) or exceed
-// wall clock (per-thread elapsed sums at threads > 1). The old
-// clamp-module-(c) scheme hid a negative remainder while reporting
-// sum(modules) > total.
+// The timing breakdown is a non-negative partition of the run's wall
+// clock BY CONSTRUCTION — even when the shared explainer counters were
+// advanced by other threads (concurrent Prewarm) or exceed wall clock
+// (per-thread elapsed sums at threads > 1). The old clamp-module-(c)
+// scheme hid a negative remainder while reporting sum(modules) > total.
 TEST(ParallelCore, TimingPartitionIsNonNegativeAndBounded) {
   // Deltas that overshoot the wall clock (double attribution) scale down.
   TimingBreakdown overshoot =
-      TimingBreakdown::Partition(/*build_ms=*/10.0, /*precompute=*/80.0,
-                                 /*cascading=*/40.0, /*wall_ms=*/60.0);
-  EXPECT_GE(overshoot.precompute_ms, 10.0);
+      TimingBreakdown::Partition(/*precompute=*/80.0, /*cascading=*/40.0,
+                                 /*wall_ms=*/60.0);
+  EXPECT_GE(overshoot.precompute_ms, 0.0);
   EXPECT_GE(overshoot.cascading_ms, 0.0);
   EXPECT_GE(overshoot.segmentation_ms, 0.0);
-  EXPECT_NEAR(overshoot.TotalMs(), 70.0, 1e-9);
-  EXPECT_NEAR(overshoot.total_ms, 70.0, 1e-9);
+  EXPECT_NEAR(overshoot.TotalMs(), 60.0, 1e-9);
+  EXPECT_NEAR(overshoot.total_ms, 60.0, 1e-9);
   // Proportional split: 80:40 over 60 ms of wall clock.
-  EXPECT_NEAR(overshoot.precompute_ms, 10.0 + 40.0, 1e-9);
+  EXPECT_NEAR(overshoot.precompute_ms, 40.0, 1e-9);
   EXPECT_NEAR(overshoot.cascading_ms, 20.0, 1e-9);
   EXPECT_NEAR(overshoot.segmentation_ms, 0.0, 1e-9);
 
   // Well-behaved deltas pass through; (c) is the exact remainder.
-  TimingBreakdown normal =
-      TimingBreakdown::Partition(5.0, 10.0, 20.0, 100.0);
-  EXPECT_NEAR(normal.precompute_ms, 15.0, 1e-9);
+  TimingBreakdown normal = TimingBreakdown::Partition(10.0, 20.0, 100.0);
+  EXPECT_NEAR(normal.precompute_ms, 10.0, 1e-9);
   EXPECT_NEAR(normal.cascading_ms, 20.0, 1e-9);
   EXPECT_NEAR(normal.segmentation_ms, 70.0, 1e-9);
-  EXPECT_NEAR(normal.total_ms, 105.0, 1e-9);
+  EXPECT_NEAR(normal.total_ms, 100.0, 1e-9);
 
-  // Hostile inputs (negative deltas / zero wall) stay non-negative.
-  TimingBreakdown hostile =
-      TimingBreakdown::Partition(-3.0, -1.0, 5.0, 0.0);
+  // Hostile inputs (negative deltas / negative wall) stay non-negative.
+  TimingBreakdown hostile = TimingBreakdown::Partition(-1.0, 5.0, -3.0);
   EXPECT_GE(hostile.precompute_ms, 0.0);
   EXPECT_GE(hostile.cascading_ms, 0.0);
   EXPECT_GE(hostile.segmentation_ms, 0.0);
   EXPECT_NEAR(hostile.TotalMs(), 0.0, 1e-9);
+  EXPECT_NEAR(hostile.total_ms, 0.0, 1e-9);
 }
 
 TEST(ParallelCore, RunTimingAtEightThreadsSumsWithinTotal) {

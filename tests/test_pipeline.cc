@@ -130,6 +130,21 @@ TEST(Pipeline, TimingBreakdownPopulated) {
               1e-9);
 }
 
+TEST(Pipeline, HotRunReportsOnlyItsOwnTime) {
+  // Construction is not part of any run: a second Run on a hot engine
+  // reports no more than the wall clock measured around that call.
+  const SyntheticDataset ds = CleanDataset(29);
+  TSExplain engine(*ds.table, BaseConfig());
+  engine.Run();
+  SegmentationSpec spec = SegmentationSpec::FromConfig(engine.config());
+  spec.fixed_k = 3;
+  const Timer wall;
+  const TSExplainResult result = engine.Run(spec);
+  const double wall_ms = wall.ElapsedMs();
+  EXPECT_LE(result.timing.total_ms, wall_ms);
+  EXPECT_GT(engine.build_ms(), 0.0);
+}
+
 TEST(Pipeline, EpsilonAccounting) {
   const SyntheticDataset ds = CleanDataset(31);
   TSExplainConfig config = BaseConfig();

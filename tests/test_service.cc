@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/metrics.h"
+#include "src/datagen/sp500_sim.h"
 #include "src/datagen/synthetic.h"
 #include "src/service/explain_service.h"
 #include "src/service/protocol.h"
@@ -848,6 +849,55 @@ TEST(ProtocolTest, HandlerEndToEnd) {
   const std::string gone =
       handle(R"({"op":"explain_session","id":10,"session":1})");
   EXPECT_NE(gone.find("\"code\":\"not_found\""), std::string::npos);
+}
+
+// The wire report of an explain / explain_session envelope without its
+// timing_ms block: the envelope ends with "result":<report>}, and the
+// report ends with its timing_ms object.
+std::string UntimedResult(const std::string& envelope) {
+  const size_t at = envelope.find("\"result\":");
+  if (at == std::string::npos) return "no result in " + envelope;
+  const std::string report =
+      envelope.substr(at + 9, envelope.size() - at - 10);
+  return report.substr(0, report.rfind(",\"timing_ms\":{"));
+}
+
+TEST(ProtocolTest, SessionAnswersLikeExplainWithExclude) {
+  // A session is asked the same question as explain: before any append
+  // it must give the same answer, honoring every field explain honors.
+  ExplainService service;
+  ProtocolHandler handler(service);
+  std::string error;
+  ASSERT_TRUE(service.registry().RegisterTable(
+      "sp500", std::shared_ptr<const Table>(MakeSp500Table()), "<table>",
+      &error))
+      << error;
+  auto handle = [&](const std::string& line) {
+    JsonValue request;
+    std::string parse_error;
+    EXPECT_TRUE(ParseJson(line, &request, &parse_error)) << parse_error;
+    return handler.Handle(request);
+  };
+  const std::string fields =
+      R"("dataset":"sp500","measure":"weighted_price",)"
+      R"("explain_by":["category","stock","subcategory"],"filter":true,)"
+      R"("guess_verify":true,"sketch":true,)"
+      R"("exclude":["category=technology"])";
+  const std::string open =
+      handle(R"({"op":"open_session","id":1,)" + fields + "}");
+  ASSERT_NE(open.find("\"session\":1"), std::string::npos) << open;
+  const std::string session =
+      handle(R"({"op":"explain_session","id":2,"session":1})");
+  const std::string batch = handle(R"({"op":"explain","id":3,)" + fields + "}");
+  ASSERT_NE(session.find("\"ok\":true"), std::string::npos) << session;
+  ASSERT_NE(batch.find("\"ok\":true"), std::string::npos) << batch;
+  EXPECT_EQ(UntimedResult(session), UntimedResult(batch));
+  // No explanation names the excluded predicate, alone or in a
+  // conjunction ("subcategory=technology sub1" is a different slice).
+  for (const char* banned :
+       {"\"description\":\"category=technology", "& category=technology"}) {
+    EXPECT_EQ(session.find(banned), std::string::npos) << banned;
+  }
 }
 
 TEST(ProtocolTest, EveryTableOpHasAHandler) {

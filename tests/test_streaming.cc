@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
+#include "src/datagen/sp500_sim.h"
 #include "src/datagen/synthetic.h"
+#include "src/pipeline/report_json.h"
 #include "src/pipeline/streaming.h"
 
 namespace tsexplain {
@@ -141,6 +145,176 @@ TEST(Streaming, SmoothingConfigRebuildsOnAppend) {
   streaming.Explain();
   streaming.AppendBucket("t80", BucketRows(*ds.table, 79));
   EXPECT_TRUE(streaming.last_append_rebuilt());
+}
+
+// --- Differential checks: same question, same answer --------------------
+//
+// After every append a session's engine must be exactly what a fresh
+// TSExplain over the grown table builds (the differential style of arXiv
+// 2104.04075): its full-candidate Run renders byte-identically, and its
+// section 8 answer equals the fresh engine's Run over the same candidates.
+
+// Everything RenderJsonReport emits except the timing_ms block.
+std::string RenderUntimed(const ExplanationCube& cube,
+                          TSExplainResult result) {
+  result.timing = TimingBreakdown();
+  return RenderJsonReport(cube, result);
+}
+
+void ExpectSameAsFreshEngine(StreamingTSExplain& session,
+                             const std::string& where) {
+  const TSExplainConfig& config = session.engine().config();
+  const SegmentationSpec spec = SegmentationSpec::FromConfig(config);
+  TSExplain fresh(session.table(), config);
+  EXPECT_EQ(RenderUntimed(session.cube(), session.engine().Run(spec)),
+            RenderUntimed(fresh.cube(), fresh.Run(spec)))
+      << where << ": full-candidate run";
+  const std::vector<int> candidates = session.IncrementalCandidates();
+  const TSExplainResult answer = session.Explain();
+  const TSExplainResult expected =
+      candidates.empty() ? fresh.Run(spec) : fresh.Run(spec, candidates);
+  EXPECT_EQ(RenderUntimed(session.cube(), answer),
+            RenderUntimed(fresh.cube(), expected))
+      << where << ": section 8 run";
+}
+
+// Sales(day | group, item, region | sales). Item i belongs to group
+// i % 3, so every group & item conjunction repeats the item slice and the
+// canonical dedupe matters. Items i6 and i7 sell identically until day
+// 42, so one of them is masked as a duplicate until they diverge; item i8
+// sells too little for the support filter until day 44. Trends turn at
+// days 12 and 28.
+std::vector<StreamRow> ShopRows(int day) {
+  std::vector<StreamRow> rows;
+  for (int item = 0; item < 9; ++item) {
+    for (int region = 0; region < 2; ++region) {
+      const int twin = item == 7 && day < 42 ? 6 : item;
+      const double slope = day < 12   ? 1.0 + twin
+                           : day < 28 ? 4.0 - twin
+                                      : (twin % 2 == 0 ? 3.0 : -2.0);
+      const double noise = ((twin * 7 + day * 13 + region * 5) % 11) * 0.1;
+      const double sales =
+          item == 8 ? (day < 44 ? 0.5 : 80.0)
+                    : 100.0 + 10.0 * twin + slope * day + noise;
+      rows.push_back({{"g" + std::to_string(item % 3),
+                       "i" + std::to_string(item), region ? "west" : "east"},
+                      {sales}});
+    }
+  }
+  return rows;
+}
+
+std::unique_ptr<Table> ShopTable(int days) {
+  auto table = std::make_unique<Table>(
+      Schema("day", {"group", "item", "region"}, {"sales"}));
+  for (int day = 0; day < days; ++day) {
+    const TimeId t = table->AddTimeBucket("d" + std::to_string(day));
+    for (const StreamRow& row : ShopRows(day)) {
+      table->AppendRow(t, row.dims, row.measures);
+    }
+  }
+  return table;
+}
+
+TSExplainConfig ShopConfig() {
+  TSExplainConfig config;
+  config.measure = "sales";
+  config.explain_by_names = {"group", "item", "region"};
+  config.max_order = 2;
+  return config;
+}
+
+// Opens a session on the first 36 days and appends days 36..47,
+// checking the session against a fresh engine before the first append
+// and after every one.
+void RunShopSession(const TSExplainConfig& config, bool expect_rebuilds) {
+  const std::unique_ptr<Table> table = ShopTable(36);
+  StreamingTSExplain session(*table, config);
+  ExpectSameAsFreshEngine(session, "open");
+  for (int day = 36; day < 48; ++day) {
+    session.AppendBucket("d" + std::to_string(day), ShopRows(day));
+    EXPECT_EQ(session.last_append_rebuilt(), expect_rebuilds) << day;
+    ExpectSameAsFreshEngine(session, "day " + std::to_string(day));
+  }
+}
+
+TEST(StreamingDifferential, DefaultDedupe) {
+  RunShopSession(ShopConfig(), /*expect_rebuilds=*/false);
+}
+
+TEST(StreamingDifferential, SupportFilter) {
+  TSExplainConfig config = ShopConfig();
+  config.use_filter = true;
+  RunShopSession(config, /*expect_rebuilds=*/false);
+}
+
+TEST(StreamingDifferential, GuessVerify) {
+  TSExplainConfig config = ShopConfig();
+  config.use_guess_verify = true;
+  config.initial_guess = 2;
+  RunShopSession(config, /*expect_rebuilds=*/false);
+}
+
+TEST(StreamingDifferential, Exclude) {
+  TSExplainConfig config = ShopConfig();
+  config.exclude = {"group=g0", "west"};
+  RunShopSession(config, /*expect_rebuilds=*/false);
+}
+
+TEST(StreamingDifferential, SmoothingRebuildsOnEveryAppend) {
+  TSExplainConfig config = ShopConfig();
+  config.smooth_window = 3;
+  RunShopSession(config, /*expect_rebuilds=*/true);
+}
+
+TEST(StreamingDifferential, NewCategoryForcesRebuild) {
+  const std::unique_ptr<Table> table = ShopTable(36);
+  TSExplainConfig config = ShopConfig();
+  config.use_filter = true;
+  StreamingTSExplain session(*table, config);
+  ExpectSameAsFreshEngine(session, "open");
+  std::vector<StreamRow> rows = ShopRows(36);
+  rows.push_back({{"g0", "i9", "east"}, {300.0}});
+  session.AppendBucket("d36", rows);
+  EXPECT_TRUE(session.last_append_rebuilt());
+  ExpectSameAsFreshEngine(session, "new item");
+  session.AppendBucket("d37", ShopRows(37));
+  EXPECT_FALSE(session.last_append_rebuilt());
+  ExpectSameAsFreshEngine(session, "after the rebuild");
+}
+
+TEST(StreamingDifferential, Sp500SessionConfig) {
+  // The benchmark's streaming session shape: O1 + O2 + filter over the
+  // S&P 500 hierarchy, opened on all but the last three days.
+  const std::unique_ptr<Table> full = MakeSp500Table();
+  const int open_days = kSp500Days - 3;
+  Table prefix(full->schema());
+  for (int t = 0; t < open_days; ++t) {
+    prefix.AddTimeBucket(full->time_labels()[static_cast<size_t>(t)]);
+  }
+  for (size_t r = 0; r < full->num_rows(); ++r) {
+    if (full->time(r) >= open_days) continue;
+    std::vector<std::string> dims;
+    for (size_t d = 0; d < full->schema().num_dimensions(); ++d) {
+      const AttrId attr = static_cast<AttrId>(d);
+      dims.push_back(full->dictionary(attr).ToString(full->dim(r, attr)));
+    }
+    prefix.AppendRow(full->time(r), dims, {full->measure(r, 0)});
+  }
+  TSExplainConfig config;
+  config.measure = "weighted_price";
+  config.explain_by_names = {"category", "stock", "subcategory"};
+  config.use_filter = true;
+  config.use_guess_verify = true;
+  config.use_sketch = true;
+  StreamingTSExplain session(prefix, config);
+  ExpectSameAsFreshEngine(session, "open");
+  for (int t = open_days; t < kSp500Days; ++t) {
+    session.AppendBucket(full->time_labels()[static_cast<size_t>(t)],
+                         BucketRows(*full, static_cast<TimeId>(t)));
+    EXPECT_FALSE(session.last_append_rebuilt()) << t;
+    ExpectSameAsFreshEngine(session, "day " + std::to_string(t));
+  }
 }
 
 }  // namespace
