@@ -9,7 +9,10 @@
 // or the process exits non-zero (docs/PERF.md "SIMD scoring"). Emits
 //   micro.score_all.scalar   median scalar sweep wall clock
 //   micro.score_all.simd     median AVX2 sweep wall clock
-// as BENCH_RESULT lines for tools/run_benches.sh.
+// as BENCH_RESULT lines for tools/run_benches.sh, after the two Liquor
+// precomputation layers (median serial wall clock of their benchmarks):
+//   micro.liquor.registry_build   ExplanationRegistry::Build
+//   micro.liquor.cube_build       ExplanationCube over a built registry
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +22,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -318,16 +322,53 @@ void BM_MatrixProfile(benchmark::State& state) {
 BENCHMARK(BM_MatrixProfile)->Arg(345)->Arg(1000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_LiquorCubeBuild(benchmark::State& state) {
+double MedianMs(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  return samples[samples.size() / 2];
+}
+
+// Liquor module (a) precomputation, one layer per benchmark, serial: the
+// registry (tuple pass + drill-down links), then the cube over a prebuilt
+// registry. Each iteration's wall clock is kept so main() can emit the
+// medians as micro.liquor.registry_build / micro.liquor.cube_build.
+constexpr int kLiquorBuildReps = 11;
+std::vector<double> liquor_registry_ms;
+std::vector<double> liquor_cube_ms;
+
+void BM_LiquorRegistryBuild(benchmark::State& state) {
   const auto table = MakeLiquorTable();
-  std::vector<AttrId> attrs{0, 1, 2, 3};
   for (auto _ : state) {
-    const auto registry = ExplanationRegistry::Build(*table, attrs, 3);
-    benchmark::DoNotOptimize(
-        ExplanationCube(*table, registry, AggregateFunction::kSum, 0));
+    const Timer timer;
+    const auto registry = ExplanationRegistry::Build(*table, {0, 1, 2, 3}, 3);
+    liquor_registry_ms.push_back(timer.ElapsedMs());
+    benchmark::DoNotOptimize(&registry);
   }
 }
-BENCHMARK(BM_LiquorCubeBuild)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LiquorRegistryBuild)->Iterations(kLiquorBuildReps)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_LiquorCubeBuild(benchmark::State& state) {
+  const auto table = MakeLiquorTable();
+  const auto registry = ExplanationRegistry::Build(*table, {0, 1, 2, 3}, 3);
+  for (auto _ : state) {
+    const Timer timer;
+    const ExplanationCube cube(*table, registry, AggregateFunction::kSum, 0);
+    liquor_cube_ms.push_back(timer.ElapsedMs());
+    benchmark::DoNotOptimize(&cube);
+  }
+}
+BENCHMARK(BM_LiquorCubeBuild)->Iterations(kLiquorBuildReps)
+    ->Unit(benchmark::kMillisecond);
+
+void EmitLiquorBuildMedians() {
+  if (!liquor_registry_ms.empty()) {
+    bench::EmitResult("micro.liquor.registry_build",
+                      MedianMs(liquor_registry_ms));
+  }
+  if (!liquor_cube_ms.empty()) {
+    bench::EmitResult("micro.liquor.cube_build", MedianMs(liquor_cube_ms));
+  }
+}
 
 // SIMD acceptance gate (ISSUE 8): where AVX2 dispatches, the vectorized
 // sweep must reproduce the scalar reference bit for bit and beat it by at
@@ -380,8 +421,7 @@ int RunSimdGate() {
       sweep(fixture.in, out);
       samples.push_back(timer.ElapsedMs());
     }
-    std::sort(samples.begin(), samples.end());
-    return samples[samples.size() / 2];
+    return MedianMs(std::move(samples));
   };
   const double scalar_ms = median_ms(
       +[](const ScoreAllInputs& in, double* out) { ScoreAllScalar(in, out); },
@@ -412,5 +452,6 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  tsexplain::EmitLiquorBuildMedians();
   return tsexplain::RunSimdGate();
 }

@@ -1,28 +1,12 @@
 #include "src/cube/explanation_cube.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <unordered_map>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
 #include "src/cube/score_kernels.h"
 
 namespace tsexplain {
-namespace {
-
-// Enumerates all non-empty attribute subsets of size <= max_order as bit
-// masks over explain_by indices. Small: |A| <= ~6 in practice.
-std::vector<uint32_t> SubsetMasks(size_t num_attrs, int max_order) {
-  std::vector<uint32_t> masks;
-  const uint32_t limit = 1u << num_attrs;
-  for (uint32_t mask = 1; mask < limit; ++mask) {
-    if (__builtin_popcount(mask) <= max_order) masks.push_back(mask);
-  }
-  return masks;
-}
-
-}  // namespace
 
 ExplanationCube::ExplanationCube(const Table& table,
                                  const ExplanationRegistry& registry,
@@ -41,76 +25,24 @@ ExplanationCube::ExplanationCube(const Table& table,
   slice_sums_.assign(n * epsilon, 0.0);
   slice_counts_.assign(n * epsilon, 0.0);
 
-  const std::vector<AttrId>& explain_by = registry.explain_by();
-  const std::vector<uint32_t> masks =
-      SubsetMasks(explain_by.size(), registry.max_order());
-
-  // Pass 1 (serial, cheap): resolve each row's cell list. Rows with the
-  // same explain-by value tuple hit the same cells; the subset -> cell-id
-  // resolution (the expensive registry lookups) happens once per DISTINCT
-  // tuple, exactly as in the serial scan -- workers never duplicate it.
-  // Keyed by the exact tuple to rule out hash collisions. This pass also
-  // buckets rows by time (stable counting sort, preserving row order).
+  // Pass 1 (serial, cheap): bucket rows by time (stable counting sort,
+  // preserving row order), then the registry's tuple pass resolves each
+  // row's cell list once per DISTINCT explain-by tuple -- workers never
+  // duplicate it.
   const size_t num_rows = table.num_rows();
-  TSE_CHECK_LT(num_rows, static_cast<size_t>(UINT32_MAX));
-  std::vector<std::vector<ExplId>> cell_lists;  // one per distinct tuple
-  std::vector<uint32_t> row_cells(num_rows);    // row -> cell_lists index
   std::vector<size_t> bucket_start(n + 1, 0);
-  std::vector<size_t> rows_by_time(num_rows);
-  {
-    struct TupleEntry {
-      std::vector<ValueId> tuple;
-      uint32_t list = 0;
-    };
-    std::unordered_map<uint64_t, std::vector<TupleEntry>> tuple_cells;
-    std::vector<Predicate> preds;
-    std::vector<ValueId> tuple(explain_by.size());
-    preds.reserve(static_cast<size_t>(registry.max_order()));
-    for (size_t row = 0; row < num_rows; ++row) {
-      ++bucket_start[static_cast<size_t>(table.time(row)) + 1];
-      uint64_t tuple_hash = 1469598103934665603ULL;
-      for (size_t idx = 0; idx < explain_by.size(); ++idx) {
-        tuple[idx] = table.dim(row, explain_by[idx]);
-        tuple_hash ^=
-            static_cast<uint64_t>(static_cast<uint32_t>(tuple[idx]));
-        tuple_hash *= 1099511628211ULL;
-      }
-      std::vector<TupleEntry>& bucket = tuple_cells[tuple_hash];
-      TupleEntry* entry = nullptr;
-      for (TupleEntry& candidate : bucket) {
-        if (candidate.tuple == tuple) {
-          entry = &candidate;
-          break;
-        }
-      }
-      if (entry == nullptr) {
-        std::vector<ExplId> cells;
-        cells.reserve(masks.size());
-        for (uint32_t mask : masks) {
-          preds.clear();
-          for (size_t idx = 0; idx < explain_by.size(); ++idx) {
-            if (mask & (1u << idx)) {
-              preds.push_back(Predicate{explain_by[idx], tuple[idx]});
-            }
-          }
-          const ExplId id =
-              registry.Lookup(Explanation::FromPredicates(preds));
-          TSE_CHECK_NE(id, kInvalidExplId);
-          cells.push_back(id);
-        }
-        bucket.push_back(
-            TupleEntry{tuple, static_cast<uint32_t>(cell_lists.size())});
-        entry = &bucket.back();
-        cell_lists.push_back(std::move(cells));
-      }
-      row_cells[row] = entry->list;
-    }
-    for (size_t t = 0; t < n; ++t) bucket_start[t + 1] += bucket_start[t];
-    std::vector<size_t> cursor(bucket_start.begin(), bucket_start.end() - 1);
-    for (size_t row = 0; row < num_rows; ++row) {
-      rows_by_time[cursor[static_cast<size_t>(table.time(row))]++] = row;
-    }
+  for (size_t row = 0; row < num_rows; ++row) {
+    ++bucket_start[static_cast<size_t>(table.time(row)) + 1];
   }
+  for (size_t t = 0; t < n; ++t) bucket_start[t + 1] += bucket_start[t];
+  std::vector<size_t> rows_by_time(num_rows);
+  std::vector<size_t> cursor(bucket_start.begin(), bucket_start.end() - 1);
+  for (size_t row = 0; row < num_rows; ++row) {
+    rows_by_time[cursor[static_cast<size_t>(table.time(row))]++] = row;
+  }
+  const std::optional<RowCells> rows =
+      registry.ResolveRows(table, 0, num_rows);
+  TSE_CHECK(rows.has_value()) << "a row needs a cell the registry lacks";
 
   // Pass 2: accumulate. Workers own DISJOINT time ranges, so every
   // (cell, t) partial accumulates its rows in the exact same ascending row
@@ -125,7 +57,7 @@ ExplanationCube::ExplanationCube(const Table& table,
         const double value =
             measure_idx < 0 ? 1.0 : table.measure(row, measure_idx);
         overall_[t].Add(value);
-        for (ExplId id : cell_lists[row_cells[row]]) {
+        for (ExplId id : rows->tuple_cells[rows->row_tuple[row]]) {
           sums[static_cast<size_t>(id)] += value;
           counts[static_cast<size_t>(id)] += 1.0;
         }

@@ -13,6 +13,10 @@
 // AppendBucket is a contiguous append of one epsilon-sized block. The
 // finalized overall series is cached (`overall_fin_`) so no scoring path
 // ever re-finalizes the overall aggregate per candidate.
+//
+// Rows reach the constructor through ExplanationRegistry::ResolveRows, whose
+// tuple pass (`TuplePass` in explanation_registry.cc) owns tuple dedupe and
+// subset order.
 
 #ifndef TSEXPLAIN_CUBE_EXPLANATION_CUBE_H_
 #define TSEXPLAIN_CUBE_EXPLANATION_CUBE_H_

@@ -1,6 +1,9 @@
 #include "src/diff/explanation_registry.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <unordered_map>
 
 #include "src/common/check.h"
 
@@ -27,6 +30,54 @@ std::vector<std::vector<size_t>> AttrSubsets(size_t num_attrs,
   return subsets;
 }
 
+// The tuple pass. Scans rows [row_begin, row_end) once, deduping each
+// row's explain-by value tuple with an exact compare (the hash only picks
+// the candidates), and hands `on_new_tuple` the cells of each tuple at its
+// first occurrence: one conjunction per attribute subset, in AttrSubsets
+// order. `row_tuple`, if set, receives each row's tuple index
+// (first-occurrence rank).
+template <typename OnNewTuple>
+void TuplePass(const Table& table, const std::vector<AttrId>& explain_by,
+               int max_order, size_t row_begin, size_t row_end,
+               std::vector<uint32_t>* row_tuple, OnNewTuple&& on_new_tuple) {
+  TSE_CHECK_LT(row_end - row_begin, static_cast<size_t>(UINT32_MAX));
+  const size_t width = explain_by.size();
+  const std::vector<std::vector<size_t>> subsets =
+      AttrSubsets(width, max_order);
+  std::unordered_multimap<uint64_t, uint32_t> seen;  // tuple hash -> index
+  std::vector<ValueId> tuples;  // the distinct tuples, back to back
+  std::vector<ValueId> tuple(width);
+  std::vector<Predicate> preds;
+  std::vector<Explanation> cells;
+  if (row_tuple != nullptr) row_tuple->reserve(row_end - row_begin);
+  for (size_t row = row_begin; row < row_end; ++row) {
+    uint64_t hash = 1469598103934665603ULL;  // FNV-1a
+    for (size_t idx = 0; idx < width; ++idx) {
+      tuple[idx] = table.dim(row, explain_by[idx]);
+      hash = (hash ^ static_cast<uint32_t>(tuple[idx])) * 1099511628211ULL;
+    }
+    auto [it, end] = seen.equal_range(hash);
+    while (it != end && !std::equal(tuple.begin(), tuple.end(),
+                                    tuples.begin() + it->second * width)) {
+      ++it;
+    }
+    if (it == end) {
+      it = seen.emplace(hash, static_cast<uint32_t>(seen.size()));
+      tuples.insert(tuples.end(), tuple.begin(), tuple.end());
+      cells.clear();
+      for (const std::vector<size_t>& subset : subsets) {
+        preds.clear();
+        for (size_t idx : subset) {
+          preds.push_back(Predicate{explain_by[idx], tuple[idx]});
+        }
+        cells.push_back(Explanation::FromPredicates(preds));
+      }
+      on_new_tuple(cells);
+    }
+    if (row_tuple != nullptr) row_tuple->push_back(it->second);
+  }
+}
+
 }  // namespace
 
 ExplanationRegistry ExplanationRegistry::Build(
@@ -43,65 +94,71 @@ ExplanationRegistry ExplanationRegistry::Build(
   reg.explain_by_ = explain_by;
   reg.max_order_ = max_order;
 
-  const auto subsets = AttrSubsets(explain_by.size(), max_order);
-
-  // Pass 1: find every occurring cell.
-  std::vector<Predicate> preds;
-  for (size_t row = 0; row < table.num_rows(); ++row) {
-    for (const auto& subset : subsets) {
-      preds.clear();
-      for (size_t idx : subset) {
-        const AttrId attr = explain_by[idx];
-        preds.push_back(Predicate{attr, table.dim(row, attr)});
-      }
-      Explanation cell = Explanation::FromPredicates(preds);
-      auto [it, inserted] = reg.index_.try_emplace(
-          std::move(cell), static_cast<ExplId>(reg.cells_.size()));
-      if (inserted) reg.cells_.push_back(it->first);
-    }
-  }
+  // Pass 1: find every occurring cell, ids in first-occurrence order.
+  TuplePass(table, explain_by, max_order, 0, table.num_rows(),
+            /*row_tuple=*/nullptr,
+            [&reg](const std::vector<Explanation>& cells) {
+              for (const Explanation& cell : cells) {
+                auto [it, inserted] = reg.index_.try_emplace(
+                    cell, static_cast<ExplId>(reg.cells_.size()));
+                if (inserted) reg.cells_.push_back(it->first);
+              }
+            });
 
   // Pass 2: build drill-down links. Every cell of order k >= 1 is a child
-  // of each cell obtained by dropping one of its predicates.
-  reg.children_.resize(reg.cells_.size());
-  std::vector<std::unordered_map<AttrId, std::vector<ExplId>>> tmp(
-      reg.cells_.size());
-  std::unordered_map<AttrId, std::vector<ExplId>> root_tmp;
+  // of each cell obtained by dropping one of its predicates. Groups come
+  // out in attribute order, and visiting ids in ascending order keeps every
+  // child list sorted.
+  using ByAttr = std::map<AttrId, std::vector<ExplId>>;
+  std::vector<ByAttr> groups(reg.cells_.size());
+  ByAttr root_groups;
   for (ExplId id = 0; id < static_cast<ExplId>(reg.cells_.size()); ++id) {
     const Explanation& cell = reg.cells_[static_cast<size_t>(id)];
     for (const Predicate& p : cell.predicates()) {
       if (cell.order() == 1) {
-        root_tmp[p.attr].push_back(id);
+        root_groups[p.attr].push_back(id);
       } else {
         const Explanation parent = cell.WithoutAttr(p.attr);
         const ExplId parent_id = reg.Lookup(parent);
         TSE_CHECK_NE(parent_id, kInvalidExplId)
             << "parent cell missing; enumeration must be downward closed";
-        tmp[static_cast<size_t>(parent_id)][p.attr].push_back(id);
+        groups[static_cast<size_t>(parent_id)][p.attr].push_back(id);
       }
     }
   }
 
-  auto materialize =
-      [](std::unordered_map<AttrId, std::vector<ExplId>>& groups) {
-        std::vector<ChildGroup> out;
-        out.reserve(groups.size());
-        for (auto& [attr, children] : groups) {
-          std::sort(children.begin(), children.end());
-          out.push_back(ChildGroup{attr, std::move(children)});
-        }
-        std::sort(out.begin(), out.end(),
-                  [](const ChildGroup& a, const ChildGroup& b) {
-                    return a.attr < b.attr;
-                  });
-        return out;
-      };
-
-  reg.root_children_ = materialize(root_tmp);
+  auto materialize = [](ByAttr& by_attr) {
+    std::vector<ChildGroup> out;
+    out.reserve(by_attr.size());
+    for (auto& [attr, children] : by_attr) {
+      out.push_back(ChildGroup{attr, std::move(children)});
+    }
+    return out;
+  };
+  reg.root_children_ = materialize(root_groups);
+  reg.children_.resize(reg.cells_.size());
   for (size_t i = 0; i < reg.cells_.size(); ++i) {
-    reg.children_[i] = materialize(tmp[i]);
+    reg.children_[i] = materialize(groups[i]);
   }
   return reg;
+}
+
+std::optional<RowCells> ExplanationRegistry::ResolveRows(
+    const Table& table, size_t row_begin, size_t row_end) const {
+  TSE_CHECK(row_begin <= row_end && row_end <= table.num_rows());
+  RowCells out;
+  bool complete = true;
+  TuplePass(table, explain_by_, max_order_, row_begin, row_end,
+            &out.row_tuple, [&](const std::vector<Explanation>& cells) {
+              std::vector<ExplId>& ids = out.tuple_cells.emplace_back();
+              ids.reserve(cells.size());
+              for (const Explanation& cell : cells) {
+                ids.push_back(Lookup(cell));
+                complete = complete && ids.back() != kInvalidExplId;
+              }
+            });
+  if (!complete) return std::nullopt;
+  return out;
 }
 
 const Explanation& ExplanationRegistry::explanation(ExplId id) const {

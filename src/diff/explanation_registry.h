@@ -6,10 +6,18 @@
 // drill-down structure the Cascading Analysts algorithm walks: for each cell
 // and each unconstrained attribute, the list of child cells obtained by
 // adding one predicate on that attribute (paper Figure 8).
+//
+// One tuple pass (`TuplePass` in explanation_registry.cc) owns tuple dedupe
+// and subset order: it dedupes each row's explain-by value tuple exactly and
+// enumerates subsets only for a tuple's first occurrence. Build assigns ids
+// in that order (row, then subset); ResolveRows serves the cube constructor
+// and TSExplain::AppendBucket. Nothing of the pass is retained.
 
 #ifndef TSEXPLAIN_DIFF_EXPLANATION_REGISTRY_H_
 #define TSEXPLAIN_DIFF_EXPLANATION_REGISTRY_H_
 
+#include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -22,6 +30,15 @@ namespace tsexplain {
 struct ChildGroup {
   AttrId attr;
   std::vector<ExplId> children;
+};
+
+/// Rows of a table range resolved to registry cells by the tuple pass.
+struct RowCells {
+  /// Per distinct explain-by value tuple, in first-occurrence order: the
+  /// ids of its cells, in subset order.
+  std::vector<std::vector<ExplId>> tuple_cells;
+  /// Per row of the range, in row order: its tuple's index in tuple_cells.
+  std::vector<uint32_t> row_tuple;
 };
 
 /// Immutable-after-build candidate set + drill-down lattice.
@@ -44,6 +61,12 @@ class ExplanationRegistry {
   /// Id for a conjunction, or kInvalidExplId if it never occurs in data.
   ExplId Lookup(const Explanation& e) const;
 
+  /// Resolves rows [row_begin, row_end) of `table` (the table Build saw,
+  /// possibly grown since) to cell ids, once per distinct tuple; nullopt
+  /// when a row needs a cell the registry lacks.
+  std::optional<RowCells> ResolveRows(const Table& table, size_t row_begin,
+                                      size_t row_end) const;
+
   /// Drill-down children of the root (order-1 cells), grouped by attribute.
   const std::vector<ChildGroup>& root_children() const {
     return root_children_;
@@ -52,9 +75,6 @@ class ExplanationRegistry {
   /// Drill-down children of a cell, grouped by attribute not yet
   /// constrained by the cell. Cells at max_order have no children.
   const std::vector<ChildGroup>& children(ExplId id) const;
-
-  const std::vector<AttrId>& explain_by() const { return explain_by_; }
-  int max_order() const { return max_order_; }
 
  private:
   std::vector<AttrId> explain_by_;

@@ -76,10 +76,10 @@ TSExplain::TSExplain(const Table& table, TSExplainConfig config)
   TSE_CHECK_GE(table.num_time_buckets(), 3u)
       << "need at least three time buckets to segment";
   Timer build_timer;
-  explain_by_ = ResolveExplainBy(table, config_.explain_by_names);
   measure_idx_ = ResolveMeasure(table, config_.measure);
-  registry_ =
-      ExplanationRegistry::Build(table, explain_by_, config_.max_order);
+  registry_ = ExplanationRegistry::Build(
+      table, ResolveExplainBy(table, config_.explain_by_names),
+      config_.max_order);
   cube_ = std::make_unique<ExplanationCube>(
       table, registry_, config_.aggregate, measure_idx_,
       ResolveThreadCount(config_.threads));
@@ -191,28 +191,23 @@ bool TSExplain::AppendBucket() {
   const size_t t = cube_->n();
   if (table_.num_time_buckets() != t + 1) return false;
 
+  // A tuple the registry never saw is fine as long as each of its cells
+  // exists; a never-seen cell needs a fresh registry.
+  const std::optional<RowCells> rows =
+      registry_.ResolveRows(table_, rows_absorbed_, table_.num_rows());
+  if (!rows) return false;
+
   // The new bucket's per-cell partials, accumulated in row order exactly
   // as the cube constructor does, so a grown cube equals a fresh one.
   std::vector<AggState> slice_partials(registry_.num_explanations());
   AggState overall{};
-  const size_t num_attrs = explain_by_.size();
-  std::vector<Predicate> preds;
-  for (size_t row = rows_absorbed_; row < table_.num_rows(); ++row) {
+  for (size_t i = 0; i < rows->row_tuple.size(); ++i) {
+    const size_t row = rows_absorbed_ + i;
     if (static_cast<size_t>(table_.time(row)) != t) return false;
     const double value =
         measure_idx_ < 0 ? 1.0 : table_.measure(row, measure_idx_);
     overall.Add(value);
-    for (uint32_t mask = 1; mask < (1u << num_attrs); ++mask) {
-      if (__builtin_popcount(mask) > config_.max_order) continue;
-      preds.clear();
-      for (size_t idx = 0; idx < num_attrs; ++idx) {
-        if (mask & (1u << idx)) {
-          preds.push_back(
-              Predicate{explain_by_[idx], table_.dim(row, explain_by_[idx])});
-        }
-      }
-      const ExplId id = registry_.Lookup(Explanation::FromPredicates(preds));
-      if (id == kInvalidExplId) return false;  // a never-seen cell
+    for (ExplId id : rows->tuple_cells[rows->row_tuple[i]]) {
       slice_partials[static_cast<size_t>(id)].Add(value);
     }
   }

@@ -246,7 +246,6 @@ class TSExplain {
 
   const Table& table_;
   TSExplainConfig config_;
-  std::vector<AttrId> explain_by_;
   int measure_idx_ = -1;
   ExplanationRegistry registry_;
   std::unique_ptr<ExplanationCube> cube_;

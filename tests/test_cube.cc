@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/cube/canonical_mask.h"
 #include "src/cube/explanation_cube.h"
 #include "src/cube/support_filter.h"
@@ -27,14 +30,14 @@ Table MakeTable() {
   return table;
 }
 
-TEST(Cube, SliceSeriesMatchesGroupByEngine) {
-  const Table t = MakeTable();
-  const auto reg = ExplanationRegistry::Build(t, {0, 1}, 2);
-  const ExplanationCube cube(t, reg, AggregateFunction::kSum, 0);
-  ASSERT_EQ(cube.num_explanations(), reg.num_explanations());
-
-  // Property: for EVERY candidate cell, the cube slice equals a fresh
-  // group-by with the same conjunction.
+// Property: for EVERY candidate cell, the cube slice equals a fresh
+// group-by with the same conjunction. Returns the number of mismatched
+// slices, reporting the first.
+size_t CountSlicesUnlikeGroupBy(const Table& t,
+                                const ExplanationRegistry& reg,
+                                const ExplanationCube& cube) {
+  EXPECT_EQ(cube.num_explanations(), reg.num_explanations());
+  size_t mismatches = 0;
   for (ExplId e = 0; e < static_cast<ExplId>(reg.num_explanations()); ++e) {
     std::vector<DimPredicate> conj;
     for (const Predicate& p : reg.explanation(e).predicates()) {
@@ -43,11 +46,43 @@ TEST(Cube, SliceSeriesMatchesGroupByEngine) {
     const TimeSeries expected =
         GroupByTime(t, AggregateFunction::kSum, 0, conj);
     const TimeSeries actual = cube.SliceSeries(e);
-    ASSERT_EQ(actual.values.size(), expected.values.size());
-    for (size_t i = 0; i < expected.values.size(); ++i) {
-      EXPECT_DOUBLE_EQ(actual.values[i], expected.values[i])
-          << reg.explanation(e).ToString(t) << " @ " << i;
+    if (actual.values != expected.values && mismatches++ == 0) {
+      ADD_FAILURE() << "first mismatched slice: "
+                    << reg.explanation(e).ToString(t);
     }
+  }
+  return mismatches;
+}
+
+TEST(Cube, SliceSeriesMatchesGroupByEngine) {
+  const Table t = MakeTable();
+  const auto reg = ExplanationRegistry::Build(t, {0, 1}, 2);
+  const ExplanationCube cube(t, reg, AggregateFunction::kSum, 0);
+  EXPECT_EQ(CountSlicesUnlikeGroupBy(t, reg, cube), 0u);
+}
+
+TEST(Cube, WideExplainBy) {
+  // 33 explain-by attributes: more than a 32-bit subset mask can hold.
+  // Three rows, one per bucket; attribute d takes value r * (d + 1) % 3
+  // in row r, so some attributes vary across rows and some do not.
+  std::vector<std::string> dims;
+  for (int d = 0; d < 33; ++d) dims.push_back("d" + std::to_string(d));
+  Table t(Schema("date", dims, {"m"}));
+  for (int r = 0; r < 3; ++r) {
+    const TimeId time = t.AddTimeBucket("t" + std::to_string(r));
+    std::vector<std::string> values;
+    for (int d = 0; d < 33; ++d) {
+      values.push_back("v" + std::to_string(r * (d + 1) % 3));
+    }
+    t.AppendRow(time, values, {static_cast<double>(1 << r)});
+  }
+  std::vector<AttrId> explain_by(33);
+  for (int d = 0; d < 33; ++d) explain_by[static_cast<size_t>(d)] = d;
+  for (int order : {1, 3}) {
+    const auto reg = ExplanationRegistry::Build(t, explain_by, order);
+    const ExplanationCube cube(t, reg, AggregateFunction::kSum, 0);
+    EXPECT_EQ(CountSlicesUnlikeGroupBy(t, reg, cube), 0u)
+        << "order " << order << ", epsilon " << reg.num_explanations();
   }
 }
 

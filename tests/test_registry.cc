@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/diff/explanation_registry.h"
 
@@ -141,6 +143,37 @@ TEST(Registry, ThreeAttributeTripleEnumeration) {
   EXPECT_EQ(reg3.num_explanations(), 7u);
   const auto reg2 = ExplanationRegistry::Build(table, {0, 1, 2}, 2);
   EXPECT_EQ(reg2.num_explanations(), 6u);
+}
+
+TEST(Registry, IdsFollowFirstOccurrenceRowThenSubsetOrder) {
+  // Ids are assigned as cells first occur: row order, then the depth-first
+  // subset order A, A&B, A&C, B, B&C, C. Repeated tuples add nothing. The
+  // canonical representative ("lowest order, then lowest id") and every
+  // tie-break downstream depend on this order.
+  Table table(Schema("t", {"A", "B", "C"}, {"m"}));
+  table.AddTimeBucket("0");
+  table.AppendRow(0, {"a1", "b1", "c1"}, {1.0});
+  table.AppendRow(0, {"a2", "b1", "c2"}, {1.0});
+  table.AppendRow(0, {"a1", "b1", "c1"}, {1.0});
+  table.AppendRow(0, {"a2", "b2", "c1"}, {1.0});
+  table.AppendRow(0, {"a2", "b1", "c2"}, {1.0});
+  table.AppendRow(0, {"a1", "b2", "c2"}, {1.0});
+  const auto reg = ExplanationRegistry::Build(table, {0, 1, 2}, 2);
+  const std::vector<std::string> expected = {
+      // Row 0: a1 b1 c1.
+      "A=a1", "A=a1 & B=b1", "A=a1 & C=c1", "B=b1", "B=b1 & C=c1", "C=c1",
+      // Row 1: a2 b1 c2 (B=b1 seen).
+      "A=a2", "A=a2 & B=b1", "A=a2 & C=c2", "B=b1 & C=c2", "C=c2",
+      // Row 2 repeats row 0. Row 3: a2 b2 c1 (A=a2, C=c1 seen).
+      "A=a2 & B=b2", "A=a2 & C=c1", "B=b2", "B=b2 & C=c1",
+      // Row 4 repeats row 1. Row 5: a1 b2 c2 (every single seen).
+      "A=a1 & B=b2", "A=a1 & C=c2", "B=b2 & C=c2"};
+  ASSERT_EQ(reg.num_explanations(), expected.size());
+  for (size_t id = 0; id < expected.size(); ++id) {
+    EXPECT_EQ(reg.explanation(static_cast<ExplId>(id)).ToString(table),
+              expected[id])
+        << "id " << id;
+  }
 }
 
 }  // namespace

@@ -283,6 +283,44 @@ TEST(StreamingDifferential, NewCategoryForcesRebuild) {
   ExpectSameAsFreshEngine(session, "after the rebuild");
 }
 
+TEST(StreamingDifferential, NewTupleOfKnownCellsAppendsInPlace) {
+  // A Latin square over A, B, C: each pair of attributes shows all four
+  // value combinations, but only four of the eight triples occur. At order
+  // 2 the unseen triple a1 b1 c2 is made only of existing cells, so its
+  // bucket appends in place instead of forcing a rebuild.
+  const std::vector<std::vector<std::string>> square = {
+      {"a1", "b1", "c1"}, {"a1", "b2", "c2"},
+      {"a2", "b1", "c2"}, {"a2", "b2", "c1"}};
+  auto day_rows = [&square](int day) {
+    std::vector<StreamRow> rows;
+    for (size_t i = 0; i < square.size(); ++i) {
+      const double trend = day < 4 ? 1.0 + static_cast<double>(i) : -2.0;
+      rows.push_back({square[i], {50.0 + 10.0 * static_cast<double>(i) +
+                                  trend * day}});
+    }
+    return rows;
+  };
+  Table table(Schema("day", {"A", "B", "C"}, {"m"}));
+  for (int day = 0; day < 8; ++day) {
+    const TimeId t = table.AddTimeBucket("d" + std::to_string(day));
+    for (const StreamRow& row : day_rows(day)) {
+      table.AppendRow(t, row.dims, row.measures);
+    }
+  }
+  TSExplainConfig config;
+  config.measure = "m";
+  config.explain_by_names = {"A", "B", "C"};
+  config.max_order = 2;
+  StreamingTSExplain session(table, config);
+  ExpectSameAsFreshEngine(session, "open");
+
+  std::vector<StreamRow> rows = day_rows(8);
+  rows.push_back({{"a1", "b1", "c2"}, {75.0}});
+  session.AppendBucket("d8", rows);
+  EXPECT_FALSE(session.last_append_rebuilt());
+  ExpectSameAsFreshEngine(session, "new tuple");
+}
+
 TEST(StreamingDifferential, Sp500SessionConfig) {
   // The benchmark's streaming session shape: O1 + O2 + filter over the
   // S&P 500 hierarchy, opened on all but the last three days.
