@@ -1,7 +1,8 @@
-// Micro/ablation benchmarks (google-benchmark) for the design choices
-// DESIGN.md calls out: Cascading Analysts cost vs epsilon, guess-and-verify
-// initial guess, variance-table granularity (vanilla vs sketch), diff-score
-// lookups, matrix profile, and the K-segmentation DP.
+// Micro/ablation benchmarks (google-benchmark) for the cost knobs of the
+// paper's pipeline (Figure 7): Cascading Analysts cost vs epsilon and the
+// guess-and-verify initial guess (section 5.3.1), variance-table
+// granularity (vanilla vs the O2 sketch, section 5.3.2), diff-score lookups,
+// matrix profile, and the K-segmentation DP.
 //
 // After the benchmark suite, main() runs the SIMD acceptance gate: on
 // hosts where the AVX2 kernels dispatch, the vectorized ScoreAll sweep
@@ -13,6 +14,10 @@
 // precomputation layers (median serial wall clock of their benchmarks):
 //   micro.liquor.registry_build   ExplanationRegistry::Build
 //   micro.liquor.cube_build       ExplanationCube over a built registry
+// and module (b) on BM_GuessVerify's epsilon = 1680 instance (median
+// serial wall clock of one solve at m = 3):
+//   micro.ca.guess_verify   GuessVerifyTopM at the default initial guess 30
+//   micro.ca.plain          CascadingAnalysts::TopM over the full lattice
 
 #include <benchmark/benchmark.h>
 
@@ -327,6 +332,19 @@ double MedianMs(std::vector<double> samples) {
   return samples[samples.size() / 2];
 }
 
+// Median wall clock of `reps` serial calls of `run`.
+template <typename Run>
+double MedianSerialMs(int reps, Run&& run) {
+  std::vector<double> samples;
+  samples.reserve(static_cast<size_t>(reps));
+  for (int rep = 0; rep < reps; ++rep) {
+    const Timer timer;
+    run();
+    samples.push_back(timer.ElapsedMs());
+  }
+  return MedianMs(std::move(samples));
+}
+
 // Liquor module (a) precomputation, one layer per benchmark, serial: the
 // registry (tuple pass + drill-down links), then the cube over a prebuilt
 // registry. Each iteration's wall clock is kept so main() can emit the
@@ -368,6 +386,23 @@ void EmitLiquorBuildMedians() {
   if (!liquor_cube_ms.empty()) {
     bench::EmitResult("micro.liquor.cube_build", MedianMs(liquor_cube_ms));
   }
+}
+
+// Module (b) medians on BM_GuessVerify's instance, one serial solve per
+// sample: guess-and-verify's sub-lattice solves, then the plain full-lattice
+// solve they must agree with.
+void EmitCascadingAnalystsMedians() {
+  constexpr int kReps = 101;
+  const CaFixture fixture(40);
+  CascadingAnalysts guess_verify_solver(fixture.registry);
+  bench::EmitResult("micro.ca.guess_verify", MedianSerialMs(kReps, [&] {
+    benchmark::DoNotOptimize(
+        GuessVerifyTopM(guess_verify_solver, fixture.gamma, 3));
+  }));
+  CascadingAnalysts plain_solver(fixture.registry);
+  bench::EmitResult("micro.ca.plain", MedianSerialMs(kReps, [&] {
+    benchmark::DoNotOptimize(plain_solver.TopM(fixture.gamma, 3));
+  }));
 }
 
 // SIMD acceptance gate (ISSUE 8): where AVX2 dispatches, the vectorized
@@ -412,23 +447,10 @@ int RunSimdGate() {
     }
   }
 
-  auto median_ms = [&](void (*sweep)(const ScoreAllInputs&, double*),
-                       double* out) {
-    std::vector<double> samples;
-    samples.reserve(kReps);
-    for (int rep = 0; rep < kReps; ++rep) {
-      Timer timer;
-      sweep(fixture.in, out);
-      samples.push_back(timer.ElapsedMs());
-    }
-    return MedianMs(std::move(samples));
-  };
-  const double scalar_ms = median_ms(
-      +[](const ScoreAllInputs& in, double* out) { ScoreAllScalar(in, out); },
-      scalar.data());
-  const double simd_ms = median_ms(
-      +[](const ScoreAllInputs& in, double* out) { ScoreAllAvx2(in, out); },
-      vectorized.data());
+  const double scalar_ms = MedianSerialMs(
+      kReps, [&] { ScoreAllScalar(fixture.in, scalar.data()); });
+  const double simd_ms = MedianSerialMs(
+      kReps, [&] { ScoreAllAvx2(fixture.in, vectorized.data()); });
   const double speedup = scalar_ms / simd_ms;
   std::printf("simd gate: scalar %s, avx2 %s, speedup %.2fx "
               "(epsilon=%zu, bit-identical)\n",
@@ -453,5 +475,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   tsexplain::EmitLiquorBuildMedians();
+  tsexplain::EmitCascadingAnalystsMedians();
   return tsexplain::RunSimdGate();
 }

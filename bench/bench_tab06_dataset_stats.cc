@@ -43,8 +43,8 @@ void Run() {
     std::printf("  %-26s %10zu %12zu %6zu\n", w.name.c_str(),
                 CountActive(canonical), CountActive(filtered), cube.n());
   }
-  std::printf("\n  (epsilon counts hierarchy-deduped candidate cells; see "
-              "DESIGN.md)\n");
+  std::printf("\n  (epsilon counts hierarchy-deduped candidate cells, as "
+              "the paper's Table 6 does)\n");
   std::printf("  total time: %s\n",
               bench::FormatMs(timer.ElapsedMs()).c_str());
 }

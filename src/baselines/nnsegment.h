@@ -5,10 +5,9 @@
 // Like FLUSS it reasons about nearest-neighbor arcs over sliding windows,
 // but it scores each candidate changepoint by the raw fraction of
 // cross-boundary nearest neighbors (no idealized-parabola correction) and
-// uses a plain window-sized exclusion zone. See DESIGN.md for the
-// substitution note (the authors' reference code is not available offline;
-// this variant keeps the defining NN-consistency behaviour and the swept
-// window-size parameter).
+// uses a plain window-sized exclusion zone. It substitutes for the authors'
+// reference code, which is not available offline, and keeps the defining
+// NN-consistency behaviour and the swept window-size parameter.
 
 #ifndef TSEXPLAIN_BASELINES_NNSEGMENT_H_
 #define TSEXPLAIN_BASELINES_NNSEGMENT_H_

@@ -10,8 +10,11 @@
 // 503 stocks exactly, i.e. redundant conjunctions are not counted; we
 // reproduce that with this canonical mask: within every group of cells
 // whose partial series are bit-identical, only the lowest-order (then
-// lowest-id) representative stays selectable. See DESIGN.md for the
-// non-overlap trade-off discussion.
+// lowest-id) representative stays selectable. The trade-off: Cascading
+// Analysts drills the root along one attribute, so a masked deeper twin
+// (category=technology & subcategory=internet retail) could have been
+// paired with category=finance in one answer, while its order-1
+// representative cannot.
 
 #ifndef TSEXPLAIN_CUBE_CANONICAL_MASK_H_
 #define TSEXPLAIN_CUBE_CANONICAL_MASK_H_

@@ -1,5 +1,6 @@
 // COVID-19 dataset simulator (substitution for the JHU repository [20] the
-// paper uses; see DESIGN.md).
+// paper uses, which is not bundled, so experiments run offline and
+// reproduce from a seed).
 //
 // 58 states/territories, 345 daily buckets from 2020-01-22 to 2020-12-31.
 // Each state's daily confirmed cases are a mixture of Gaussian waves whose

@@ -1,6 +1,6 @@
-// CDC weekly-deaths dataset simulator (substitution for [4]; see
-// DESIGN.md). Used by the time-varying-attribute discussion (paper
-// section 8, Figure 18).
+// CDC weekly-deaths dataset simulator (substitution for [4], which is not
+// bundled, so experiments run offline and reproduce from a seed). Used by
+// the time-varying-attribute discussion (paper section 8, Figure 18).
 //
 // Weekly deaths for weeks 14..52 of 2021 broken down by the time-varying
 // attribute `vaccinated` (NO/YES) and the static attribute `age-group`

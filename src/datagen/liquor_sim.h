@@ -1,5 +1,6 @@
 // Iowa liquor-sales dataset simulator (substitution for the transaction
-// dump the paper uses; see DESIGN.md).
+// dump the paper uses, which is not bundled, so experiments run offline and
+// reproduce from a seed).
 //
 // 128 business days from 2020-01-02 to 2020-06-30 and a product catalog
 // over four explain-by attributes -- Bottle Volume BV (ml), Pack P,

@@ -1,5 +1,6 @@
 // S&P 500 dataset simulator (substitution for the constituent price/share
-// data the paper uses; see DESIGN.md).
+// data the paper uses, which is not bundled, so experiments run offline and
+// reproduce from a seed).
 //
 // 503 stocks in 11 categories and ~96 subcategories (matching the paper's
 // epsilon = 610 = 11 + 96 + 503 after hierarchy dedup), 151 trading days

@@ -1,6 +1,7 @@
 #include "src/diff/cascading_analysts.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "src/common/check.h"
 
@@ -8,6 +9,15 @@ namespace tsexplain {
 namespace {
 
 constexpr double kScoreEps = 1e-12;
+
+// Ranks the selected cells of `result` (E*_m) and fills their gammas.
+void RankByGamma(const std::vector<double>& gamma, TopExplanations* result) {
+  SortByGammaDesc(gamma, &result->ids);
+  result->gammas.reserve(result->ids.size());
+  for (ExplId id : result->ids) {
+    result->gammas.push_back(gamma[static_cast<size_t>(id)]);
+  }
+}
 
 }  // namespace
 
@@ -22,21 +32,81 @@ TopExplanations CascadingAnalysts::TopM(const std::vector<double>& gamma,
   if (selectable != nullptr) {
     TSE_CHECK_EQ(selectable->size(), registry_.num_explanations());
   }
+  TopExplanations result =
+      Run(registry_.lattice(), gamma.data(), selectable, m);
+  RankByGamma(gamma, &result);
+  return result;
+}
 
-  gamma_ = &gamma;
+TopExplanations CascadingAnalysts::TopMRestricted(
+    const std::vector<double>& gamma, int m,
+    const std::vector<ExplId>& candidates) {
+  TSE_CHECK_GE(m, 1);
+  TSE_CHECK_EQ(gamma.size(), registry_.num_explanations());
+
+  // Sub-lattice nodes: the candidates plus, transitively, their parents,
+  // numbered in ascending cell id so groups and child lists keep the full
+  // lattice's order and every knapsack sums in the same order as TopM's.
+  // Each generation of parents is deduplicated before it is expanded;
+  // otherwise an ancestor j predicates shorter than a candidate would be
+  // expanded once per path to it, j! times.
+  sub_cells_.assign(candidates.begin(), candidates.end());
+  for (size_t begin = 0; begin < sub_cells_.size();) {
+    const size_t end = sub_cells_.size();
+    for (size_t i = begin; i < end; ++i) {
+      const ExplId cell = sub_cells_[i];
+      const int order = registry_.explanation(cell).order();
+      if (order == 1) continue;  // its parent is the root
+      for (int pred = 0; pred < order; ++pred) {
+        sub_cells_.push_back(registry_.parent(cell, pred));
+      }
+    }
+    const auto parents =
+        sub_cells_.begin() + static_cast<std::ptrdiff_t>(end);
+    std::sort(parents, sub_cells_.end());
+    sub_cells_.erase(std::unique(parents, sub_cells_.end()),
+                     sub_cells_.end());
+    begin = end;
+  }
+  std::sort(sub_cells_.begin(), sub_cells_.end());
+  sub_cells_.erase(std::unique(sub_cells_.begin(), sub_cells_.end()),
+                   sub_cells_.end());
+  registry_.Link(sub_cells_, &sub_lattice_);
+
+  // Only candidates are selectable: ancestors score 0, which the DP never
+  // selects.
+  sub_score_.assign(sub_cells_.size(), 0.0);
+  for (ExplId candidate : candidates) {
+    const auto it =
+        std::lower_bound(sub_cells_.begin(), sub_cells_.end(), candidate);
+    sub_score_[static_cast<size_t>(it - sub_cells_.begin())] =
+        gamma[static_cast<size_t>(candidate)];
+  }
+
+  TopExplanations result =
+      Run(sub_lattice_, sub_score_.data(), /*selectable=*/nullptr, m);
+  for (ExplId& id : result.ids) id = sub_cells_[static_cast<size_t>(id)];
+  RankByGamma(gamma, &result);
+  return result;
+}
+
+TopExplanations CascadingAnalysts::Run(const DrillDownLattice& lattice,
+                                       const double* score,
+                                       const std::vector<bool>* selectable,
+                                       int m) {
+  children_ = &lattice.children;
+  score_ = score;
   selectable_ = selectable;
-  m_ = m;
   nodes_visited_ = 0;
 
-  // (Re)size the epoch-stamped memo table.
-  if (m > m_cap_ || memo_.size() <
-                        registry_.num_explanations() *
-                            static_cast<size_t>(m + 1)) {
-    m_cap_ = std::max(m, m_cap_);
-    memo_.assign(registry_.num_explanations() *
-                     static_cast<size_t>(m_cap_ + 1),
-                 0.0);
-    memo_epoch_.assign(memo_.size(), 0);
+  // (Re)size the epoch-stamped memo table to the lattice being walked.
+  const int m_cap = std::max(m, m_cap_);
+  const size_t slots =
+      lattice.children.size() * static_cast<size_t>(m_cap + 1);
+  if (m_cap != m_cap_ || memo_.size() < slots) {
+    m_cap_ = m_cap;
+    memo_.assign(slots, 0.0);
+    memo_epoch_.assign(slots, 0);
     epoch_ = 0;
   }
   ++epoch_;
@@ -51,35 +121,29 @@ TopExplanations CascadingAnalysts::TopM(const std::vector<double>& gamma,
   // One knapsack pass per child group yields all quota levels at once, so we
   // simply evaluate per q (m is tiny; clarity over micro-optimization).
   for (int q = 1; q <= m; ++q) {
-    result.best[static_cast<size_t>(q)] =
-        BestDrillDown(registry_.root_children(), q);
+    result.best[static_cast<size_t>(q)] = BestDrillDown(lattice.root, q);
   }
-
-  ReconstructDrillDown(registry_.root_children(), m, &result.ids);
-  SortByGammaDesc(gamma, &result.ids);
-  result.gammas.reserve(result.ids.size());
-  for (ExplId id : result.ids) {
-    result.gammas.push_back(gamma[static_cast<size_t>(id)]);
-  }
+  ReconstructDrillDown(lattice.root, m, &result.ids);
   return result;
 }
 
-double CascadingAnalysts::Solve(ExplId cell, int q) {
+double CascadingAnalysts::Solve(ExplId node, int q) {
   if (q == 0) return 0.0;
   const size_t slot =
-      static_cast<size_t>(cell) * static_cast<size_t>(m_cap_ + 1) +
+      static_cast<size_t>(node) * static_cast<size_t>(m_cap_ + 1) +
       static_cast<size_t>(q);
   if (memo_epoch_[slot] == epoch_) return memo_[slot];
   ++nodes_visited_;
 
   const bool can_select =
-      selectable_ == nullptr || (*selectable_)[static_cast<size_t>(cell)];
+      selectable_ == nullptr || (*selectable_)[static_cast<size_t>(node)];
   double best = 0.0;
   if (can_select) {
-    const double g = (*gamma_)[static_cast<size_t>(cell)];
+    const double g = score_[static_cast<size_t>(node)];
     if (g > kScoreEps) best = g;
   }
-  const std::vector<ChildGroup>& groups = registry_.children(cell);
+  const std::vector<ChildGroup>& groups =
+      (*children_)[static_cast<size_t>(node)];
   if (!groups.empty()) {
     best = std::max(best, BestDrillDown(groups, q));
   }
@@ -115,22 +179,22 @@ double CascadingAnalysts::BestDrillDown(const std::vector<ChildGroup>& groups,
   return best;
 }
 
-void CascadingAnalysts::Reconstruct(ExplId cell, int q,
+void CascadingAnalysts::Reconstruct(ExplId node, int q,
                                     std::vector<ExplId>* out) {
   if (q == 0) return;
-  const double value = Solve(cell, q);
+  const double value = Solve(node, q);
   if (value <= kScoreEps) return;  // nothing selected in this subtree
 
   const bool can_select =
-      selectable_ == nullptr || (*selectable_)[static_cast<size_t>(cell)];
+      selectable_ == nullptr || (*selectable_)[static_cast<size_t>(node)];
   if (can_select) {
-    const double g = (*gamma_)[static_cast<size_t>(cell)];
+    const double g = score_[static_cast<size_t>(node)];
     if (g > kScoreEps && g >= value - kScoreEps) {
-      out->push_back(cell);
+      out->push_back(node);
       return;
     }
   }
-  ReconstructDrillDown(registry_.children(cell), q, out);
+  ReconstructDrillDown((*children_)[static_cast<size_t>(node)], q, out);
 }
 
 void CascadingAnalysts::ReconstructDrillDown(
@@ -178,225 +242,6 @@ void CascadingAnalysts::ReconstructDrillDown(
     return;
   }
   TSE_CHECK(false) << "reconstruction failed to match the optimal value";
-}
-
-TopExplanations CascadingAnalysts::TopMRestricted(
-    const std::vector<double>& gamma, int m,
-    const std::vector<ExplId>& candidates) {
-  TSE_CHECK_GE(m, 1);
-  TSE_CHECK_EQ(gamma.size(), registry_.num_explanations());
-  gamma_ = &gamma;
-  m_ = m;
-  nodes_visited_ = 0;
-
-  // Build the sub-lattice: candidates plus every ancestor cell (all
-  // non-empty sub-conjunctions; at most 2^order - 1 per candidate).
-  LocalLattice lattice;
-  lattice.index.reserve(candidates.size() * 4);
-  auto add_cell = [&lattice](ExplId id, bool is_candidate) -> int {
-    auto [it, inserted] =
-        lattice.index.try_emplace(id, static_cast<int>(lattice.cells.size()));
-    if (inserted) {
-      lattice.cells.push_back(id);
-      lattice.selectable.push_back(is_candidate);
-    } else if (is_candidate) {
-      lattice.selectable[static_cast<size_t>(it->second)] = true;
-    }
-    return it->second;
-  };
-  for (ExplId candidate : candidates) {
-    add_cell(candidate, /*is_candidate=*/true);
-    const Explanation& cell = registry_.explanation(candidate);
-    const auto& preds = cell.predicates();
-    const uint32_t limit = 1u << preds.size();
-    for (uint32_t mask = 1; mask + 1 < limit; ++mask) {  // proper subsets
-      std::vector<Predicate> subset;
-      for (size_t i = 0; i < preds.size(); ++i) {
-        if (mask & (1u << i)) subset.push_back(preds[i]);
-      }
-      const ExplId ancestor =
-          registry_.Lookup(Explanation::FromPredicates(std::move(subset)));
-      TSE_CHECK_NE(ancestor, kInvalidExplId);
-      add_cell(ancestor, /*is_candidate=*/false);
-    }
-  }
-
-  // Rebuild drill-down links within the sub-lattice (same construction as
-  // the registry, restricted to relevant cells).
-  lattice.children.resize(lattice.cells.size());
-  std::vector<std::unordered_map<AttrId, std::vector<ExplId>>> tmp(
-      lattice.cells.size());
-  std::unordered_map<AttrId, std::vector<ExplId>> root_tmp;
-  for (size_t local = 0; local < lattice.cells.size(); ++local) {
-    const ExplId id = lattice.cells[local];
-    const Explanation& cell = registry_.explanation(id);
-    for (const Predicate& p : cell.predicates()) {
-      if (cell.order() == 1) {
-        root_tmp[p.attr].push_back(id);
-      } else {
-        const ExplId parent_id =
-            registry_.Lookup(cell.WithoutAttr(p.attr));
-        auto it = lattice.index.find(parent_id);
-        TSE_CHECK(it != lattice.index.end());
-        tmp[static_cast<size_t>(it->second)][p.attr].push_back(id);
-      }
-    }
-  }
-  auto materialize =
-      [](std::unordered_map<AttrId, std::vector<ExplId>>& groups) {
-        std::vector<ChildGroup> out;
-        out.reserve(groups.size());
-        for (auto& [attr, children] : groups) {
-          std::sort(children.begin(), children.end());
-          out.push_back(ChildGroup{attr, std::move(children)});
-        }
-        std::sort(out.begin(), out.end(),
-                  [](const ChildGroup& a, const ChildGroup& b) {
-                    return a.attr < b.attr;
-                  });
-        return out;
-      };
-  lattice.root_children = materialize(root_tmp);
-  for (size_t local = 0; local < lattice.cells.size(); ++local) {
-    lattice.children[local] = materialize(tmp[local]);
-  }
-
-  // DP over the sub-lattice. memo[local * (m+1) + q]; -1 = unset.
-  std::vector<double> memo(
-      lattice.cells.size() * static_cast<size_t>(m + 1), -1.0);
-  TopExplanations result;
-  result.best.resize(static_cast<size_t>(m) + 1, 0.0);
-  for (int q = 1; q <= m; ++q) {
-    result.best[static_cast<size_t>(q)] =
-        BestDrillDownLocal(lattice, lattice.root_children, q, &memo);
-  }
-  ReconstructDrillDownLocal(lattice, lattice.root_children, m, &memo,
-                            &result.ids);
-  SortByGammaDesc(gamma, &result.ids);
-  result.gammas.reserve(result.ids.size());
-  for (ExplId id : result.ids) {
-    result.gammas.push_back(gamma[static_cast<size_t>(id)]);
-  }
-  return result;
-}
-
-double CascadingAnalysts::SolveLocal(const LocalLattice& lattice, int local,
-                                     int q, std::vector<double>* memo) {
-  if (q == 0) return 0.0;
-  const size_t slot = static_cast<size_t>(local) *
-                          static_cast<size_t>(m_ + 1) +
-                      static_cast<size_t>(q);
-  if ((*memo)[slot] >= 0.0) return (*memo)[slot];
-  ++nodes_visited_;
-
-  double best = 0.0;
-  if (lattice.selectable[static_cast<size_t>(local)]) {
-    const double g =
-        (*gamma_)[static_cast<size_t>(lattice.cells[static_cast<size_t>(
-            local)])];
-    if (g > kScoreEps) best = g;
-  }
-  const std::vector<ChildGroup>& groups =
-      lattice.children[static_cast<size_t>(local)];
-  if (!groups.empty()) {
-    best = std::max(best, BestDrillDownLocal(lattice, groups, q, memo));
-  }
-  (*memo)[slot] = best;
-  return best;
-}
-
-double CascadingAnalysts::BestDrillDownLocal(
-    const LocalLattice& lattice, const std::vector<ChildGroup>& groups,
-    int q, std::vector<double>* memo) {
-  double best = 0.0;
-  std::vector<double> dp(static_cast<size_t>(q) + 1);
-  for (const ChildGroup& group : groups) {
-    std::fill(dp.begin(), dp.end(), 0.0);
-    for (ExplId child : group.children) {
-      const int child_local = lattice.index.at(child);
-      for (int x = q; x >= 1; --x) {
-        double best_here = dp[static_cast<size_t>(x)];
-        for (int y = 1; y <= x; ++y) {
-          best_here = std::max(best_here,
-                               dp[static_cast<size_t>(x - y)] +
-                                   SolveLocal(lattice, child_local, y, memo));
-        }
-        dp[static_cast<size_t>(x)] = best_here;
-      }
-    }
-    best = std::max(best, dp[static_cast<size_t>(q)]);
-  }
-  return best;
-}
-
-void CascadingAnalysts::ReconstructLocal(const LocalLattice& lattice,
-                                         int local, int q,
-                                         std::vector<double>* memo,
-                                         std::vector<ExplId>* out) {
-  if (q == 0) return;
-  const double value = SolveLocal(lattice, local, q, memo);
-  if (value <= kScoreEps) return;
-  if (lattice.selectable[static_cast<size_t>(local)]) {
-    const double g =
-        (*gamma_)[static_cast<size_t>(lattice.cells[static_cast<size_t>(
-            local)])];
-    if (g > kScoreEps && g >= value - kScoreEps) {
-      out->push_back(lattice.cells[static_cast<size_t>(local)]);
-      return;
-    }
-  }
-  ReconstructDrillDownLocal(lattice,
-                            lattice.children[static_cast<size_t>(local)], q,
-                            memo, out);
-}
-
-void CascadingAnalysts::ReconstructDrillDownLocal(
-    const LocalLattice& lattice, const std::vector<ChildGroup>& groups,
-    int q, std::vector<double>* memo, std::vector<ExplId>* out) {
-  if (q == 0 || groups.empty()) return;
-  const double target = BestDrillDownLocal(lattice, groups, q, memo);
-  if (target <= kScoreEps) return;
-
-  for (const ChildGroup& group : groups) {
-    const size_t num_children = group.children.size();
-    std::vector<std::vector<double>> dp(
-        num_children + 1, std::vector<double>(static_cast<size_t>(q) + 1));
-    for (size_t i = 0; i < num_children; ++i) {
-      const int child_local = lattice.index.at(group.children[i]);
-      for (int x = 0; x <= q; ++x) {
-        double best_here = dp[i][static_cast<size_t>(x)];
-        for (int y = 1; y <= x; ++y) {
-          best_here = std::max(best_here,
-                               dp[i][static_cast<size_t>(x - y)] +
-                                   SolveLocal(lattice, child_local, y, memo));
-        }
-        dp[i + 1][static_cast<size_t>(x)] = best_here;
-      }
-    }
-    if (dp[num_children][static_cast<size_t>(q)] < target - kScoreEps) {
-      continue;
-    }
-    int x = q;
-    for (size_t i = num_children; i > 0; --i) {
-      const int child_local = lattice.index.at(group.children[i - 1]);
-      int chosen_y = 0;
-      for (int y = 0; y <= x; ++y) {
-        const double candidate =
-            dp[i - 1][static_cast<size_t>(x - y)] +
-            SolveLocal(lattice, child_local, y, memo);
-        if (candidate >= dp[i][static_cast<size_t>(x)] - kScoreEps) {
-          chosen_y = y;
-          break;
-        }
-      }
-      if (chosen_y > 0) {
-        ReconstructLocal(lattice, child_local, chosen_y, memo, out);
-      }
-      x -= chosen_y;
-    }
-    return;
-  }
-  TSE_CHECK(false) << "local reconstruction failed to match the optimum";
 }
 
 void SortByGammaDesc(const std::vector<double>& gamma,

@@ -1,19 +1,32 @@
 // Cascading Analysts algorithm (Ruhl, Sundararajan, Yan, SIGMOD 2018),
 // reimplemented from the description in the TSExplain paper (section 5.2,
 // Figure 8): top-m NON-OVERLAPPING explanations maximizing the total diff
-// score.
+// score. This is module (b) of the paper's Figure 7 pipeline.
 //
 // The algorithm simulates an analyst's recursive drill-down. Each lattice
-// cell (conjunction) with quota q decides between
+// node (conjunction) with quota q decides between
 //   (1) selecting itself as one explanation (consuming 1 quota and closing
 //       its subtree, since descendants overlap it), or
 //   (2) drilling down one unconstrained dimension and distributing the q
-//       quota among the resulting child cells (siblings never overlap).
+//       quota among the resulting child nodes (siblings never overlap).
 // Both choices are optimized exactly:
-//   f(cell, q) = max( gamma(cell) [if q >= 1, cell != root],
-//                     max_d distribute(children(cell, d), q) )
-// where distribute is a small knapsack over children. Cells are memoized,
-// so the cost is O(epsilon * |A| * m^2) per segment, matching the paper.
+//   f(node, q) = max( score(node) [if q >= 1, node != root, selectable],
+//                     max_d distribute(children(node, d), q) )
+// where distribute is a small knapsack over children. Nodes are memoized,
+// so the cost is O(nodes * |A| * m^2) per segment, matching the paper.
+//
+// One DP, two lattices. The DP (node value, knapsack drill-down,
+// reconstruction) walks a node-indexed drill-down forest (DrillDownLattice)
+// through three views: children by node, score by node, and selectable by
+// node (or null). TopM hands it the registry's full lattice (node = cell
+// id, the caller's gamma and mask), so nodes = epsilon. TopMRestricted hands
+// it a sub-lattice of the candidates plus their ancestor cells, linked by
+// the registry's own link routine from its stored parent ids, so nodes is
+// at most |candidates| * (2^beta-bar - 1), independent of epsilon; this is
+// what makes guess-and-verify (O1, section 5.3.1) pay off. Sub-lattice
+// nodes are numbered in ascending cell id, so groups and child lists keep
+// the full lattice's order and both entry points return the same answer,
+// bit for bit, on the same candidate set.
 //
 // The solver also exposes Best[q] = f(root, q) for every q <= m, which the
 // guess-and-verify optimization needs for its termination test (Eq. 12).
@@ -21,7 +34,7 @@
 #ifndef TSEXPLAIN_DIFF_CASCADING_ANALYSTS_H_
 #define TSEXPLAIN_DIFF_CASCADING_ANALYSTS_H_
 
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "src/diff/explanation_registry.h"
@@ -46,9 +59,9 @@ struct TopExplanations {
   double TotalScore() const { return best.empty() ? 0.0 : best.back(); }
 };
 
-/// Reusable solver: owns scratch buffers sized to the registry so repeated
-/// per-segment invocations do not allocate. Not thread-safe; create one per
-/// thread.
+/// Reusable solver: owns scratch buffers (memo, sub-lattice) that grow to
+/// the largest lattice walked, so repeated per-segment invocations do not
+/// allocate the memo. Not thread-safe; create one per thread.
 class CascadingAnalysts {
  public:
   explicit CascadingAnalysts(const ExplanationRegistry& registry);
@@ -62,57 +75,44 @@ class CascadingAnalysts {
                        const std::vector<bool>* selectable = nullptr);
 
   /// Same optimization restricted to a small candidate set: only
-  /// `candidates` are selectable and the drill-down forest is rebuilt from
-  /// the candidates plus their ancestor cells, so the cost is
-  /// O(|candidates| * 2^beta-bar * m^2) independent of epsilon. This is
-  /// what makes guess-and-verify (O1) pay off (section 5.3.1).
+  /// `candidates` are selectable, and the DP walks only the candidates plus
+  /// their ancestor cells. Returns exactly what TopM returns with a mask
+  /// holding just `candidates`.
   TopExplanations TopMRestricted(const std::vector<double>& gamma, int m,
                                  const std::vector<ExplId>& candidates);
 
-  /// Number of f(cell, q) evaluations performed by the last TopM call
+  /// Number of f(node, q) evaluations performed by the last call
   /// (complexity instrumentation for the benches).
   size_t last_nodes_visited() const { return nodes_visited_; }
 
  private:
-  // Sub-lattice for TopMRestricted: candidate cells + ancestors with
-  // locally rebuilt drill-down links (global cell ids inside).
-  struct LocalLattice {
-    std::vector<ExplId> cells;
-    std::vector<std::vector<ChildGroup>> children;  // by local index
-    std::vector<ChildGroup> root_children;
-    std::vector<bool> selectable;                   // by local index
-    std::unordered_map<ExplId, int> index;
-  };
-
-  // Memoized f(cell, q) for the current epoch; root is cell id = -1 and is
-  // handled separately.
-  double Solve(ExplId cell, int q);
-  // Optimal distribution of quota q among `groups` children of `cell`.
+  // The DP over `lattice` with the given views: Best[0..m] plus the
+  // selected nodes, unranked.
+  TopExplanations Run(const DrillDownLattice& lattice, const double* score,
+                      const std::vector<bool>* selectable, int m);
+  // Memoized f(node, q) for the current epoch; the root is not a node and
+  // is handled by Run.
+  double Solve(ExplId node, int q);
+  // Optimal distribution of quota q among `groups` children of a node.
   double BestDrillDown(const std::vector<ChildGroup>& groups, int q);
-  // Walks the optimal solution, appending selected cells to out.
-  void Reconstruct(ExplId cell, int q, std::vector<ExplId>* out);
+  // Walks the optimal solution, appending selected nodes to out.
+  void Reconstruct(ExplId node, int q, std::vector<ExplId>* out);
   void ReconstructDrillDown(const std::vector<ChildGroup>& groups, int q,
                             std::vector<ExplId>* out);
 
-  // Local-lattice counterparts used by TopMRestricted.
-  double SolveLocal(const LocalLattice& lattice, int local, int q,
-                    std::vector<double>* memo);
-  double BestDrillDownLocal(const LocalLattice& lattice,
-                            const std::vector<ChildGroup>& groups, int q,
-                            std::vector<double>* memo);
-  void ReconstructLocal(const LocalLattice& lattice, int local, int q,
-                        std::vector<double>* memo, std::vector<ExplId>* out);
-  void ReconstructDrillDownLocal(const LocalLattice& lattice,
-                                 const std::vector<ChildGroup>& groups,
-                                 int q, std::vector<double>* memo,
-                                 std::vector<ExplId>* out);
-
   const ExplanationRegistry& registry_;
-  const std::vector<double>* gamma_ = nullptr;
+  // Views of the lattice Run walks, by node.
+  const std::vector<std::vector<ChildGroup>>* children_ = nullptr;
+  const double* score_ = nullptr;
   const std::vector<bool>* selectable_ = nullptr;
-  int m_ = 0;
 
-  // Epoch-stamped memo table: memo_[cell * (m_cap_+1) + q].
+  // TopMRestricted's sub-lattice: node i stands for cell sub_cells_[i].
+  std::vector<ExplId> sub_cells_;
+  DrillDownLattice sub_lattice_;
+  std::vector<double> sub_score_;
+
+  // Epoch-stamped memo table sized to the walked lattice:
+  // memo_[node * (m_cap_+1) + q].
   std::vector<double> memo_;
   std::vector<uint32_t> memo_epoch_;
   uint32_t epoch_ = 0;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <numeric>
 #include <unordered_map>
 
 #include "src/common/check.h"
@@ -92,10 +92,14 @@ ExplanationRegistry ExplanationRegistry::Build(
 
   ExplanationRegistry reg;
   reg.explain_by_ = explain_by;
-  reg.max_order_ = max_order;
+  // No cell has more predicates than there are attributes. The clamp keeps
+  // the parent table sized by the attributes, not by the order a request
+  // asks for (which may be as large as INT_MAX).
+  reg.max_order_ =
+      std::min<int>(max_order, static_cast<int>(explain_by.size()));
 
   // Pass 1: find every occurring cell, ids in first-occurrence order.
-  TuplePass(table, explain_by, max_order, 0, table.num_rows(),
+  TuplePass(table, explain_by, reg.max_order_, 0, table.num_rows(),
             /*row_tuple=*/nullptr,
             [&reg](const std::vector<Explanation>& cells) {
               for (const Explanation& cell : cells) {
@@ -105,42 +109,58 @@ ExplanationRegistry ExplanationRegistry::Build(
               }
             });
 
-  // Pass 2: build drill-down links. Every cell of order k >= 1 is a child
-  // of each cell obtained by dropping one of its predicates. Groups come
-  // out in attribute order, and visiting ids in ascending order keeps every
-  // child list sorted.
-  using ByAttr = std::map<AttrId, std::vector<ExplId>>;
-  std::vector<ByAttr> groups(reg.cells_.size());
-  ByAttr root_groups;
-  for (ExplId id = 0; id < static_cast<ExplId>(reg.cells_.size()); ++id) {
-    const Explanation& cell = reg.cells_[static_cast<size_t>(id)];
-    for (const Predicate& p : cell.predicates()) {
-      if (cell.order() == 1) {
-        root_groups[p.attr].push_back(id);
-      } else {
-        const Explanation parent = cell.WithoutAttr(p.attr);
-        const ExplId parent_id = reg.Lookup(parent);
-        TSE_CHECK_NE(parent_id, kInvalidExplId)
-            << "parent cell missing; enumeration must be downward closed";
-        groups[static_cast<size_t>(parent_id)][p.attr].push_back(id);
-      }
+  // Pass 2: every cell of order k >= 2 is a child of each cell obtained by
+  // dropping one of its predicates; then link every cell.
+  const size_t slots = static_cast<size_t>(reg.max_order_);
+  reg.parents_.assign(reg.cells_.size() * slots, kInvalidExplId);
+  for (size_t id = 0; id < reg.cells_.size(); ++id) {
+    const Explanation& cell = reg.cells_[id];
+    if (cell.order() == 1) continue;
+    const std::vector<Predicate>& preds = cell.predicates();
+    for (size_t pred = 0; pred < preds.size(); ++pred) {
+      const ExplId parent_id = reg.Lookup(cell.WithoutAttr(preds[pred].attr));
+      TSE_CHECK_NE(parent_id, kInvalidExplId)
+          << "parent cell missing; enumeration must be downward closed";
+      reg.parents_[id * slots + pred] = parent_id;
     }
   }
-
-  auto materialize = [](ByAttr& by_attr) {
-    std::vector<ChildGroup> out;
-    out.reserve(by_attr.size());
-    for (auto& [attr, children] : by_attr) {
-      out.push_back(ChildGroup{attr, std::move(children)});
-    }
-    return out;
-  };
-  reg.root_children_ = materialize(root_groups);
-  reg.children_.resize(reg.cells_.size());
-  for (size_t i = 0; i < reg.cells_.size(); ++i) {
-    reg.children_[i] = materialize(groups[i]);
-  }
+  std::vector<ExplId> all(reg.cells_.size());
+  std::iota(all.begin(), all.end(), 0);
+  reg.Link(all, &reg.lattice_);
   return reg;
+}
+
+void ExplanationRegistry::Link(const std::vector<ExplId>& cells,
+                               DrillDownLattice* lattice) const {
+  lattice->root.clear();
+  lattice->children.clear();
+  lattice->children.resize(cells.size());
+  // Visiting nodes in ascending order keeps every child list sorted; groups
+  // are inserted in attribute order.
+  for (size_t node = 0; node < cells.size(); ++node) {
+    const ExplId id = cells[node];
+    const std::vector<Predicate>& preds = explanation(id).predicates();
+    for (size_t pred = 0; pred < preds.size(); ++pred) {
+      const ExplId parent_id =
+          parents_[static_cast<size_t>(id) * static_cast<size_t>(max_order_) +
+                   pred];
+      std::vector<ChildGroup>* groups = &lattice->root;
+      if (parent_id != kInvalidExplId) {
+        const auto it = std::lower_bound(cells.begin(), cells.end(), parent_id);
+        TSE_CHECK(it != cells.end() && *it == parent_id)
+            << "lattice cells must include every parent";
+        groups = &lattice->children[static_cast<size_t>(it - cells.begin())];
+      }
+      const AttrId attr = preds[pred].attr;
+      auto group = std::find_if(
+          groups->begin(), groups->end(),
+          [attr](const ChildGroup& g) { return g.attr >= attr; });
+      if (group == groups->end() || group->attr != attr) {
+        group = groups->insert(group, ChildGroup{attr, {}});
+      }
+      group->children.push_back(static_cast<ExplId>(node));
+    }
+  }
 }
 
 std::optional<RowCells> ExplanationRegistry::ResolveRows(
@@ -172,11 +192,11 @@ ExplId ExplanationRegistry::Lookup(const Explanation& e) const {
   return it == index_.end() ? kInvalidExplId : it->second;
 }
 
-const std::vector<ChildGroup>& ExplanationRegistry::children(
-    ExplId id) const {
-  TSE_CHECK_GE(id, 0);
-  TSE_CHECK_LT(static_cast<size_t>(id), children_.size());
-  return children_[static_cast<size_t>(id)];
+ExplId ExplanationRegistry::parent(ExplId id, int pred) const {
+  TSE_CHECK_GE(pred, 0);
+  TSE_CHECK_LT(pred, explanation(id).order());
+  return parents_[static_cast<size_t>(id) * static_cast<size_t>(max_order_) +
+                  static_cast<size_t>(pred)];
 }
 
 }  // namespace tsexplain

@@ -7,6 +7,11 @@
 // and each unconstrained attribute, the list of child cells obtained by
 // adding one predicate on that attribute (paper Figure 8).
 //
+// Build keeps each cell's parents (the cells one predicate shorter), and one
+// link routine (`Link`) turns any parent-closed set of cells into a
+// drill-down lattice: Build links all cells, and guess-and-verify's
+// Cascading Analysts solve links the candidates plus their ancestors.
+//
 // One tuple pass (`TuplePass` in explanation_registry.cc) owns tuple dedupe
 // and subset order: it dedupes each row's explain-by value tuple exactly and
 // enumerates subsets only for a tuple's first occurrence. Build assigns ids
@@ -26,10 +31,18 @@
 
 namespace tsexplain {
 
-/// Children of a cell along one drill-down attribute.
+/// Children of a node along one drill-down attribute.
 struct ChildGroup {
   AttrId attr;
   std::vector<ExplId> children;
+};
+
+/// Drill-down forest over nodes 0..n-1 (paper Figure 8): the root's and
+/// each node's children, grouped by attribute in attribute order, each
+/// child list in ascending node order.
+struct DrillDownLattice {
+  std::vector<ChildGroup> root;
+  std::vector<std::vector<ChildGroup>> children;  // by node
 };
 
 /// Rows of a table range resolved to registry cells by the tuple pass.
@@ -48,7 +61,9 @@ class ExplanationRegistry {
   ExplanationRegistry() = default;
 
   /// Enumerates all order-<=max_order conjunctions over `explain_by` that
-  /// occur in `table`. max_order is the paper's beta-bar (default 3 there).
+  /// occur in `table`. max_order is the paper's beta-bar (default 3 there);
+  /// an order above explain_by.size() builds the order-explain_by.size()
+  /// registry.
   static ExplanationRegistry Build(const Table& table,
                                    const std::vector<AttrId>& explain_by,
                                    int max_order);
@@ -67,22 +82,31 @@ class ExplanationRegistry {
   std::optional<RowCells> ResolveRows(const Table& table, size_t row_begin,
                                       size_t row_end) const;
 
-  /// Drill-down children of the root (order-1 cells), grouped by attribute.
-  const std::vector<ChildGroup>& root_children() const {
-    return root_children_;
-  }
+  /// The drill-down lattice over every cell; node = cell id. Cells at
+  /// max_order have no children.
+  const DrillDownLattice& lattice() const { return lattice_; }
 
-  /// Drill-down children of a cell, grouped by attribute not yet
-  /// constrained by the cell. Cells at max_order have no children.
-  const std::vector<ChildGroup>& children(ExplId id) const;
+  /// The cell obtained by dropping predicate `pred` (an index into
+  /// explanation(id).predicates()) from cell `id`; kInvalidExplId, the
+  /// root, when `id` has order 1.
+  ExplId parent(ExplId id, int pred) const;
+
+  /// Links the drill-down lattice over `cells`, ascending ids that include
+  /// every parent of every listed cell: node i stands for cells[i], and
+  /// each node is a child of its parents' nodes (order-1 nodes of the root)
+  /// under the attribute it adds.
+  void Link(const std::vector<ExplId>& cells,
+            DrillDownLattice* lattice) const;
 
  private:
   std::vector<AttrId> explain_by_;
   int max_order_ = 0;
   std::vector<Explanation> cells_;
   std::unordered_map<Explanation, ExplId, ExplanationHasher> index_;
-  std::vector<ChildGroup> root_children_;
-  std::vector<std::vector<ChildGroup>> children_;  // aligned with cells_
+  // parents_[id * max_order_ + pred] = parent(id, pred); unused slots hold
+  // kInvalidExplId.
+  std::vector<ExplId> parents_;
+  DrillDownLattice lattice_;  // node = cell id
 };
 
 }  // namespace tsexplain

@@ -5,7 +5,8 @@
 // with the Kneedle criterion (Satopaa et al. [40]): flip the decreasing
 // curve (y-hat = 1 - var-hat), form the difference curve d = y-hat - x-hat,
 // and take K* = argmax d. The paper's shorthand "argmax[total_var(K) - K]"
-// is this criterion up to the flip (see DESIGN.md).
+// is this criterion read on the flipped, normalized curve (total_var ->
+// y-hat, K -> x-hat), since the raw decreasing curve minus K peaks at K = 1.
 
 #ifndef TSEXPLAIN_SEG_ELBOW_H_
 #define TSEXPLAIN_SEG_ELBOW_H_

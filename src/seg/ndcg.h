@@ -23,7 +23,8 @@ namespace tsexplain {
 double Dcg(const std::vector<double>& rectified_relevance);
 
 /// Ideal DCG threshold below which a segment is considered unexplainable
-/// (totally flat); such segments define NDCG = 1 (see DESIGN.md).
+/// (totally flat); such segments define NDCG = 1, since there is nothing
+/// to explain and 0/0 would otherwise poison the distances.
 inline constexpr double kIdcgEps = 1e-12;
 
 /// NDCG(P_target, E*_m(P_source)): how well the source segment's top

@@ -8,8 +8,8 @@
 //   allpair  variance averages tse-dist over all object pairs      (Eq. 10)
 //   Stse / Sdist1 / Sdist2 / Sallpair: the second term of the distance is
 //   replaced by its l2-norm counterpart (quadratic mean of the two NDCGs
-//   for tse/allpair, squared NDCG for dist1/dist2) -- see DESIGN.md for
-//   this documented interpretation of the paper's one-line description.
+//   for tse/allpair, squared NDCG for dist1/dist2). This is our reading of
+//   the paper's one-line description; it keeps every distance in [0, 1].
 //
 // In centroid-structured variances the first argument is the centroid and
 // the second the object, matching the paper's wording for dist1/dist2.

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/diff/cascading_analysts.h"
@@ -237,6 +239,82 @@ TEST(CascadingAnalysts, InstrumentationCountsNodes) {
   EXPECT_GT(ca.last_nodes_visited(), 0u);
   // Memoization: each (cell, q) evaluated at most once.
   EXPECT_LE(ca.last_nodes_visited(), reg.num_explanations() * 3);
+}
+
+TEST(CascadingAnalysts, RestrictedVisitsOnlyTheSubLattice) {
+  // Guess-and-verify's payoff: the restricted solve walks the candidates
+  // plus their ancestors, never all epsilon cells. 64 x 64 at order 2 has
+  // epsilon = 64 + 64 + 4096 = 4224; a full TopM at m = 3 evaluates every
+  // (cell, q) pair, 12672 of them.
+  Table table(Schema("t", {"A", "B"}, {"m"}));
+  table.AddTimeBucket("0");
+  for (int a = 0; a < 64; ++a) {
+    for (int b = 0; b < 64; ++b) {
+      table.AppendRow(0, {"a" + std::to_string(a), "b" + std::to_string(b)},
+                      {1.0});
+    }
+  }
+  const auto reg = ExplanationRegistry::Build(table, {0, 1}, 2);
+  ASSERT_EQ(reg.num_explanations(), 4224u);
+  Rng rng(7);
+  std::vector<double> gamma(reg.num_explanations());
+  for (auto& g : gamma) g = rng.Uniform(0.0, 100.0);
+  std::vector<ExplId> candidates(reg.num_explanations());
+  for (size_t e = 0; e < candidates.size(); ++e) {
+    candidates[e] = static_cast<ExplId>(e);
+  }
+  SortByGammaDesc(gamma, &candidates);
+  candidates.resize(5);
+
+  CascadingAnalysts ca(reg);
+  ca.TopMRestricted(gamma, 3, candidates);
+  // At most 5 candidates + 2 parents each = 15 cells, times m = 3.
+  EXPECT_GT(ca.last_nodes_visited(), 0u);
+  EXPECT_LE(ca.last_nodes_visited(), 45u);
+}
+
+TEST(CascadingAnalysts, RestrictedHandlesHighOrderCandidates) {
+  // An order-12 candidate has 4094 ancestors but 12! parent paths to its
+  // order-1 ancestors; the sub-lattice must collect the ancestors, not the
+  // paths, and still answer like the masked full lattice. The z row is no
+  // candidate, so its 4095 cells lie outside the sub-lattice.
+  constexpr int kAttrs = 12;
+  std::vector<std::string> names;
+  std::vector<AttrId> explain_by;
+  for (int a = 0; a < kAttrs; ++a) {
+    names.push_back("A" + std::to_string(a));
+    explain_by.push_back(a);
+  }
+  Table table(Schema("t", names, {"m"}));
+  table.AddTimeBucket("0");
+  for (const char* value : {"x", "y", "z"}) {
+    table.AppendRow(0, std::vector<std::string>(kAttrs, value), {1.0});
+  }
+  const auto reg = ExplanationRegistry::Build(table, explain_by, kAttrs);
+  ASSERT_EQ(reg.num_explanations(), 3u * 4095u);
+  const ValueId z = table.dictionary(0).Lookup("z");
+  std::vector<double> gamma(reg.num_explanations(), 1.0);
+  std::vector<ExplId> candidates;
+  std::vector<bool> mask(reg.num_explanations(), false);
+  for (ExplId id = 0; id < static_cast<ExplId>(reg.num_explanations());
+       ++id) {
+    const Explanation& cell = reg.explanation(id);
+    if (cell.order() == kAttrs && cell.predicates()[0].value != z) {
+      candidates.push_back(id);
+      mask[static_cast<size_t>(id)] = true;
+      gamma[static_cast<size_t>(id)] = 5.0;
+    }
+  }
+  ASSERT_EQ(candidates.size(), 2u);
+
+  CascadingAnalysts ca(reg);
+  const TopExplanations restricted = ca.TopMRestricted(gamma, 3, candidates);
+  // At most the 2 x 4095 cells of x and y, times m = 3.
+  EXPECT_LE(ca.last_nodes_visited(), 2u * 4095u * 3u);
+  const TopExplanations masked = ca.TopM(gamma, 3, &mask);
+  EXPECT_EQ(restricted.ids, masked.ids);
+  EXPECT_EQ(restricted.best, masked.best);
+  EXPECT_EQ(restricted.TotalScore(), 10.0);
 }
 
 TEST(SortByGammaDescTest, DeterministicTieBreak) {

@@ -169,8 +169,10 @@ TEST(EdgeCases, IdcgCacheMatchesManualDcg) {
 }
 
 TEST(EdgeCases, RestrictedCaMatchesMaskedCa) {
-  // TopMRestricted must agree with the mask-based TopM on the same
-  // candidate set (the sub-lattice reaches the same cascades).
+  // TopMRestricted must return exactly what the mask-based TopM returns on
+  // the same candidate set: the sub-lattice keeps the full lattice's node
+  // order, so every knapsack sums in the same order, bit for bit. A solver
+  // reused across quotas and lattices must answer like a fresh one.
   Table table(Schema("t", {"A", "B", "C"}, {"m"}));
   table.AddTimeBucket("0");
   Rng data_rng(3);
@@ -185,6 +187,13 @@ TEST(EdgeCases, RestrictedCaMatchesMaskedCa) {
     }
   }
   const auto registry = ExplanationRegistry::Build(table, {0, 1, 2}, 3);
+  auto expect_same = [](const TopExplanations& got,
+                        const TopExplanations& want, const char* what,
+                        int trial) {
+    EXPECT_EQ(got.ids, want.ids) << what << ", trial " << trial;
+    EXPECT_EQ(got.gammas, want.gammas) << what << ", trial " << trial;
+    EXPECT_EQ(got.best, want.best) << what << ", trial " << trial;
+  };
   CascadingAnalysts solver(registry);
   Rng rng(17);
   for (int trial = 0; trial < 40; ++trial) {
@@ -200,15 +209,16 @@ TEST(EdgeCases, RestrictedCaMatchesMaskedCa) {
       }
     }
     if (candidates.empty()) continue;
-    const TopExplanations restricted =
-        solver.TopMRestricted(gamma, 3, candidates);
-    const TopExplanations masked = solver.TopM(gamma, 3, &mask);
-    EXPECT_NEAR(restricted.TotalScore(), masked.TotalScore(), 1e-9)
-        << "trial " << trial;
-    EXPECT_EQ(restricted.ids, masked.ids) << "trial " << trial;
-    for (size_t q = 0; q < restricted.best.size(); ++q) {
-      EXPECT_NEAR(restricted.best[q], masked.best[q], 1e-9);
-    }
+    expect_same(solver.TopMRestricted(gamma, 3, candidates),
+                CascadingAnalysts(registry).TopM(gamma, 3, &mask),
+                "restricted m=3 vs masked", trial);
+    expect_same(solver.TopMRestricted(gamma, 2, candidates),
+                CascadingAnalysts(registry).TopMRestricted(gamma, 2,
+                                                           candidates),
+                "reused restricted m=2", trial);
+    expect_same(solver.TopM(gamma, 4, &mask),
+                CascadingAnalysts(registry).TopM(gamma, 4, &mask),
+                "reused masked m=4", trial);
   }
 }
 

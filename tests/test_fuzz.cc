@@ -92,7 +92,7 @@ TEST_P(PipelineFuzz, InvariantsHoldOnRandomRelations) {
   // NOTE: it is NOT guaranteed monotone -- splitting a segment replaces
   // its centroid with two new ones whose top explanations can describe
   // the objects WORSE under heavy noise (the paper's "decreases
-  // monotonically" is stated as intuition; see DESIGN.md).
+  // monotonically" is stated as intuition, not proven).
   const auto& curve = result.k_variance_curve;
   bool seen_infeasible = false;
   for (double v : curve) {

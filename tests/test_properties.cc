@@ -98,8 +98,9 @@ TEST_P(VarianceMetricSweep, PipelineRunsAndIsWellFormed) {
   // variance of each segment is in [0,1], so the objective is bounded.
   EXPECT_LE(result.segmentation.total_variance, 59.0);
   // Curve approximately non-increasing where feasible (exact monotonicity
-  // is not guaranteed by the formulation -- see DESIGN.md -- but on this
-  // low-noise dataset large regressions would signal a DP bug).
+  // is not guaranteed: a split's two new centroids can explain their
+  // objects worse than the old one did, but on this low-noise dataset
+  // large regressions would signal a DP bug).
   const auto& curve = result.k_variance_curve;
   for (size_t i = 1; i < curve.size(); ++i) {
     if (std::isinf(curve[i]) || std::isinf(curve[i - 1])) continue;

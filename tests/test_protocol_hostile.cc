@@ -125,6 +125,14 @@ TEST_F(HostileProtocolTest, OversizedFieldsGetStructuredErrors) {
   ASSERT_NE(result, nullptr) << by_k;
   EXPECT_LE(result->GetInt("k", 0), 20) << by_k;
 
+  // order far past the attribute count: the registry clamps it to the
+  // number of explain-by attributes, so the answer is an ordinary one.
+  const std::string by_order = Roundtrip(
+      R"({"op":"explain","id":5,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"],"order":2147483647})");
+  EXPECT_NE(by_order.find("\"ok\":true"), std::string::npos) << by_order;
+  EXPECT_NE(by_order.find("\"result\":{"), std::string::npos) << by_order;
+
   // Negative counts are rejected up front with a structured error.
   const std::string by_neg = Roundtrip(
       R"({"op":"explain","id":4,"dataset":"ds","measure":"value",)"

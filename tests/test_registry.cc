@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +20,24 @@ Table MakeDenseTable() {
   for (const char* a : {"a1", "a2"}) {
     for (const char* b : {"b1", "b2"}) {
       table.AppendRow(0, {a, b}, {1.0});
+    }
+  }
+  return table;
+}
+
+// Three attributes A (3) x B (3) x C (2), some combos left out.
+Table MakeSparseTable() {
+  Table table(Schema("t", {"A", "B", "C"}, {"m"}));
+  table.AddTimeBucket("0");
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 0; b < 3; ++b) {
+      for (int c = 0; c < 2; ++c) {
+        if ((a + b + c) % 4 == 3) continue;
+        table.AppendRow(0,
+                        {"a" + std::to_string(a), "b" + std::to_string(b),
+                         "c" + std::to_string(c)},
+                        {1.0});
+      }
     }
   }
   return table;
@@ -63,7 +83,7 @@ TEST(Registry, ExplainBySubsetOfDimensions) {
 TEST(Registry, RootChildrenGroupedByAttribute) {
   const Table t = MakeDenseTable();
   const auto reg = ExplanationRegistry::Build(t, {0, 1}, 2);
-  const auto& groups = reg.root_children();
+  const auto& groups = reg.lattice().root;
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups[0].attr, 0);
   EXPECT_EQ(groups[1].attr, 1);
@@ -82,7 +102,8 @@ TEST(Registry, ChildExtendsParentByOnePredicate) {
   for (ExplId id = 0; id < static_cast<ExplId>(reg.num_explanations());
        ++id) {
     const Explanation& parent = reg.explanation(id);
-    for (const ChildGroup& group : reg.children(id)) {
+    for (const ChildGroup& group :
+         reg.lattice().children[static_cast<size_t>(id)]) {
       ValueId unused;
       EXPECT_FALSE(parent.TryGetValue(group.attr, &unused))
           << "drill-down attr must be unconstrained in the parent";
@@ -100,14 +121,15 @@ TEST(Registry, EveryNonRootCellReachableFromRoot) {
   const auto reg = ExplanationRegistry::Build(t, {0, 1}, 2);
   std::set<ExplId> reachable;
   std::vector<ExplId> stack;
-  for (const ChildGroup& g : reg.root_children()) {
+  for (const ChildGroup& g : reg.lattice().root) {
     for (ExplId c : g.children) stack.push_back(c);
   }
   while (!stack.empty()) {
     const ExplId id = stack.back();
     stack.pop_back();
     if (!reachable.insert(id).second) continue;
-    for (const ChildGroup& g : reg.children(id)) {
+    for (const ChildGroup& g :
+         reg.lattice().children[static_cast<size_t>(id)]) {
       for (ExplId c : g.children) stack.push_back(c);
     }
   }
@@ -120,8 +142,78 @@ TEST(Registry, MaxOrderCellsAreLeaves) {
   for (ExplId id = 0; id < static_cast<ExplId>(reg.num_explanations());
        ++id) {
     if (reg.explanation(id).order() == 2) {
-      EXPECT_TRUE(reg.children(id).empty());
+      EXPECT_TRUE(reg.lattice().children[static_cast<size_t>(id)].empty());
     }
+  }
+}
+
+TEST(Registry, ParentLinksMatchDrillDown) {
+  // Every stored parent is the cell one predicate shorter, and the
+  // drill-down lattice lists each cell under its parents by the attribute
+  // it adds (order-1 cells under the root).
+  const Table table = MakeSparseTable();
+  const auto reg = ExplanationRegistry::Build(table, {0, 1, 2}, 3);
+  auto lists = [](const std::vector<ChildGroup>& groups, AttrId attr,
+                  ExplId id) {
+    for (const ChildGroup& g : groups) {
+      if (g.attr == attr) {
+        return std::count(g.children.begin(), g.children.end(), id) == 1;
+      }
+    }
+    return false;
+  };
+  for (ExplId id = 0; id < static_cast<ExplId>(reg.num_explanations());
+       ++id) {
+    const Explanation& cell = reg.explanation(id);
+    const auto& preds = cell.predicates();
+    if (cell.order() == 1) {
+      EXPECT_EQ(reg.parent(id, 0), kInvalidExplId);
+      EXPECT_TRUE(lists(reg.lattice().root, preds[0].attr, id)) << id;
+      continue;
+    }
+    for (int pred = 0; pred < cell.order(); ++pred) {
+      const AttrId attr = preds[static_cast<size_t>(pred)].attr;
+      const ExplId parent = reg.parent(id, pred);
+      EXPECT_EQ(parent, reg.Lookup(cell.WithoutAttr(attr))) << id;
+      ASSERT_NE(parent, kInvalidExplId);
+      EXPECT_TRUE(lists(reg.lattice().children[static_cast<size_t>(parent)],
+                        attr, id))
+          << id;
+    }
+  }
+}
+
+TEST(Registry, OrderAboveAttributeCountBuildsTheFullOrderRegistry) {
+  // An order past the attribute count (a request may carry up to INT_MAX)
+  // adds no cell, and must not size anything: it builds exactly the
+  // registry of order = |explain_by|, ids, parents and lattice alike.
+  const Table table = MakeSparseTable();
+  const auto full = ExplanationRegistry::Build(table, {0, 1, 2}, 3);
+  const auto huge = ExplanationRegistry::Build(
+      table, {0, 1, 2}, std::numeric_limits<int>::max());
+  ASSERT_EQ(huge.num_explanations(), full.num_explanations());
+  auto same_groups = [](const std::vector<ChildGroup>& a,
+                        const std::vector<ChildGroup>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t g = 0; g < a.size(); ++g) {
+      if (a[g].attr != b[g].attr || a[g].children != b[g].children) {
+        return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(same_groups(huge.lattice().root, full.lattice().root));
+  for (ExplId id = 0; id < static_cast<ExplId>(full.num_explanations());
+       ++id) {
+    const Explanation& cell = full.explanation(id);
+    EXPECT_TRUE(huge.explanation(id) == cell) << id;
+    for (int pred = 0; pred < cell.order(); ++pred) {
+      EXPECT_EQ(huge.parent(id, pred), full.parent(id, pred)) << id;
+    }
+    EXPECT_TRUE(
+        same_groups(huge.lattice().children[static_cast<size_t>(id)],
+                    full.lattice().children[static_cast<size_t>(id)]))
+        << id;
   }
 }
 

@@ -1,5 +1,6 @@
-// Tests for the real-world dataset simulators (DESIGN.md substitutions):
-// shapes, cardinalities, and the narrative structure each case study needs.
+// Tests for the real-world dataset simulators, which stand in for the
+// paper's datasets so experiments run offline: shapes, cardinalities, and
+// the narrative structure each case study needs.
 
 #include <gtest/gtest.h>
 

@@ -123,7 +123,9 @@ double BruteForceCascade(const ExplanationRegistry& reg,
     best = std::max(best, gamma[static_cast<size_t>(cell)]);
   }
   const std::vector<ChildGroup>& groups =
-      cell == kInvalidExplId ? reg.root_children() : reg.children(cell);
+      cell == kInvalidExplId
+          ? reg.lattice().root
+          : reg.lattice().children[static_cast<size_t>(cell)];
   for (const ChildGroup& group : groups) {
     // Exhaustive quota distribution over this dimension's children.
     std::function<double(size_t, int)> distribute =
