@@ -31,11 +31,14 @@ int main() {
   std::printf("candidate explanations: %zu (%zu after support filter)\n",
               result.epsilon, result.filtered_epsilon);
   // Cold pipeline latency: the engine's construction plus its first run.
+  // The run is single-threaded, so segmentation is the run's time outside
+  // the explainer's scoring and CA timers.
+  const TimingBreakdown& timing = result.timing;
   std::printf("chosen K* = %d; pipeline latency %.0f ms "
               "(precompute %.0f / CA %.0f / segmentation %.0f)\n\n",
-              result.chosen_k, engine.build_ms() + result.timing.TotalMs(),
-              engine.build_ms() + result.timing.precompute_ms,
-              result.timing.cascading_ms, result.timing.segmentation_ms);
+              result.chosen_k, engine.build_ms() + timing.total_ms,
+              engine.build_ms() + timing.score_cpu_ms, timing.ca_cpu_ms,
+              timing.total_ms - timing.score_cpu_ms - timing.ca_cpu_ms);
 
   for (const SegmentExplanation& seg : result.segments) {
     std::printf("%s .. %s\n", seg.begin_label.c_str(), seg.end_label.c_str());

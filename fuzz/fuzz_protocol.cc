@@ -39,7 +39,7 @@ constexpr const char* kOps[] = {
     "register",       "list_datasets", "drop_dataset",  "explain",
     "recommend",      "open_session",  "append",        "explain_session",
     "close_session",  "save_cache",    "load_cache",    "recover_session",
-    "stats",          "metrics",       "shutdown",      "bogus_op",
+    "state",          "metrics",       "shutdown",      "bogus_op",
 };
 
 constexpr const char* kFields[] = {

@@ -73,9 +73,7 @@ void AssertMatchesFreshEngine(tsexplain::StreamingTSExplain& session) {
   const std::vector<int> candidates = session.IncrementalCandidates();
   const tsexplain::TSExplainResult answer = session.Explain();
   FUZZ_ASSERT(RenderUntimed(session.cube(), answer) ==
-              RenderUntimed(fresh.cube(), candidates.empty()
-                                              ? fresh.Run(spec)
-                                              : fresh.Run(spec, candidates)));
+              RenderUntimed(fresh.cube(), fresh.Run(spec, candidates)));
 }
 
 }  // namespace

@@ -274,7 +274,7 @@ void MakeProtocolSeeds() {
             "\"time_column\":\"time\",\"measures\":[\"value\"]}\n"
             "{\"op\":\"explain\",\"id\":2,\"dataset\":\"ds\","
             "\"measure\":\"value\",\"explain_by\":[\"region\"]}\n"
-            "{\"op\":\"stats\",\"id\":3}\n"
+            "{\"op\":\"state\",\"id\":3}\n"
             "{\"op\":\"metrics\",\"id\":4}\n");
   WriteSeed("protocol", "streaming",
             "{\"op\":\"open_session\",\"id\":1,\"dataset\":\"ds\","

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
+#include <stdexcept>
 
 #include "src/common/check.h"
 
@@ -101,6 +103,10 @@ TopExplanations CascadingAnalysts::Run(const DrillDownLattice& lattice,
 
   // (Re)size the epoch-stamped memo table to the lattice being walked.
   const int m_cap = std::max(m, m_cap_);
+  if (m_cap == std::numeric_limits<int>::max()) {
+    // Its m_cap + 1 quota levels per node overflow int.
+    throw std::length_error("Cascading Analysts: m is too large");
+  }
   const size_t slots =
       lattice.children.size() * static_cast<size_t>(m_cap + 1);
   if (m_cap != m_cap_ || memo_.size() < slots) {

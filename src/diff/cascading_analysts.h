@@ -70,7 +70,8 @@ class CascadingAnalysts {
   /// scores. `gamma[e]` must be the diff score of cell e for the segment
   /// under analysis (module (a) output). Cells may be excluded from
   /// *selection* (but still drilled through) by passing `selectable`;
-  /// nullptr means all cells are selectable.
+  /// nullptr means all cells are selectable. Throws std::length_error for
+  /// m = INT_MAX, whose memo cannot be indexed.
   TopExplanations TopM(const std::vector<double>& gamma, int m,
                        const std::vector<bool>* selectable = nullptr);
 

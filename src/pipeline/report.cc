@@ -28,12 +28,16 @@ std::string RenderTextReport(const TSExplain& engine,
                        seg.top[r].ToString().c_str(), seg.top[r].gamma);
     }
   }
-  // A one-shot report: precompute includes the engine's construction.
-  out << StrFormat(
-      "\ntiming: precompute %.1f ms, cascading %.1f ms, segmentation "
-      "%.1f ms\n",
-      engine.build_ms() + result.timing.precompute_ms,
-      result.timing.cascading_ms, result.timing.segmentation_ms);
+  // A one-shot report: the engine's construction, then the run's phases.
+  out << StrFormat("\ntiming: build %.1f ms, run %.1f ms (",
+                   engine.build_ms(), result.timing.total_ms);
+  const char* separator = "";
+  for (const auto& [name, ms] : result.timing.Phases()) {
+    out << separator << StrFormat("%s %.1f", name, ms);
+    separator = ", ";
+  }
+  out << StrFormat("); cpu: score %.1f ms, cascading analysts %.1f ms\n",
+                   result.timing.score_cpu_ms, result.timing.ca_cpu_ms);
   return out.str();
 }
 

@@ -55,6 +55,21 @@ std::string JsonEscape(const std::string& raw) {
   return out;
 }
 
+void WriteTimingJson(JsonWriter& json, const TimingBreakdown& timing) {
+  json.BeginObject();
+  for (const auto& [name, ms] : timing.Phases()) {
+    json.Key(name);
+    json.Number(ms);
+  }
+  json.Key("score_cpu");
+  json.Number(timing.score_cpu_ms);
+  json.Key("ca_cpu");
+  json.Number(timing.ca_cpu_ms);
+  json.Key("total");
+  json.Number(timing.total_ms);
+  json.EndObject();
+}
+
 std::string RenderJsonReport(const ExplanationCube& cube,
                              const TSExplainResult& result,
                              const ReportOptions& options) {
@@ -134,16 +149,7 @@ std::string RenderJsonReport(const ExplanationCube& cube,
   }
 
   json.Key("timing_ms");
-  json.BeginObject();
-  json.Key("precompute");
-  json.Number(result.timing.precompute_ms);
-  json.Key("cascading");
-  json.Number(result.timing.cascading_ms);
-  json.Key("segmentation");
-  json.Number(result.timing.segmentation_ms);
-  json.Key("total");
-  json.Number(result.timing.total_ms);
-  json.EndObject();
+  WriteTimingJson(json, result.timing);
 
   json.EndObject();
   return json.str();

@@ -113,6 +113,11 @@ struct ReportOptions {
   bool pretty = true;
 };
 
+/// Writes `timing` as one flat object of milliseconds: the run's phases
+/// (TimingBreakdown::Phases), then `score_cpu`, `ca_cpu` and `total`. The
+/// result's `timing_ms` and the slow-query log's `timing` both use it.
+void WriteTimingJson(JsonWriter& json, const TimingBreakdown& timing);
+
 /// JSON document with the full result: segments (labels, cuts, variance,
 /// hint), explanations (description, gamma, tau, optional trendline),
 /// the overall series, the K-variance curve, and the timing breakdown.

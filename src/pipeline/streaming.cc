@@ -61,10 +61,7 @@ std::vector<int> StreamingTSExplain::IncrementalCandidates() const {
 TSExplainResult StreamingTSExplain::Explain(int threads_override) {
   SegmentationSpec spec = SegmentationSpec::FromConfig(config_);
   if (threads_override > 0) spec.threads = threads_override;
-  const std::vector<int> candidates = IncrementalCandidates();
-  TSExplainResult result = candidates.empty()
-                               ? engine_->Run(spec)
-                               : engine_->Run(spec, candidates);
+  TSExplainResult result = engine_->Run(spec, IncrementalCandidates());
   last_cuts_ = result.segmentation.cuts;
   last_n_ = n();
   return result;

@@ -33,28 +33,6 @@ int ResolveMeasure(const Table& table, const std::string& name) {
 
 }  // namespace
 
-TimingBreakdown TimingBreakdown::Partition(double precompute_delta_ms,
-                                           double cascading_delta_ms,
-                                           double wall_ms) {
-  if (wall_ms < 0.0) wall_ms = 0.0;
-  double a = std::max(0.0, precompute_delta_ms);
-  double b = std::max(0.0, cascading_delta_ms);
-  if (a + b > wall_ms) {
-    // A multi-thread pre-warm sums per-chunk time past this run's wall
-    // clock; scale the shares down so the breakdown stays a partition of
-    // wall time.
-    const double scale = (a + b) > 0.0 ? wall_ms / (a + b) : 0.0;
-    a *= scale;
-    b *= scale;
-  }
-  TimingBreakdown timing;
-  timing.precompute_ms = a;
-  timing.cascading_ms = b;
-  timing.segmentation_ms = std::max(0.0, wall_ms - a - b);
-  timing.total_ms = wall_ms;
-  return timing;
-}
-
 SegmentationSpec SegmentationSpec::FromConfig(const TSExplainConfig& config) {
   SegmentationSpec spec;
   spec.fixed_k = config.fixed_k;
@@ -105,38 +83,36 @@ TSExplainResult TSExplain::Run() {
   return Run(SegmentationSpec::FromConfig(config_));
 }
 
-TSExplainResult TSExplain::Run(const SegmentationSpec& spec) {
-  std::vector<int> candidates;
-  if (!spec.use_sketch) {
-    candidates.resize(static_cast<size_t>(explainer_->n()));
-    std::iota(candidates.begin(), candidates.end(), 0);
-    return Run(spec, candidates);
-  }
-  // O2: the sketch picks the candidates, and the run's timing covers it.
-  const Timer timer;
-  const ExplainerTiming before = explainer_->timing();
-  VarianceCalculator calc(*explainer_, spec.variance_metric);
-  candidates = SelectSketch(calc, spec.sketch_params).positions;
-  TSExplainResult result = Run(spec, candidates);
-  result.sketch_positions = std::move(candidates);
-  result.timing = TimingSince(before, timer);
-  return result;
-}
-
 TSExplainResult TSExplain::Run(const SegmentationSpec& spec,
-                               const std::vector<int>& candidates) {
+                               std::vector<int> candidates) {
+  // Each phase is a lap of one clock: it ends where the next one starts.
   const Timer timer;
+  double lap_end_ms = 0.0;
+  const auto lap = [&timer, &lap_end_ms] {
+    const double start_ms = lap_end_ms;
+    lap_end_ms = timer.ElapsedMs();
+    return lap_end_ms - start_ms;
+  };
   const ExplainerTiming before = explainer_->timing();
 
   TSExplainResult result;
   result.epsilon = canonical_count_;
   result.filtered_epsilon = active_count_;
+  VarianceCalculator calc(*explainer_, spec.variance_metric);
+  if (candidates.empty() && spec.use_sketch) {
+    candidates = SelectSketch(calc, spec.sketch_params).positions;
+    result.sketch_positions = candidates;
+    result.timing.sketch_ms = lap();
+  } else if (candidates.empty()) {
+    candidates.resize(static_cast<size_t>(explainer_->n()));
+    std::iota(candidates.begin(), candidates.end(), 0);
+  }
 
   // Module (c): weighted variance table + DP over the candidates.
-  VarianceCalculator calc(*explainer_, spec.variance_metric);
   const VarianceTable table =
       VarianceTable::Compute(calc, candidates, /*max_span=*/-1,
                              ResolveThreadCount(spec.threads));
+  result.timing.variance_ms = lap();
   const int dp_max_k = spec.fixed_k > 0 ? spec.fixed_k : spec.max_k;
   KSegmentationDp dp(table, dp_max_k);
   result.k_variance_curve = dp.Curve();
@@ -149,6 +125,7 @@ TSExplainResult TSExplain::Run(const SegmentationSpec& spec,
     result.chosen_k = SelectElbowK(result.k_variance_curve);
   }
   result.segmentation = dp.Reconstruct(result.chosen_k);
+  result.timing.dp_ms = lap();
 
   // Explain each final segment via two-relations diff on its endpoints.
   const TimeSeries overall = cube_->OverallSeries();
@@ -179,8 +156,12 @@ TSExplainResult TSExplain::Run(const SegmentationSpec& spec,
                              seg.variance > 1.5 * mean_variance;
     seg.high_variance_hint = seg.variance > 0.1 && above_peers;
   }
+  result.timing.final_explain_ms = lap();
+  result.timing.total_ms = lap_end_ms;
 
-  result.timing = TimingSince(before, timer);
+  const ExplainerTiming after = explainer_->timing();
+  result.timing.score_cpu_ms = after.precompute_ms - before.precompute_ms;
+  result.timing.ca_cpu_ms = after.cascading_ms - before.cascading_ms;
   return result;
 }
 
@@ -256,14 +237,6 @@ bool TSExplain::UpdateMask() {
   // Swapped in place: the explainer holds a pointer to active_mask_.
   active_mask_.swap(mask);
   return true;
-}
-
-TimingBreakdown TSExplain::TimingSince(const ExplainerTiming& before,
-                                       const Timer& timer) const {
-  const ExplainerTiming after = explainer_->timing();
-  return TimingBreakdown::Partition(
-      after.precompute_ms - before.precompute_ms,
-      after.cascading_ms - before.cascading_ms, timer.ElapsedMs());
 }
 
 double TSExplain::EvaluateScheme(const std::vector<int>& cuts) {

@@ -18,12 +18,13 @@
 #ifndef TSEXPLAIN_PIPELINE_TSEXPLAIN_H_
 #define TSEXPLAIN_PIPELINE_TSEXPLAIN_H_
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "src/common/timer.h"
 #include "src/cube/canonical_mask.h"
 #include "src/cube/explanation_cube.h"
 #include "src/cube/support_filter.h"
@@ -135,29 +136,32 @@ struct SegmentationSpec {
   static SegmentationSpec FromConfig(const TSExplainConfig& config);
 };
 
-/// Latency breakdown matching the paper's Figure 15 categories for ONE
-/// Run call. The buckets are a NON-NEGATIVE PARTITION of that call's wall
-/// clock by construction (see Partition): at threads = 1 it is the exact
-/// per-module attribution; with threads > 1 (per-chunk elapsed sums
-/// exceed wall clock) the (a)/(b) shares are scaled down to fit. Engine
-/// construction is not part of any run: one-shot cold figures add
-/// TSExplain::build_ms() themselves.
+/// Where ONE Run call spent its time. The phases are laps of one steady
+/// clock on the calling thread, in run order, so they sum to total_ms at
+/// any thread count; a phase the run skipped reads 0. The paper's
+/// Figure 15 modules (a) and (b) run inside the phases, mostly in
+/// `variance` (its TopFor pre-warm fans out over workers): score_cpu_ms
+/// and ca_cpu_ms are the explainer's own timers over the run, summed over
+/// workers, so at threads > 1 they can exceed total_ms. At threads = 1,
+/// module (c) is total_ms - score_cpu_ms - ca_cpu_ms. Engine construction
+/// is not part of any run: one-shot cold figures add TSExplain::build_ms().
 struct TimingBreakdown {
-  double precompute_ms = 0.0;    // module (a): gamma scoring
-  double cascading_ms = 0.0;     // module (b): CA / guess-and-verify
-  double segmentation_ms = 0.0;  // module (c): distances, variance, DP
-  double total_ms = 0.0;         // this run's wall clock
-  double TotalMs() const {
-    return precompute_ms + cascading_ms + segmentation_ms;
-  }
+  double sketch_ms = 0.0;         // O2 phase I: picks the cut candidates
+  double variance_ms = 0.0;       // variance table, with the (a)+(b) fan-out
+  double dp_ms = 0.0;             // K-segmentation DP and the choice of K
+  double final_explain_ms = 0.0;  // the final segments' explanations
+  double total_ms = 0.0;          // this run's wall clock
+  double score_cpu_ms = 0.0;      // module (a): gamma scoring, all workers
+  double ca_cpu_ms = 0.0;         // module (b): CA / guess-and-verify
 
-  /// Builds the breakdown from per-run explainer deltas: every bucket
-  /// >= 0 and TotalMs() == total_ms == wall_ms (up to fp rounding),
-  /// whatever the deltas claim. Negative deltas (impossible outside clock
-  /// skew) clamp to zero; overshooting deltas scale down proportionally;
-  /// module (c) is the exact remainder.
-  static TimingBreakdown Partition(double precompute_delta_ms,
-                                   double cascading_delta_ms, double wall_ms);
+  /// The wall-clock phases in run order, by wire name (the result's
+  /// `timing_ms` keys and the trace's span names).
+  std::array<std::pair<const char*, double>, 4> Phases() const {
+    return {{{"sketch", sketch_ms},
+             {"variance", variance_ms},
+             {"dp", dp_ms},
+             {"final_explain", final_explain_ms}}};
+  }
 };
 
 /// Full pipeline output.
@@ -192,16 +196,13 @@ class TSExplain {
 
   /// Same, but with the segmentation knobs overridden: the engine state
   /// (cube, caches, masks) is untouched, so one instance serves arbitrary
-  /// spec variations of its query without re-scanning the relation. The
-  /// cut candidates are the sketch (O2) or every point.
-  TSExplainResult Run(const SegmentationSpec& spec);
-
-  /// Runs module (c) and the final-segment explain over caller-chosen cut
-  /// candidates: sorted, distinct, from 0 to n-1 inclusive. The streaming
-  /// extension passes the previous cuts plus the points appended since;
-  /// `spec.use_sketch` is ignored.
+  /// spec variations of its query without re-scanning the relation.
+  /// Module (c) and the final-segment explain run over `candidates`:
+  /// sorted, distinct cuts from 0 to n-1 inclusive (the streaming
+  /// extension passes the previous cuts plus the points appended since).
+  /// Empty lets the spec choose: the sketch (O2) or every point.
   TSExplainResult Run(const SegmentationSpec& spec,
-                      const std::vector<int>& candidates);
+                      std::vector<int> candidates = {});
 
   /// Absorbs the time bucket the table has just taken (its rows must be
   /// the table's rows appended since construction or the last call): the
@@ -238,11 +239,6 @@ class TSExplain {
   /// current cube; returns whether the mask changed. Construction and
   /// AppendBucket share it, so a grown engine's mask equals a fresh one's.
   bool UpdateMask();
-
-  /// This run's breakdown: explainer deltas since `before`, wall clock
-  /// since `timer` started.
-  TimingBreakdown TimingSince(const ExplainerTiming& before,
-                              const Timer& timer) const;
 
   const Table& table_;
   TSExplainConfig config_;

@@ -17,7 +17,7 @@ double NowMs() {
 }
 
 // Process-wide admission metrics (docs/OBSERVABILITY.md). The per-
-// instance Stats counters stay authoritative for the `stats` op's
+// instance Stats counters stay authoritative for the `state` op's
 // structural view; these shadow them in the registry so the `metrics`
 // op and Prometheus scrapes see the same decisions with a queue-wait
 // histogram attached.

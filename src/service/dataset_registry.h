@@ -127,7 +127,7 @@ class DatasetRegistry {
                                 const Table* expected_table,
                                 std::string* error);
 
-  /// Total hot engines across datasets (stats).
+  /// Total hot engines across datasets (ExplainService::Stats).
   size_t NumEngines() const;
 
  private:

@@ -172,8 +172,8 @@ ExplainResponse FinishTraced(ExplainResponse response, QueryTrace* trace,
 }
 
 // The compute Explain and ExplainSession share: runs the engine, grafts
-// its own breakdown (modules (a)/(b)/(c), see tsexplain.h) as children of
-// an "engine_run" span, and renders the wire JSON. `cube` is the run's
+// the phases it ran (tsexplain.h) as children of an "engine_run" span as
+// long as its own total, and renders the wire JSON. `cube` is the run's
 // engine cube (a run never rebuilds its engine). `trace` may be null.
 ResultCache::ValuePtr RunAndRender(const std::function<TSExplainResult()>& run,
                                    const ExplanationCube& cube,
@@ -183,16 +183,15 @@ ResultCache::ValuePtr RunAndRender(const std::function<TSExplainResult()>& run,
   const double run_start = trace ? trace->ElapsedMs() : 0.0;
   cached->result = std::make_shared<TSExplainResult>(run());
   if (trace) {
-    // Finalize squares any residue into an "other" child.
-    const int run_span = trace->AddSpan(
-        "engine_run", run_start, trace->ElapsedMs() - run_start, compute_span);
-    const TimingBreakdown& t = cached->result->timing;
+    const TimingBreakdown& timing = cached->result->timing;
+    const int run_span =
+        trace->AddSpan("engine_run", run_start, timing.total_ms, compute_span);
     double offset = run_start;
-    trace->AddSpan("gamma_score", offset, t.precompute_ms, run_span);
-    offset += t.precompute_ms;
-    trace->AddSpan("ca_fanout", offset, t.cascading_ms, run_span);
-    offset += t.cascading_ms;
-    trace->AddSpan("segmentation", offset, t.segmentation_ms, run_span);
+    for (const auto& [name, ms] : timing.Phases()) {
+      if (ms <= 0.0) continue;  // skipped
+      trace->AddSpan(name, offset, ms, run_span);
+      offset += ms;
+    }
   }
   const double render_start = trace ? trace->ElapsedMs() : 0.0;
   cached->json = RenderJsonReport(cube, *cached->result, report);

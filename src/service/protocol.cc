@@ -1,6 +1,7 @@
 #include "src/service/protocol.h"
 
 #include <chrono>
+#include <exception>
 #include <iterator>
 #include <utility>
 #include <vector>
@@ -271,8 +272,8 @@ constexpr ProtocolHandler::OpInfo kOps[] = {
     {"close_session", true, false},   {"save_cache", true, false},
     {"load_cache", true, false},      {"recover_session", true, false},
     {"healthz", false, false},        {"state", true, false},
-    {"stats", true, false},           {"metrics", true, false},
-    {"metrics_history", true, false}, {"shutdown", true, false},
+    {"metrics", true, false},         {"metrics_history", true, false},
+    {"shutdown", true, false},
 };
 
 const ProtocolHandler::OpInfo* FindOp(const std::string& op) {
@@ -323,7 +324,21 @@ std::string ProtocolHandler::Handle(const JsonValue& request) {
     introspection_.watchdog->Begin(request_id, OpOf(request));
   }
   Timer timer;
-  const std::string response = HandleInternal(request, request_id);
+  std::string response;
+  // The last line of defence: whatever escapes a handler still answers
+  // its request once and releases its watchdog entry.
+  const auto internal_error = [&](const std::string& what) {
+    MetricRegistry::Global().GetCounter("protocol.internal_errors").Inc();
+    return MakeError(&request, OpOf(request), error_code::kInternal,
+                     "internal error: " + what);
+  };
+  try {
+    response = HandleInternal(request, request_id);
+  } catch (const std::exception& e) {
+    response = internal_error(e.what());
+  } catch (...) {
+    response = internal_error("unknown exception");
+  }
   if (introspection_.watchdog) introspection_.watchdog->End(request_id);
   if (!log_.access_log) return response;
   // The envelope's "ok" is the first unescaped `"ok":` in the response
@@ -386,21 +401,12 @@ void ProtocolHandler::MaybeLogSlowQuery(const std::string& op,
   json.String(response.admission_outcome);
   json.Key("latency_ms");
   json.Number(response.latency_ms);
-  // Engine-phase breakdown (tsexplain.h): present only when this request
-  // carries a freshly computed structured result (warm-started cache
-  // entries persist the wire JSON alone).
+  // The engine run's timing (tsexplain.h), as in the result's timing_ms:
+  // present only when this request carries a freshly computed structured
+  // result (warm-started cache entries persist the wire JSON alone).
   if (response.result) {
     json.Key("timing");
-    json.BeginObject();
-    json.Key("precompute_ms");
-    json.Number(response.result->timing.precompute_ms);
-    json.Key("cascading_ms");
-    json.Number(response.result->timing.cascading_ms);
-    json.Key("segmentation_ms");
-    json.Number(response.result->timing.segmentation_ms);
-    json.Key("total_ms");
-    json.Number(response.result->timing.total_ms);
-    json.EndObject();
+    WriteTimingJson(json, response.result->timing);
   }
   json.EndObject();
   log_.slow_query_log->WriteLine(json.str());
@@ -934,83 +940,6 @@ std::string ProtocolHandler::HandleInternal(const JsonValue& request,
     json.Int(static_cast<long long>(watchdog_status.stuck.size()));
     json.Key("stuck_after_ms");
     json.Number(stuck_after_ms);
-    json.EndObject();
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "stats") {
-    // Counter and gauge fields are sourced from the process-wide metrics
-    // registry — the same series the `metrics` op exports — so the two
-    // views can never disagree. Structural fields (datasets, sessions,
-    // tenants, capacity) stay with the service. docs/SERVICE.md has the
-    // field list; tests/server_smoke_test.sh asserts on it.
-    const ServiceStats stats = service_.Stats();
-    const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
-    const auto counter = [&snapshot](const char* name) -> long long {
-      const uint64_t* value = snapshot.FindCounter(name);
-      return value ? static_cast<long long>(*value) : 0;
-    };
-    const auto gauge = [&snapshot](const char* name) -> long long {
-      const int64_t* value = snapshot.FindGauge(name);
-      return value ? static_cast<long long>(*value) : 0;
-    };
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("datasets");
-    json.Int(static_cast<long long>(stats.datasets));
-    json.Key("hot_engines");
-    json.Int(static_cast<long long>(stats.hot_engines));
-    json.Key("open_sessions");
-    json.Int(static_cast<long long>(stats.open_sessions));
-    json.Key("tenants");
-    json.Int(static_cast<long long>(stats.tenants));
-    json.Key("tenant_bytes");
-    json.BeginObject();
-    for (const auto& [tenant, bytes] : stats.tenant_bytes) {
-      json.Key(tenant);
-      json.Int(static_cast<long long>(bytes));
-    }
-    json.EndObject();
-    json.Key("admission");
-    json.BeginObject();
-    json.Key("admitted");
-    json.Int(counter("admission.admitted"));
-    json.Key("coalesced");
-    json.Int(counter("admission.coalesced"));
-    json.Key("shed_overload");
-    json.Int(counter("admission.shed_overload"));
-    json.Key("shed_tenant");
-    json.Int(counter("admission.shed_tenant"));
-    json.Key("backlog_shed");
-    json.Int(counter("admission.backlog_shed"));
-    json.Key("active");
-    json.Int(gauge("admission.active"));
-    json.Key("queued");
-    json.Int(gauge("admission.queued"));
-    json.Key("peak_active");
-    json.Int(gauge("admission.peak_active"));
-    json.Key("peak_queued");
-    json.Int(gauge("admission.peak_queued"));
-    json.EndObject();
-    json.Key("cache");
-    json.BeginObject();
-    json.Key("hits");
-    json.Int(counter("cache.hits"));
-    json.Key("misses");
-    json.Int(counter("cache.misses"));
-    json.Key("evictions");
-    json.Int(counter("cache.evictions"));
-    json.Key("budget_evictions");
-    json.Int(counter("cache.budget_evictions"));
-    json.Key("invalidations");
-    json.Int(counter("cache.invalidations"));
-    json.Key("entries");
-    json.Int(gauge("cache.entries"));
-    json.Key("bytes_used");
-    json.Int(gauge("cache.bytes_used"));
-    json.Key("capacity_bytes");
-    json.Int(static_cast<long long>(stats.cache.capacity_bytes));
     json.EndObject();
     json.EndObject();
     return json.str();

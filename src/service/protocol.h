@@ -60,7 +60,9 @@ class ProtocolHandler {
 
   /// Handles one parsed request object; returns the response line
   /// (compact JSON, no trailing newline). Unknown ops and missing fields
-  /// come back as ok:false responses, never as aborts.
+  /// come back as ok:false responses, never as aborts; an exception from
+  /// any handler comes back as one `internal` error for that request and
+  /// counts in `protocol.internal_errors`.
   std::string Handle(const JsonValue& request);
 
   /// Response for a line that failed to parse as JSON.
@@ -84,9 +86,10 @@ class ProtocolHandler {
 
   /// Ops the transport must run inline as ordering barriers (after
   /// draining previously dispatched reads) instead of fanning out to the
-  /// pool: every state mutation (register, sessions, shutdown) plus
-  /// "stats", whose counters are only meaningful once earlier requests
-  /// have settled. Unknown ops return true — an unrecognized request is
+  /// pool: every state mutation (register, sessions, shutdown) plus the
+  /// introspection ops ("state", "metrics", "metrics_history"), whose
+  /// numbers are only meaningful once earlier requests have settled.
+  /// Unknown ops return true — an unrecognized request is
   /// answered inline, cheaply. "healthz" is the one cheap read that is
   /// NOT a barrier: liveness must answer immediately, so the transport
   /// handles it inline without draining (and this handler never touches

@@ -58,7 +58,7 @@ class TenantQuotaRegistry {
   /// the dropped dataset go too.
   std::vector<std::string> KnownTenantPrefixes() const TSE_EXCLUDES(mu_);
 
-  /// Tenant ids in sorted order (the stats op reports per-tenant cache
+  /// Tenant ids in sorted order (the `state` op reports per-tenant cache
   /// namespace byte counts so operators can see who a warm-started cache
   /// belongs to).
   std::vector<std::string> KnownTenants() const TSE_EXCLUDES(mu_);

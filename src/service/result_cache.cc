@@ -121,6 +121,32 @@ void ResultCache::RemoveEntryLocked(
   shard.entries.erase(it);
 }
 
+void ResultCache::EvictOverBudgetLocked(Shard& shard,
+                                        const BudgetList& budgets,
+                                        int budget) {
+  // A back-to-front walk restricted to this budget preserves LRU order
+  // within the prefix. Other namespaces' entries are untouchable here —
+  // that is the isolation property.
+  const size_t b = static_cast<size_t>(budget);
+  while (shard.budget_bytes[b] > budgets[b].per_shard) {
+    bool evicted = false;
+    for (auto lit = shard.lru.rbegin(); lit != shard.lru.rend(); ++lit) {
+      auto vit = shard.entries.find(*lit);
+      TSE_CHECK(vit != shard.entries.end());
+      if (vit->second.budget == budget) {
+        RemoveEntryLocked(shard, vit);
+        ++shard.evictions;
+        ++shard.budget_evictions;
+        CacheMetrics::Get().evictions.Inc();
+        CacheMetrics::Get().budget_evictions.Inc();
+        evicted = true;
+        break;
+      }
+    }
+    if (!evicted) break;  // unreachable if accounting is exact
+  }
+}
+
 void ResultCache::InsertLocked(Shard& shard, const BudgetList& budgets,
                                const std::string& key,
                                const ValuePtr& value) {
@@ -152,29 +178,8 @@ void ResultCache::InsertLocked(Shard& shard, const BudgetList& budgets,
   CacheMetrics::Get().entries.Add(1);
   CacheMetrics::Get().bytes_used.Add(static_cast<int64_t>(cost));
   if (budget >= 0) {
-    const size_t b = static_cast<size_t>(budget);
-    shard.budget_bytes[b] += cost;
-    // Prefix budget: evict the namespace's own LRU tail (a back-to-front
-    // walk restricted to this budget preserves LRU order within the
-    // prefix). Other namespaces' entries are untouchable here — that is
-    // the isolation property.
-    while (shard.budget_bytes[b] > budgets[b].per_shard) {
-      bool evicted = false;
-      for (auto lit = shard.lru.rbegin(); lit != shard.lru.rend(); ++lit) {
-        auto vit = shard.entries.find(*lit);
-        TSE_CHECK(vit != shard.entries.end());
-        if (vit->second.budget == budget) {
-          RemoveEntryLocked(shard, vit);
-          ++shard.evictions;
-          ++shard.budget_evictions;
-          CacheMetrics::Get().evictions.Inc();
-          CacheMetrics::Get().budget_evictions.Inc();
-          evicted = true;
-          break;
-        }
-      }
-      if (!evicted) break;  // unreachable if accounting is exact
-    }
+    shard.budget_bytes[static_cast<size_t>(budget)] += cost;
+    EvictOverBudgetLocked(shard, budgets, budget);
   }
   while (shard.bytes_used > capacity_per_shard_ && !shard.lru.empty()) {
     auto vit = shard.entries.find(shard.lru.back());
@@ -239,7 +244,6 @@ void ResultCache::SetPrefixBudget(const std::string& prefix,
   // are installed before a namespace's first insert in the service, so
   // this scan usually finds nothing; it exists for resizes.
   const BudgetList& budgets = *snapshot;
-  const size_t b = static_cast<size_t>(index);
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
@@ -257,54 +261,8 @@ void ResultCache::SetPrefixBudget(const std::string& prefix,
         shard.budget_bytes[static_cast<size_t>(match)] += entry.cost;
       }
     }
-    while (shard.budget_bytes[b] > budgets[b].per_shard) {
-      bool evicted = false;
-      for (auto lit = shard.lru.rbegin(); lit != shard.lru.rend(); ++lit) {
-        auto vit = shard.entries.find(*lit);
-        TSE_CHECK(vit != shard.entries.end());
-        if (vit->second.budget == index) {
-          RemoveEntryLocked(shard, vit);
-          ++shard.evictions;
-          ++shard.budget_evictions;
-          CacheMetrics::Get().evictions.Inc();
-          CacheMetrics::Get().budget_evictions.Inc();
-          evicted = true;
-          break;
-        }
-      }
-      if (!evicted) break;  // unreachable if accounting is exact
-    }
+    EvictOverBudgetLocked(shard, budgets, index);
   }
-}
-
-size_t ResultCache::PrefixBytes(const std::string& prefix) const {
-  int index = -1;
-  {
-    MutexLock lock(budgets_mu_);
-    for (size_t b = 0; b < budgets_->size(); ++b) {
-      if ((*budgets_)[b].prefix == prefix) index = static_cast<int>(b);
-    }
-  }
-  size_t total = 0;
-  if (index >= 0) {
-    for (const auto& shard_ptr : shards_) {
-      const Shard& shard = *shard_ptr;
-      MutexLock lock(shard.mu);
-      if (static_cast<size_t>(index) < shard.budget_bytes.size()) {
-        total += shard.budget_bytes[static_cast<size_t>(index)];
-      }
-    }
-    return total;
-  }
-  // Unbudgeted prefix: full scan (stats-only path, rare).
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mu);
-    for (const auto& [key, entry] : shard.entries) {
-      if (key.compare(0, prefix.size(), prefix) == 0) total += entry.cost;
-    }
-  }
-  return total;
 }
 
 std::vector<size_t> ResultCache::PrefixBytesMany(

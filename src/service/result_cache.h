@@ -84,17 +84,11 @@ class ResultCache {
   /// are re-attributed (and possibly evicted) immediately.
   void SetPrefixBudget(const std::string& prefix, size_t budget_bytes);
 
-  /// Resident bytes currently under `prefix`. For a registered budget
-  /// prefix this is O(shards) accounting reads; for any other prefix it
-  /// falls back to one full scan (the operator-facing stats op asks for
-  /// tenant namespaces whether or not budgets are configured — rare
-  /// enough that the scan is acceptable, like InvalidatePrefix).
-  size_t PrefixBytes(const std::string& prefix) const;
-
-  /// Resident bytes for SEVERAL disjoint prefixes in one pass (an entry
-  /// is charged to the first prefix that matches). The stats op asks for
-  /// every tenant namespace at once; one O(entries) scan replaces
-  /// O(tenants) scans.
+  /// Resident bytes under each of several disjoint prefixes (an entry is
+  /// charged to the first prefix that matches). A registered budget
+  /// prefix is answered from O(shards) accounting reads; all the others
+  /// share ONE full scan. The `state` op asks for every tenant namespace
+  /// at once, budgeted or not.
   std::vector<size_t> PrefixBytesMany(
       const std::vector<std::string>& prefixes) const;
 
@@ -158,6 +152,10 @@ class ResultCache {
   static void RemoveEntryLocked(
       Shard& shard, std::unordered_map<std::string, Entry>::iterator it)
       TSE_REQUIRES(shard.mu);
+  // Evicts `budget`'s own LRU tail in `shard` until the prefix fits its
+  // per-shard share again.
+  static void EvictOverBudgetLocked(Shard& shard, const BudgetList& budgets,
+                                    int budget) TSE_REQUIRES(shard.mu);
   // Inserts under the shard lock, evicting (budget-scoped first, then
   // global LRU) until all bounds hold again.
   void InsertLocked(Shard& shard, const BudgetList& budgets,

@@ -33,7 +33,6 @@ void QueryTrace::EndSpan(int index) {
   TSE_CHECK_LT(static_cast<size_t>(index), spans_.size());
   TraceSpan& span = spans_[static_cast<size_t>(index)];
   span.duration_ms = timer_.ElapsedMs() - span.start_ms;
-  if (span.duration_ms < 0.0) span.duration_ms = 0.0;
 }
 
 int QueryTrace::AddSpan(const std::string& name, double start_ms,
@@ -52,53 +51,36 @@ int QueryTrace::AddSpan(const std::string& name, double start_ms,
 void QueryTrace::Finalize(double total_ms) {
   TSE_CHECK(!finalized_) << "QueryTrace::Finalize called twice";
   finalized_ = true;
-  spans_[0].duration_ms = total_ms < 0.0 ? 0.0 : total_ms;
+  spans_[0].duration_ms = total_ms;
 
   // Parents always precede their children (a child needs its parent's
   // index to exist), so one top-down pass sees every parent with its
-  // final duration before fitting that parent's children. Synthetic
-  // "other" spans are appended as leaves and never revisited.
+  // final duration before tiling it. Synthetic "other" spans are
+  // appended as leaves and never revisited.
   const size_t recorded = spans_.size();
   for (size_t p = 0; p < recorded; ++p) {
-    std::vector<size_t> children;
-    for (size_t c = p + 1; c < recorded; ++c) {
-      if (spans_[c].parent == static_cast<int>(p)) children.push_back(c);
-    }
-    if (children.empty()) continue;
-
-    const double parent_ms = spans_[p].duration_ms;
     double child_sum = 0.0;
-    for (size_t c : children) {
-      if (spans_[c].duration_ms < 0.0) spans_[c].duration_ms = 0.0;
+    size_t last_child = 0;
+    for (size_t c = p + 1; c < recorded; ++c) {
+      if (spans_[c].parent != static_cast<int>(p)) continue;
       child_sum += spans_[c].duration_ms;
+      last_child = c;
     }
-    if (child_sum > parent_ms && child_sum > 0.0) {
-      // Cross-clock skew: the children's own timers overshot the parent's
-      // wall clock. Scale durations (and start offsets relative to the
-      // parent) down so the tree stays consistent — same policy as
-      // TimingBreakdown::Partition.
-      const double scale = parent_ms / child_sum;
-      for (size_t c : children) {
-        spans_[c].duration_ms *= scale;
-        spans_[c].start_ms =
-            spans_[p].start_ms + (spans_[c].start_ms - spans_[p].start_ms) * scale;
-      }
-      child_sum = parent_ms;
-    }
-    const double gap = parent_ms - child_sum;
+    if (last_child == 0) continue;  // a leaf
+
+    const double gap = spans_[p].duration_ms - child_sum;
     if (gap > kGapEpsilonMs) {
-      // Unaccounted time inside the parent, attributed to a trailing
-      // synthetic span so the children tile the parent exactly.
+      // Time inside the parent that no child measured.
       TraceSpan other;
       other.name = "other";
       other.start_ms = spans_[p].start_ms + child_sum;
       other.duration_ms = gap;
       other.parent = static_cast<int>(p);
       spans_.push_back(std::move(other));
-    } else if (gap > 0.0) {
-      // Sub-epsilon remainder: fold it into the last child instead of
-      // emitting a degenerate span, keeping the partition exact.
-      spans_[children.back()].duration_ms += gap;
+    } else if (gap >= -kGapEpsilonMs) {
+      // Rounding residue: folded into the last child instead of a
+      // degenerate span, so the children sum to the parent exactly.
+      spans_[last_child].duration_ms += gap;
     }
   }
 }

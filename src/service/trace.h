@@ -2,14 +2,12 @@
 // parent) records assembled while a request flows through the service
 // and returned inline when the request sets "trace": true.
 //
-// This generalizes TimingBreakdown — the paper's module (a)/(b)/(c)
-// split (Figure 10/15) reified as one fixed struct — into an extensible
-// span tree that also covers what happens *around* the engine: cache
-// lookup, admission wait, JSON render. The breakdown's core invariant
-// is preserved: after Finalize(), every parent's direct children
-// partition its wall clock exactly — gaps become an explicit "other"
-// span and overshoot (cross-clock skew) scales children down, mirroring
-// TimingBreakdown::Partition's clamp-and-scale policy.
+// The tree covers what happens around the engine (cache lookup,
+// admission wait, JSON render) and, under "engine_run", the phases the
+// engine timed itself (TimingBreakdown::Phases). Every span is measured
+// on one monotonic clock, so no child outlasts its parent, and after
+// Finalize() every parent's direct children tile its duration exactly:
+// a gap becomes an explicit "other" span.
 //
 // Tracing is per-request and allocation-light: a QueryTrace is only
 // constructed when the caller asked for one, call sites take a nullable
@@ -33,9 +31,8 @@ struct TraceSpan {
 };
 
 /// Collects spans for one request. Not thread-safe: a trace belongs to
-/// the single request thread that created it (the engine's internal
-/// parallelism is summarized through TimingBreakdown, not traced
-/// per-worker).
+/// the single request thread that created it (the engine's workers are
+/// not traced: their time is inside the phase that fanned them out).
 class QueryTrace {
  public:
   /// Starts the clock and opens the root span ("query", index 0).
@@ -46,8 +43,8 @@ class QueryTrace {
   int BeginSpan(const std::string& name, int parent = 0);
   void EndSpan(int index);
 
-  /// Records a fully-formed span (used to graft TimingBreakdown's
-  /// engine-phase durations in as children of a compute span).
+  /// Records a fully-formed span (used to graft the engine's own phase
+  /// timings in as children of a compute span).
   int AddSpan(const std::string& name, double start_ms, double duration_ms,
               int parent);
 
@@ -55,12 +52,11 @@ class QueryTrace {
   /// offset is measured on.
   double ElapsedMs() const { return timer_.ElapsedMs(); }
 
-  /// Sets the root duration to `total_ms` and enforces the partition
-  /// invariant top-down: for every parent, child durations are clamped
-  /// to >= 0, scaled down if they exceed the parent, and any remaining
-  /// gap > 1e-6 ms becomes a trailing "other" child. After this call,
-  /// sum(direct children) == parent duration for every parent that has
-  /// children. Call exactly once, at response-assembly time.
+  /// Sets the root duration to `total_ms` (elapsed on the same clock as
+  /// every span, since before the trace started) and tiles every parent
+  /// that has children: a gap above 1e-6 ms becomes a trailing "other"
+  /// child, and a rounding residue within 1e-6 ms of either sign folds
+  /// into the last child. Call exactly once, at response-assembly time.
   void Finalize(double total_ms);
 
   const std::vector<TraceSpan>& spans() const { return spans_; }

@@ -8,7 +8,8 @@
 #   - explain                          -> ok, result object, cache_hit
 #                                         false cold / true hot
 #   - concurrent identical explains    -> all ok, exactly one computation
-#                                         (stats admitted stays at 1)
+#                                         (metrics admission.admitted
+#                                         counts one per computed key)
 #   - open_session/append/explain_session -> session grows, re-explains
 #   - error paths: parse_error, unknown_op, not_found, bad_request —
 #     all as responses, never as a crash
@@ -16,11 +17,15 @@
 #   - metrics op scraped before/after the query burst: counters are
 #     monotonic, the burst is visible, histogram buckets sum to their
 #     count, and the Prometheus rendering carries the same series
-#   - a trace-enabled explain returns spans partitioning the root's time
+#   - trace-enabled explains return spans whose children tile every
+#     parent; a cold traced explain at threads 2 grafts exactly the
+#     phases the engine ran under engine_run, with its timing_ms values
+#   - the retired stats op answers unknown_op; state serves its fields
 #   - TCP mode (with the overload flags set): a request dribbled
 #     byte-by-byte across many tiny writes still parses (recv-boundary
 #     handling), a multi-MB garbage line draws ONE structured error and
-#     leaves the connection usable, and stats exposes admission counters
+#     leaves the connection usable, and state exposes admission and
+#     tenant occupancy
 #   - warm restart: a server run with --cache-save/--session-log-dir is
 #     stopped and a NEW process started with --cache-load — the first
 #     post-restart query must be a cache hit (byte-identical result), and
@@ -70,6 +75,9 @@ EXPLAIN_FIELDS='"dataset":"sales","measure":"sales","explain_by":["region"],"k":
   # Trace-enabled hot query: must carry non-empty spans that partition
   # the root's wall clock.
   echo "{\"op\":\"explain\",\"id\":41,$EXPLAIN_FIELDS,\"trace\":true}"
+  # Trace-enabled cold query at two threads (k=3 is a new key): its
+  # engine_run span holds exactly the engine's phases.
+  echo '{"op":"explain","id":44,"dataset":"sales","measure":"sales","explain_by":["region"],"k":3,"threads":2,"trace":true}'
   # Metrics scrape AFTER the burst, in both export formats.
   echo '{"op":"metrics","id":42}'
   echo '{"op":"metrics","id":43,"format":"prometheus"}'
@@ -81,7 +89,9 @@ EXPLAIN_FIELDS='"dataset":"sales","measure":"sales","explain_by":["region"],"k":
   echo '{"op":"bogus","id":13}'
   echo 'this is not json'
   echo '{"op":"append","id":14,"session":1,"label":"bad","rows":[{"dims":["east","oops"],"measures":[1]}]}'
-  echo '{"op":"stats","id":15}'
+  echo '{"op":"state","id":15}'
+  echo '{"op":"metrics","id":17}'
+  echo '{"op":"stats","id":18}'
   echo '{"op":"shutdown","id":16}'
 } >"$REQ"
 
@@ -91,9 +101,9 @@ if ! "$SERVE" <"$REQ" >"$OUT" 2>"$TMPDIR_SMOKE/serve.err"; then
   cat "$TMPDIR_SMOKE/serve.err" >&2
 fi
 
-# Every request (20 ids + 1 parse error) got exactly one response line.
+# Every request (23 ids + 1 parse error) got exactly one response line.
 lines=$(wc -l <"$OUT")
-[ "$lines" -eq 21 ] || fail response_count "expected 21 responses, got $lines"
+[ "$lines" -eq 24 ] || fail response_count "expected 24 responses, got $lines"
 
 response_for 1 "$OUT" | grep -q '"ok":true' || fail register "$(response_for 1 "$OUT")"
 response_for 1 "$OUT" | grep -q '"time_buckets":10' || fail register_shape "$(response_for 1 "$OUT")"
@@ -118,12 +128,9 @@ response_for 13 "$OUT" | grep -q '"code":"unknown_op"' || fail unknown_op "$(res
 grep -q '"code":"parse_error"' "$OUT" || fail parse_error "no parse_error response"
 response_for 14 "$OUT" | grep -q '"code":"bad_request"' || fail bad_append "$(response_for 14 "$OUT")"
 
-# Single-flight proof: 5 identical explains, exactly 1 admitted dataset
-# query (+1 for the session explain), the rest hits or batched onto it.
-STATS=$(response_for 15 "$OUT")
-echo "$STATS" | grep -q '"admitted":2' || fail single_flight "$STATS"
-echo "$STATS" | grep -q '"datasets":1' || fail stats_datasets "$STATS"
-echo "$STATS" | grep -q '"open_sessions":1' || fail stats_sessions "$STATS"
+STATE=$(response_for 15 "$OUT")
+echo "$STATE" | grep -q '"open_sessions":1' || fail state_sessions "$STATE"
+response_for 18 "$OUT" | grep -q '"code":"unknown_op"' || fail stats_retired "$(response_for 18 "$OUT")"
 response_for 16 "$OUT" | grep -q '"op":"shutdown"' || fail shutdown "$(response_for 16 "$OUT")"
 
 # --- Observability: metrics op + per-query trace spans ---------------------
@@ -131,8 +138,7 @@ response_for 16 "$OUT" | grep -q '"op":"shutdown"' || fail shutdown "$(response_
 # be monotonic, the burst must be visible (cache hits moved, admissions
 # recorded, the hot-latency histogram filled), histogram bucket totals
 # must equal their count, the Prometheus rendering must carry the same
-# counters, and the traced query's child spans must partition the root
-# span's wall clock.
+# counters, and the traced queries' child spans must tile every parent.
 python3 - "$OUT" <<'PYEOF' || fail observability "metrics/trace assertions failed (see above)"
 import json, sys
 
@@ -163,15 +169,49 @@ assert prom["format"] == "prometheus"
 assert "# TYPE tsexplain_cache_hits counter" in prom["text"]
 assert "tsexplain_query_hot_ms_bucket{le=" in prom["text"]
 
-traced = by_id[41]
-spans = traced["trace"]
-assert len(spans) >= 2, f"expected non-empty trace, got {spans}"
-root = spans[0]
-assert root["name"] == "query" and root["parent"] == -1
-assert abs(root["duration_ms"] - traced["latency_ms"]) < 1e-6
-child_sum = sum(s["duration_ms"] for s in spans if s["parent"] == 0)
-assert abs(child_sum - root["duration_ms"]) < 1e-6, \
-    f"child spans sum {child_sum} != root {root['duration_ms']}"
+# Single-flight proof: 5 identical explains, exactly 1 admitted dataset
+# query (+1 for the session explain; the traced k=3 query is a third),
+# the rest hits or batched onto it. state lists the one dataset.
+final = by_id[17]["metrics"]["counters"]
+assert final["admission.admitted"] == 3, final
+assert [d["name"] for d in by_id[15]["datasets"]] == ["sales"], by_id[15]
+
+# Spans travel with 6 significant digits, hence the relative tolerance.
+def tiles(parent_ms, child_sum):
+    return abs(child_sum - parent_ms) <= 1e-5 * parent_ms + 1e-9
+
+for traced_id in (41, 44):
+    traced = by_id[traced_id]
+    spans = traced["trace"]
+    assert len(spans) >= 2, f"expected non-empty trace, got {spans}"
+    root = spans[0]
+    assert root["name"] == "query" and root["parent"] == -1
+    assert abs(root["duration_ms"] - traced["latency_ms"]) < 1e-6
+    for index, span in enumerate(spans):
+        children = [s["duration_ms"] for s in spans if s["parent"] == index]
+        if children:
+            assert tiles(span["duration_ms"], sum(children)), \
+                f"id {traced_id}: children of {span['name']} sum to " \
+                f"{sum(children)}, not {span['duration_ms']}"
+
+# The cold traced run: engine_run's children are exactly the phases the
+# engine ran, in order, each > 0 and equal to its timing_ms value.
+cold = by_id[44]
+assert cold["cache_hit"] is False, cold
+timing = cold["result"]["timing_ms"]
+phases = [p for p in ("sketch", "variance", "dp", "final_explain")
+          if timing[p] > 0]
+assert phases == ["variance", "dp", "final_explain"], timing
+spans = cold["trace"]
+run = [i for i, s in enumerate(spans) if s["name"] == "engine_run"]
+assert len(run) == 1, spans
+children = [s for s in spans if s["parent"] == run[0]]
+assert [s["name"] for s in children] == phases, children
+for span in children:
+    assert span["duration_ms"] > 0, span
+    assert abs(span["duration_ms"] - timing[span["name"]]) <= \
+        1e-5 * timing[span["name"]], (span, timing)
+assert tiles(timing["total"], sum(timing[p] for p in phases)), timing
 PYEOF
 
 # --- TCP mode: dribbled bytes, oversized lines, overload flags ------------
@@ -230,12 +270,12 @@ else
   echo "$RESP" | grep -q '"id":102,"ok":true' || fail tcp_alive_after_garbage "$RESP"
   echo "$RESP" | grep -q '"cache_hit":true' || fail tcp_cache_after_garbage "$RESP"
 
-  # Stats exposes the admission/tenant counters; shutdown stops the
-  # server cleanly.
-  printf '%s\n' '{"op":"stats","id":103}' >&3
+  # state exposes admission occupancy and the tenants; shutdown stops
+  # the server cleanly.
+  printf '%s\n' '{"op":"state","id":103}' >&3
   read -r -t 30 RESP <&3
-  echo "$RESP" | grep -q '"admission":{' || fail tcp_stats_admission "$RESP"
-  echo "$RESP" | grep -q '"tenants":1' || fail tcp_stats_tenants "$RESP"
+  echo "$RESP" | grep -q '"admission":{' || fail tcp_state_admission "$RESP"
+  echo "$RESP" | grep -q '"tenants":1' || fail tcp_state_tenants "$RESP"
   printf '%s\n' '{"op":"shutdown","id":104}' >&3
   read -r -t 30 RESP <&3
   echo "$RESP" | grep -q '"op":"shutdown"' || fail tcp_shutdown "$RESP"
@@ -285,7 +325,7 @@ WARM2="$TMPDIR_SMOKE/warm2.ndjson"
   echo "{\"op\":\"explain\",\"id\":30,$EXPLAIN_FIELDS}"
   echo "{\"op\":\"recover_session\",\"id\":31,\"path\":\"$SESSION_LOG\"}"
   echo '{"op":"explain_session","id":32,"session":1}'
-  echo '{"op":"stats","id":33}'
+  echo '{"op":"state","id":33}'
   echo '{"op":"shutdown","id":34}'
 } >"$WARM2"
 OUT2="$TMPDIR_SMOKE/warm2.out"
@@ -307,7 +347,7 @@ response_for 31 "$OUT2" | grep -q '"ok":true' || fail recover "$(response_for 31
 response_for 31 "$OUT2" | grep -q '"n":11' || fail recover_n "$(response_for 31 "$OUT2")"
 response_for 31 "$OUT2" | grep -q '"torn":false' || fail recover_torn "$(response_for 31 "$OUT2")"
 response_for 32 "$OUT2" | grep -q '"ok":true' || fail recovered_explain "$(response_for 32 "$OUT2")"
-response_for 33 "$OUT2" | grep -q '"tenant_bytes":{' || fail stats_tenant_bytes "$(response_for 33 "$OUT2")"
+response_for 33 "$OUT2" | grep -q '"tenant_bytes":{' || fail state_tenant_bytes "$(response_for 33 "$OUT2")"
 
 if [ "$failures" -ne 0 ]; then
   echo "--- responses ---" >&2

@@ -6,7 +6,8 @@
 //    over at most `threads` chunks, each with its own solver) yields
 //    bit-identical results AND deterministic ca_invocations between
 //    threads=1 and threads=8,
-//  * Prewarm with duplicate segments computes each segment exactly once.
+//  * Prewarm with duplicate segments computes each segment exactly once,
+//  * a run's phase timings tile its wall clock at one and eight threads.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/timer.h"
 #include "src/datagen/synthetic.h"
 #include "src/pipeline/tsexplain.h"
 
@@ -187,54 +189,63 @@ TEST(ParallelCore, PrewarmDuplicatesComputeOnce) {
   EXPECT_EQ(explainer.ca_invocations(), 59u);
 }
 
-// The timing breakdown is a non-negative partition of the run's wall
-// clock BY CONSTRUCTION — even when the shared explainer counters were
-// advanced by other threads (concurrent Prewarm) or exceed wall clock
-// (per-thread elapsed sums at threads > 1). The old clamp-module-(c)
-// scheme hid a negative remainder while reporting sum(modules) > total.
-TEST(ParallelCore, TimingPartitionIsNonNegativeAndBounded) {
-  // Deltas that overshoot the wall clock (double attribution) scale down.
-  TimingBreakdown overshoot =
-      TimingBreakdown::Partition(/*precompute=*/80.0, /*cascading=*/40.0,
-                                 /*wall_ms=*/60.0);
-  EXPECT_GE(overshoot.precompute_ms, 0.0);
-  EXPECT_GE(overshoot.cascading_ms, 0.0);
-  EXPECT_GE(overshoot.segmentation_ms, 0.0);
-  EXPECT_NEAR(overshoot.TotalMs(), 60.0, 1e-9);
-  EXPECT_NEAR(overshoot.total_ms, 60.0, 1e-9);
-  // Proportional split: 80:40 over 60 ms of wall clock.
-  EXPECT_NEAR(overshoot.precompute_ms, 40.0, 1e-9);
-  EXPECT_NEAR(overshoot.cascading_ms, 20.0, 1e-9);
-  EXPECT_NEAR(overshoot.segmentation_ms, 0.0, 1e-9);
-
-  // Well-behaved deltas pass through; (c) is the exact remainder.
-  TimingBreakdown normal = TimingBreakdown::Partition(10.0, 20.0, 100.0);
-  EXPECT_NEAR(normal.precompute_ms, 10.0, 1e-9);
-  EXPECT_NEAR(normal.cascading_ms, 20.0, 1e-9);
-  EXPECT_NEAR(normal.segmentation_ms, 70.0, 1e-9);
-  EXPECT_NEAR(normal.total_ms, 100.0, 1e-9);
-
-  // Hostile inputs (negative deltas / negative wall) stay non-negative.
-  TimingBreakdown hostile = TimingBreakdown::Partition(-1.0, 5.0, -3.0);
-  EXPECT_GE(hostile.precompute_ms, 0.0);
-  EXPECT_GE(hostile.cascading_ms, 0.0);
-  EXPECT_GE(hostile.segmentation_ms, 0.0);
-  EXPECT_NEAR(hostile.TotalMs(), 0.0, 1e-9);
-  EXPECT_NEAR(hostile.total_ms, 0.0, 1e-9);
+// Sum of a run's wall-clock phases.
+double PhaseSum(const TimingBreakdown& timing) {
+  double sum = 0.0;
+  for (const auto& [name, ms] : timing.Phases()) {
+    EXPECT_GE(ms, 0.0) << name;
+    sum += ms;
+  }
+  return sum;
 }
 
+// The phases are laps of one clock: each one the run executed reads > 0,
+// a skipped one reads exactly 0, and together they are the run's wall
+// clock. At one thread the explainer's module (a) and (b) timers lie
+// inside the run, so module (c) = total - (a) - (b) is never negative.
+TEST(ParallelCore, TimingPartitionIsNonNegativeAndBounded) {
+  const SyntheticDataset ds = MakeDataset(71);
+  TSExplain engine(*ds.table, BaseConfig(/*threads=*/1));
+  for (const bool sketch : {false, true}) {
+    SegmentationSpec spec = SegmentationSpec::FromConfig(engine.config());
+    spec.use_sketch = sketch;
+    const Timer wall;
+    const TSExplainResult result = engine.Run(spec);
+    const double wall_ms = wall.ElapsedMs();
+    const TimingBreakdown& timing = result.timing;
+    EXPECT_EQ(timing.sketch_ms > 0.0, sketch);
+    EXPECT_GT(timing.variance_ms, 0.0);
+    EXPECT_GT(timing.dp_ms, 0.0);
+    EXPECT_GT(timing.final_explain_ms, 0.0);
+    EXPECT_NEAR(PhaseSum(timing), timing.total_ms, 1e-9 * timing.total_ms);
+    EXPECT_LE(timing.total_ms, wall_ms);
+    EXPECT_LE(timing.score_cpu_ms + timing.ca_cpu_ms, timing.total_ms);
+  }
+}
+
+// At eight threads the explainer's timers sum over workers and may
+// exceed the wall clock; they are reported as measured, and the phases
+// still add up to the run's wall clock.
 TEST(ParallelCore, RunTimingAtEightThreadsSumsWithinTotal) {
   SyntheticDataset ds = MakeDataset(77);
   TSExplain engine(*ds.table, BaseConfig(/*threads=*/8));
   for (int k : {0, 4}) {
     SegmentationSpec spec = SegmentationSpec::FromConfig(engine.config());
     spec.fixed_k = k;
+    const ExplainerTiming before = engine.explainer().timing();
+    const Timer wall;
     const TSExplainResult result = engine.Run(spec);
-    EXPECT_GE(result.timing.precompute_ms, 0.0);
-    EXPECT_GE(result.timing.cascading_ms, 0.0);
-    EXPECT_GE(result.timing.segmentation_ms, 0.0);
-    const double slack = 1e-6 * std::max(1.0, result.timing.total_ms);
-    EXPECT_LE(result.timing.TotalMs(), result.timing.total_ms + slack);
+    const double wall_ms = wall.ElapsedMs();
+    const ExplainerTiming after = engine.explainer().timing();
+    const TimingBreakdown& timing = result.timing;
+    EXPECT_EQ(timing.sketch_ms, 0.0);
+    EXPECT_GT(timing.variance_ms, 0.0);
+    EXPECT_NEAR(PhaseSum(timing), timing.total_ms, 1e-9 * timing.total_ms);
+    EXPECT_LE(timing.total_ms, wall_ms);
+    EXPECT_DOUBLE_EQ(timing.score_cpu_ms,
+                     after.precompute_ms - before.precompute_ms);
+    EXPECT_DOUBLE_EQ(timing.ca_cpu_ms,
+                     after.cascading_ms - before.cascading_ms);
   }
 }
 

@@ -509,8 +509,8 @@ TEST(ProtocolPersistence, SaveLoadRecoverOpsRoundTrip) {
   EXPECT_TRUE(ProtocolHandler::IsBarrierOp("load_cache"));
   EXPECT_TRUE(ProtocolHandler::IsBarrierOp("recover_session"));
 
-  // stats carries the tenant_bytes object.
-  response = handle("{\"op\":\"stats\",\"id\":8}");
+  // state carries the tenant_bytes object.
+  response = handle("{\"op\":\"state\",\"id\":8}");
   EXPECT_NE(response.find("\"tenant_bytes\":{"), std::string::npos)
       << response;
 

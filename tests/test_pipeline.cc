@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "src/common/timer.h"
 #include "src/datagen/synthetic.h"
 #include "src/eval/segmentation_distance.h"
 #include "src/pipeline/tsexplain.h"
@@ -121,13 +122,17 @@ TEST(Pipeline, TimingBreakdownPopulated) {
   TSExplainConfig config = BaseConfig();
   TSExplain engine(*ds.table, config);
   const TSExplainResult result = engine.Run();
-  EXPECT_GT(result.timing.precompute_ms, 0.0);
-  EXPECT_GT(result.timing.cascading_ms, 0.0);
-  EXPECT_GT(result.timing.segmentation_ms, 0.0);
-  EXPECT_NEAR(result.timing.TotalMs(),
-              result.timing.precompute_ms + result.timing.cascading_ms +
-                  result.timing.segmentation_ms,
-              1e-9);
+  const TimingBreakdown& timing = result.timing;
+  // No sketch: that phase is skipped and reads 0; every other one ran.
+  EXPECT_EQ(timing.sketch_ms, 0.0);
+  EXPECT_GT(timing.variance_ms, 0.0);
+  EXPECT_GT(timing.dp_ms, 0.0);
+  EXPECT_GT(timing.final_explain_ms, 0.0);
+  EXPECT_NEAR(timing.sketch_ms + timing.variance_ms + timing.dp_ms +
+                  timing.final_explain_ms,
+              timing.total_ms, 1e-9 * timing.total_ms);
+  EXPECT_GT(timing.score_cpu_ms, 0.0);
+  EXPECT_GT(timing.ca_cpu_ms, 0.0);
 }
 
 TEST(Pipeline, HotRunReportsOnlyItsOwnTime) {

@@ -1,5 +1,5 @@
-// Tests for the piecewise-linear segmentation baselines (Keogh survey):
-// Bottom-Up, Top-Down, Sliding-Window, and the optimal-PLA ablation.
+// Tests for the piecewise-linear segmentation baselines: Bottom-Up (Keogh
+// survey) and the optimal-PLA ablation.
 
 #include <gtest/gtest.h>
 
@@ -7,10 +7,7 @@
 
 #include "src/baselines/bottom_up.h"
 #include "src/baselines/optimal_pla.h"
-#include "src/baselines/sliding_window.h"
-#include "src/baselines/top_down.h"
 #include "src/common/rng.h"
-#include "src/ts/linear_fit.h"
 
 namespace tsexplain {
 namespace {
@@ -65,81 +62,9 @@ TEST(BottomUp, KOneAndKHuge) {
   EXPECT_EQ(BottomUpSegment(v, 1000).size(), 100u);
 }
 
-TEST(TopDown, RecoversCleanBreakpointsApproximately) {
-  // Top-down is greedy: the first split of a 3-piece series need not land
-  // on a true breakpoint, and later splits cannot undo it (this is exactly
-  // why Keogh's survey crowns Bottom-Up). Allow a coarse tolerance.
-  const std::vector<double> v = ThreePieceSeries(0.0, 7);
-  const std::vector<int> cuts = TopDownSegment(v, 3);
-  ExpectValidScheme(cuts, 100, 3);
-  EXPECT_LE(NearestDistance(cuts, 30), 12);
-  EXPECT_LE(NearestDistance(cuts, 70), 12);
-}
-
-TEST(TopDown, WithExtraBudgetFindsAllBreakpoints) {
-  // Given a couple of extra segments, some cut lands on each breakpoint.
-  const std::vector<double> v = ThreePieceSeries(0.0, 7);
-  const std::vector<int> cuts = TopDownSegment(v, 6);
-  EXPECT_LE(NearestDistance(cuts, 30), 2);
-  EXPECT_LE(NearestDistance(cuts, 70), 2);
-}
-
-TEST(TopDown, MoreSegmentsNeverIncreaseError) {
-  const std::vector<double> v = ThreePieceSeries(3.0, 9);
-  const SseOracle oracle(v);
-  auto total_error = [&](const std::vector<int>& cuts) {
-    double err = 0.0;
-    for (size_t i = 0; i + 1 < cuts.size(); ++i) {
-      err += oracle.Sse(static_cast<size_t>(cuts[i]),
-                        static_cast<size_t>(cuts[i + 1]));
-    }
-    return err;
-  };
-  double previous = total_error(TopDownSegment(v, 1));
-  for (int k = 2; k <= 8; ++k) {
-    const double current = total_error(TopDownSegment(v, k));
-    EXPECT_LE(current, previous + 1e-9) << "k=" << k;
-    previous = current;
-  }
-}
-
-TEST(SlidingWindow, PassRespectsThreshold) {
-  const std::vector<double> v = ThreePieceSeries(1.0, 11);
-  const std::vector<int> cuts = SlidingWindowPass(v, 50.0);
-  const SseOracle oracle(v);
-  for (size_t i = 0; i + 1 < cuts.size(); ++i) {
-    // Every grown segment obeys the threshold except possibly the last
-    // (closed by the series end).
-    if (i + 2 < cuts.size()) {
-      EXPECT_LE(oracle.Sse(static_cast<size_t>(cuts[i]),
-                           static_cast<size_t>(cuts[i + 1])),
-                50.0 + 1e-9);
-    }
-  }
-}
-
-TEST(SlidingWindow, ExactKViaBisection) {
-  const std::vector<double> v = ThreePieceSeries(1.5, 13);
-  for (int k : {2, 3, 5, 8}) {
-    ExpectValidScheme(SlidingWindowSegment(v, k), 100, k);
-  }
-}
-
-TEST(SlidingWindow, CleanBreakpointsApproximatelyFound) {
-  const std::vector<double> v = ThreePieceSeries(0.0, 15);
-  const std::vector<int> cuts = SlidingWindowSegment(v, 3);
-  // Sliding window is greedy/online and systematically overshoots
-  // breakpoints (it keeps growing until the error budget is spent): the
-  // survey reports it as the weakest of the three. Coarse tolerance only.
-  EXPECT_LE(NearestDistance(cuts, 30), 20);
-  EXPECT_LE(NearestDistance(cuts, 70), 20);
-}
-
 TEST(AllBaselines, HandleShortSeries) {
   const std::vector<double> v{1.0, 5.0, 2.0};
   EXPECT_EQ(BottomUpSegment(v, 2).size(), 3u);
-  EXPECT_EQ(TopDownSegment(v, 2).size(), 3u);
-  EXPECT_EQ(SlidingWindowSegment(v, 2).size(), 3u);
 }
 
 // --- optimal PLA ---------------------------------------------------------

@@ -12,15 +12,20 @@
 
 #include <unistd.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/common/metrics.h"
 #include "src/service/explain_service.h"
 #include "src/service/protocol.h"
+#include "src/service/watchdog.h"
 #include "src/table/csv_reader.h"
 
 namespace tsexplain {
@@ -148,11 +153,11 @@ TEST_F(HostileProtocolTest, DuplicateKeysAreDeterministicNotCrashy) {
   // Duplicate "op" and duplicate "dataset": RFC 8259 leaves the behavior
   // open; the handler must pick one deterministically and answer once.
   const std::string line =
-      R"({"op":"explain","op":"stats","id":1,"dataset":"ds",)"
+      R"({"op":"explain","op":"state","id":1,"dataset":"ds",)"
       R"("dataset":"ghost","measure":"value","explain_by":["region"]})";
   const std::string dup = Roundtrip(line);
   // First key wins in this handler: the request runs as explain on "ds"
-  // (not stats, not the nonexistent "ghost") — and does so on every
+  // (not state, not the nonexistent "ghost") — and does so on every
   // repetition, so duplicate keys cannot flip the dispatched op between
   // retries.
   EXPECT_NE(dup.find("\"op\":\"explain\""), std::string::npos) << dup;
@@ -245,6 +250,41 @@ TEST_F(HostileProtocolTest, RegisterFromCraftedCsvPathIsStructured) {
   EXPECT_NE(response.find("\"ok\":false"), std::string::npos) << response;
   std::remove(binary.c_str());
   ExpectStillServing();
+}
+
+TEST_F(HostileProtocolTest, ThrowingRequestAnswersOnceAndLeavesNoStuckQuery) {
+  // m = INT_MAX makes the engine throw std::length_error mid-run. The
+  // handler catches it at its one boundary: the request gets exactly one
+  // structured `internal` answer, its watchdog entry is released, and a
+  // counter records it.
+  QueryWatchdog::Options watchdog_options;
+  watchdog_options.stuck_after_ms = 50.0;
+  QueryWatchdog watchdog(watchdog_options);
+  ProtocolHandler::Introspection introspection;
+  introspection.watchdog = &watchdog;
+  handler_.set_introspection(introspection);
+  const auto internal_errors = [] {
+    const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
+    const uint64_t* value = snapshot.FindCounter("protocol.internal_errors");
+    return value ? *value : 0;
+  };
+  const uint64_t errors_before = internal_errors();
+
+  const std::string response = Roundtrip(
+      R"({"op":"explain","id":7,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"],"m":2147483647})");
+  EXPECT_EQ(response.find("{\"id\":7,\"ok\":false"), 0u) << response;
+  EXPECT_NE(response.find("\"code\":\"internal\""), std::string::npos)
+      << response;
+  EXPECT_EQ(internal_errors(), errors_before + 1);
+
+  ExpectStillServing();
+  // Past the stuck deadline, only healthz itself is in flight.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::string health = Roundtrip(R"({"op":"healthz","id":8})");
+  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
+  EXPECT_NE(health.find("\"inflight\":1,"), std::string::npos) << health;
+  EXPECT_NE(health.find("\"stuck\":0"), std::string::npos) << health;
 }
 
 TEST_F(HostileProtocolTest, StructurallyWrongRequestsAnswerOnce) {

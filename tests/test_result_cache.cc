@@ -154,13 +154,13 @@ TEST(ResultCache, PrefixBudgetEvictsWithinTheNamespaceOnly) {
   cache.Put("tenant/a/q2", MakeValue(payload));
   cache.Put("tenant/a/q3", MakeValue(payload));
   EXPECT_EQ(cache.stats().entries, 4u);
-  EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 3 * cost);
+  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 3 * cost);
 
   // A fourth tenant entry evicts the tenant's own LRU tail (q1) — the
   // global entry is untouchable by this namespace's pressure.
   cache.Put("tenant/a/q4", MakeValue(payload));
   EXPECT_EQ(cache.stats().entries, 4u);
-  EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 3 * cost);
+  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 3 * cost);
   EXPECT_EQ(cache.stats().budget_evictions, 1u);
   EXPECT_NE(cache.Lookup("global-1"), nullptr);
   EXPECT_EQ(cache.Lookup("tenant/a/q1"), nullptr);
@@ -189,7 +189,7 @@ TEST(ResultCache, ValueOverItsPrefixBudgetIsNotCached) {
   cache.Put("tenant/tiny/q", MakeValue(payload));
   EXPECT_EQ(cache.Lookup("tenant/tiny/q"), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.PrefixBytes("tenant/tiny/"), 0u);
+  EXPECT_EQ(cache.PrefixBytesMany({"tenant/tiny/"})[0], 0u);
 }
 
 TEST(ResultCache, ShrinkingABudgetEvictsResidentEntriesImmediately) {
@@ -200,14 +200,14 @@ TEST(ResultCache, ShrinkingABudgetEvictsResidentEntriesImmediately) {
   cache.Put("tenant/a/q1", MakeValue(payload));
   cache.Put("tenant/a/q2", MakeValue(payload));
   cache.Put("tenant/a/q3", MakeValue(payload));
-  // No budget registered yet: PrefixBytes falls back to a full scan and
-  // reports the actual resident bytes (the operator-facing stats path).
-  EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 3 * cost);
+  // No budget registered yet: PrefixBytesMany falls back to a full scan
+  // and reports the actual resident bytes (the `state` op's path).
+  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 3 * cost);
 
   // Installing the budget re-attributes resident entries and enforces
   // the bound at once (LRU within the prefix: q1 goes first).
   cache.SetPrefixBudget("tenant/a/", 2 * cost);
-  EXPECT_EQ(cache.PrefixBytes("tenant/a/"), 2 * cost);
+  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 2 * cost);
   EXPECT_EQ(cache.Lookup("tenant/a/q1"), nullptr);
   EXPECT_NE(cache.Lookup("tenant/a/q2"), nullptr);
   EXPECT_NE(cache.Lookup("tenant/a/q3"), nullptr);

@@ -171,8 +171,7 @@ void ExpectSameAsFreshEngine(StreamingTSExplain& session,
       << where << ": full-candidate run";
   const std::vector<int> candidates = session.IncrementalCandidates();
   const TSExplainResult answer = session.Explain();
-  const TSExplainResult expected =
-      candidates.empty() ? fresh.Run(spec) : fresh.Run(spec, candidates);
+  const TSExplainResult expected = fresh.Run(spec, candidates);
   EXPECT_EQ(RenderUntimed(session.cube(), answer),
             RenderUntimed(fresh.cube(), expected))
       << where << ": section 8 run";

@@ -1,7 +1,8 @@
 // Unit coverage for per-query trace spans (src/service/trace.h): the
 // Finalize partition invariant — children tile their parent exactly,
-// gaps surface as synthetic "other" spans, overshoot scales down — plus
-// the Begin/End/AddSpan bookkeeping the service relies on.
+// gaps surface as synthetic "other" spans, rounding residues fold into
+// the last child — plus the Begin/End/AddSpan bookkeeping the service
+// relies on.
 
 #include <gtest/gtest.h>
 
@@ -65,22 +66,6 @@ TEST(QueryTraceTest, FinalizeFillsGapsWithOtherSpans) {
   EXPECT_DOUBLE_EQ(ChildSum(spans, 0), 10.0);
 }
 
-TEST(QueryTraceTest, FinalizeScalesOvershootingChildren) {
-  QueryTrace trace;
-  // Children claim 12 ms inside an 6 ms parent (cross-clock skew):
-  // durations and relative offsets must scale by 0.5, no "other" span.
-  trace.AddSpan("a", 0.0, 8.0, 0);
-  trace.AddSpan("b", 8.0, 4.0, 0);
-  trace.Finalize(6.0);
-
-  const std::vector<TraceSpan>& spans = trace.spans();
-  ASSERT_EQ(spans.size(), 3u);  // no synthetic span appended
-  EXPECT_DOUBLE_EQ(spans[1].duration_ms, 4.0);
-  EXPECT_DOUBLE_EQ(spans[2].duration_ms, 2.0);
-  EXPECT_DOUBLE_EQ(spans[2].start_ms, 4.0);  // offset scaled too
-  EXPECT_DOUBLE_EQ(ChildSum(spans, 0), 6.0);
-}
-
 TEST(QueryTraceTest, FinalizePartitionsEveryLevelOfTheTree) {
   QueryTrace trace;
   const int compute = trace.AddSpan("compute", 1.0, 8.0, 0);
@@ -103,25 +88,18 @@ TEST(QueryTraceTest, FinalizePartitionsEveryLevelOfTheTree) {
 }
 
 TEST(QueryTraceTest, FinalizeFoldsSubEpsilonGapIntoLastChild) {
-  QueryTrace trace;
-  trace.AddSpan("a", 0.0, 5.0, 0);
-  // Gap of 1e-9 ms: below the epsilon, folded into "a" instead of
-  // emitting a degenerate "other" span.
-  trace.Finalize(5.0 + 1e-9);
+  // A residue of 1e-9 ms of either sign (rounding between the parent's
+  // and the children's readings of the one clock) is below the epsilon:
+  // folded into "a" instead of emitting a degenerate "other" span.
+  for (const double residue : {1e-9, -1e-9}) {
+    QueryTrace trace;
+    trace.AddSpan("a", 0.0, 5.0, 0);
+    trace.Finalize(5.0 + residue);
 
-  const std::vector<TraceSpan>& spans = trace.spans();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_DOUBLE_EQ(spans[1].duration_ms, spans[0].duration_ms);
-}
-
-TEST(QueryTraceTest, FinalizeClampsNegativeTotal) {
-  QueryTrace trace;
-  trace.AddSpan("a", 0.0, 1.0, 0);
-  trace.Finalize(-2.0);
-  const std::vector<TraceSpan>& spans = trace.spans();
-  EXPECT_DOUBLE_EQ(spans[0].duration_ms, 0.0);
-  // Children scale to fit the zero-width parent.
-  EXPECT_DOUBLE_EQ(ChildSum(spans, 0), 0.0);
+    const std::vector<TraceSpan>& spans = trace.spans();
+    ASSERT_EQ(spans.size(), 2u);
+    EXPECT_DOUBLE_EQ(spans[1].duration_ms, spans[0].duration_ms);
+  }
 }
 
 }  // namespace

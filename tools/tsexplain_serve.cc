@@ -13,9 +13,12 @@
 // list_datasets) fan out to the shared thread pool, so slow cold queries
 // never block cache hits behind them; identical concurrent queries
 // collapse to one computation (single-flight) inside the service. Barrier
-// ops (register, sessions, drop_dataset, stats, shutdown) first wait for
-// every dispatched read, then run inline on the reader thread — mutations
-// and stats therefore observe a settled state in submission order.
+// ops (register, sessions, drop_dataset, state, metrics, shutdown) first
+// wait for every dispatched read, then run inline on the reader thread —
+// mutations and introspection therefore observe a settled state in
+// submission order. Every request gets exactly one response line: the
+// protocol handler answers a request whose handler threw with a
+// structured `internal` error (docs/SERVICE.md).
 //
 // Overload safety: explain/explain_session requests pass the service's
 // AdmissionController (bounded concurrency + bounded queue + per-tenant
@@ -344,7 +347,7 @@ class RequestDispatcher {
     }
     if (serial_ || ProtocolHandler::IsBarrierOp(op)) {
       // Barrier: earlier dispatched reads finish first, so mutations and
-      // stats observe a settled state, in submission order.
+      // introspection observe a settled state, in submission order.
       Drain();
       writer_.Write(handler_.Handle(request));
       return op == "shutdown";

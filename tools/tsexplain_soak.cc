@@ -3,7 +3,7 @@
 //
 // The harness forks a real tsexplain_serve child (TCP mode), drives it
 // with five concurrent traffic classes, scrapes healthz / metrics /
-// stats / metrics_history WHILE the load runs, and exits non-zero
+// state / metrics_history WHILE the load runs, and exits non-zero
 // unless every invariant held:
 //
 //   I1  bounded admission: queued and peak_queued never exceed the
@@ -589,14 +589,16 @@ void RunScraper(int port, std::atomic<bool>& stop) {
       }
     }
 
-    // stats: bounded admission queue (I1).
-    if (!client.SendRecv(R"({"op":"stats","id":"s"})", &response)) {
-      if (!stop.load()) g_violations.Add("scraper: stats dropped");
+    // state: bounded admission queue (I1).
+    if (!client.SendRecv(R"({"op":"state","id":"s"})", &response)) {
+      if (!stop.load()) g_violations.Add("scraper: state dropped");
       return;
     }
     if (!CheckResponseShape("scraper", response, &parsed)) return;
     const JsonValue* admission = parsed.Find("admission");
-    if (admission != nullptr && admission->IsObject()) {
+    if (admission == nullptr || !admission->IsObject()) {
+      g_violations.Add("scraper: state lacks 'admission' object");
+    } else {
       const int queued = admission->GetInt("queued", 0);
       const int peak_queued = admission->GetInt("peak_queued", 0);
       if (queued > kQueueDepth || peak_queued > kQueueDepth) {
