@@ -18,6 +18,9 @@
 // serial wall clock of one solve at m = 3):
 //   micro.ca.guess_verify   GuessVerifyTopM at the default initial guess 30
 //   micro.ca.plain          CascadingAnalysts::TopM over the full lattice
+// and module (c)'s fill on BM_VarianceTableSketched's n = 400 instance
+// (median serial wall clock, explainer pre-warmed so only the fill runs):
+//   micro.seg.variance_fill   VarianceTable::Compute over the sketch
 
 #include <benchmark/benchmark.h>
 
@@ -405,6 +408,20 @@ void EmitCascadingAnalystsMedians() {
   }));
 }
 
+// Module (c) median: the serial variance fill over the n = 400 sketch.
+// One untimed fill first computes every list the fill reads, so each
+// sample times the distances alone, not modules (a) and (b).
+void EmitVarianceFillMedian() {
+  constexpr int kReps = 21;
+  SegFixture fixture(400);
+  VarianceCalculator calc(*fixture.explainer, VarianceMetric::kTse);
+  const std::vector<int> positions = SelectSketch(calc).positions;
+  VarianceTable::Compute(calc, positions);
+  bench::EmitResult("micro.seg.variance_fill", MedianSerialMs(kReps, [&] {
+    benchmark::DoNotOptimize(VarianceTable::Compute(calc, positions));
+  }));
+}
+
 // SIMD acceptance gate (ISSUE 8): where AVX2 dispatches, the vectorized
 // sweep must reproduce the scalar reference bit for bit and beat it by at
 // least 1.5x. Runs after the benchmark suite so a regression fails the
@@ -476,5 +493,6 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   tsexplain::EmitLiquorBuildMedians();
   tsexplain::EmitCascadingAnalystsMedians();
+  tsexplain::EmitVarianceFillMedian();
   return tsexplain::RunSimdGate();
 }

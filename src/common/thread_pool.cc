@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 #ifdef __linux__
@@ -156,21 +157,35 @@ void ThreadPool::ParallelFor(size_t n, int parallelism,
   struct LoopState {
     std::atomic<size_t> next{0};
     std::atomic<size_t> done{0};
+    std::atomic<bool> failed{false};
     size_t total = 0;
-    // Completion handshake only: the waited-on state (`done`) is atomic,
-    // the mutex exists so the notify cannot slip between the caller's
-    // predicate check and its sleep. lint:allow(unguarded-mutex)
+    // Guards the first exception, and makes the completion handshake
+    // safe: the waited-on state (`done`) is atomic, the mutex exists so
+    // the notify cannot slip between the caller's predicate check and
+    // its sleep.
     Mutex mu;
     CondVar cv;
+    std::exception_ptr error TSE_GUARDED_BY(mu);
   };
   auto state = std::make_shared<LoopState>();
   state->total = n;
 
+  // Every index is claimed and counted done exactly once. After the
+  // first throw, the indices still unclaimed are counted without running
+  // fn, so the loop ends as soon as the in-flight ones finish.
   auto drain = [state, &fn]() {
     for (;;) {
       const size_t i = state->next.fetch_add(1);
       if (i >= state->total) return;
-      fn(i);
+      if (!state->failed.load()) {
+        try {
+          fn(i);
+        } catch (...) {
+          MutexLock lock(state->mu);
+          if (!state->error) state->error = std::current_exception();
+          state->failed.store(true);
+        }
+      }
       if (state->done.fetch_add(1) + 1 == state->total) {
         MutexLock lock(state->mu);
         state->cv.NotifyAll();
@@ -190,6 +205,7 @@ void ThreadPool::ParallelFor(size_t n, int parallelism,
   drain();
   MutexLock lock(state->mu);
   while (state->done.load() != state->total) state->cv.Wait(state->mu);
+  if (state->error) std::rethrow_exception(state->error);
 }
 
 ThreadPool& ThreadPool::Shared() {

@@ -16,7 +16,10 @@
 //    exactly once, so any per-index-deterministic fn yields bit-identical
 //    results at every parallelism level.
 //
-// Tasks must not throw (the library is exception-free on hot paths).
+// A ParallelFor task may throw, on a helper or on the caller: the loop
+// keeps the first exception, stops running fn on the indices not yet
+// claimed, waits for the ones already running, and rethrows on the
+// caller. A Submit task's exception lands in its future.
 
 #ifndef TSEXPLAIN_COMMON_THREAD_POOL_H_
 #define TSEXPLAIN_COMMON_THREAD_POOL_H_
@@ -68,7 +71,9 @@ class ThreadPool {
 
   /// Runs fn(i) for every i in [0, n) using the caller plus up to
   /// `parallelism - 1` pool helpers. Returns once every index completed.
-  /// `parallelism <= 1` (or tiny n) runs inline on the caller.
+  /// `parallelism <= 1` (or tiny n) runs inline on the caller. If fn
+  /// throws, the first exception is rethrown here once no helper is
+  /// inside fn any more; the remaining indices are skipped.
   void ParallelFor(size_t n, int parallelism,
                    const std::function<void(size_t)>& fn);
 

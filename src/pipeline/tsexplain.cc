@@ -99,20 +99,39 @@ TSExplainResult TSExplain::Run(const SegmentationSpec& spec,
   result.epsilon = canonical_count_;
   result.filtered_epsilon = active_count_;
   VarianceCalculator calc(*explainer_, spec.variance_metric);
+  // The candidate choice: O2's derived (L, |S|) stand in for the sketch
+  // they would pick, so the previous run's key can be checked first.
+  std::optional<std::pair<int, int>> sketch;
   if (candidates.empty() && spec.use_sketch) {
-    candidates = SelectSketch(calc, spec.sketch_params).positions;
-    result.sketch_positions = candidates;
-    result.timing.sketch_ms = lap();
+    const SketchParams derived =
+        DeriveSketchParams(explainer_->n(), spec.sketch_params);
+    sketch.emplace(derived.max_segment_len, derived.target_size);
   } else if (candidates.empty()) {
     candidates.resize(static_cast<size_t>(explainer_->n()));
     std::iota(candidates.begin(), candidates.end(), 0);
   }
 
-  // Module (c): weighted variance table + DP over the candidates.
-  const VarianceTable table =
-      VarianceTable::Compute(calc, candidates, /*max_span=*/-1,
-                             ResolveThreadCount(spec.threads));
-  result.timing.variance_ms = lap();
+  // Module (c): weighted variance table + DP over the candidates. The
+  // table does not depend on K, so a run with the previous run's key
+  // reads it and skips the sketch and the fill.
+  const bool reuse =
+      module_c_ && module_c_->metric == spec.variance_metric &&
+      (sketch ? module_c_->sketch == sketch
+              : module_c_->table.positions() == candidates);
+  if (!reuse) {
+    module_c_.reset();
+    if (sketch) {
+      candidates = SelectSketch(calc, spec.sketch_params).positions;
+      result.timing.sketch_ms = lap();
+    }
+    module_c_ = ModuleCState{
+        spec.variance_metric, sketch,
+        VarianceTable::Compute(calc, candidates, /*max_span=*/-1,
+                               ResolveThreadCount(spec.threads))};
+    result.timing.variance_ms = lap();
+  }
+  const VarianceTable& table = module_c_->table;
+  if (sketch) result.sketch_positions = table.positions();
   const int dp_max_k = spec.fixed_k > 0 ? spec.fixed_k : spec.max_k;
   KSegmentationDp dp(table, dp_max_k);
   result.k_variance_curve = dp.Curve();
@@ -195,6 +214,7 @@ bool TSExplain::AppendBucket() {
 
   cube_->AppendBucket(overall, slice_partials, table_.time_labels().back());
   rows_absorbed_ = table_.num_rows();
+  module_c_.reset();
   // Gamma depends only on a segment's endpoint partials, which never
   // change, so cached explanations stay valid -- unless a cell's status
   // flipped (support gained, equal slices diverged).

@@ -34,6 +34,7 @@
 #include "src/seg/segment_explainer.h"
 #include "src/seg/sketch.h"
 #include "src/seg/variance.h"
+#include "src/seg/variance_table.h"
 #include "src/table/table.h"
 
 namespace tsexplain {
@@ -119,7 +120,11 @@ struct SegmentExplanation {
 /// beyond the engine state (registry, cube, explainer caches). One hot
 /// TSExplain instance answers Run(spec) for any spec — the explanation
 /// service exploits this to share engines across queries that differ only
-/// in K, variance metric, sketching, or thread count.
+/// in K, variance metric, sketching, or thread count. The variance table
+/// depends on the spec only through the variance metric and the candidate
+/// choice (sketch params or list): K, max_k and threads only steer the DP
+/// and the fan-out, so a run that changes just those reads the table the
+/// engine kept from its last run.
 struct SegmentationSpec {
   /// Fixed segment count; 0 selects K automatically via the elbow method.
   int fixed_k = 0;
@@ -138,7 +143,8 @@ struct SegmentationSpec {
 
 /// Where ONE Run call spent its time. The phases are laps of one steady
 /// clock on the calling thread, in run order, so they sum to total_ms at
-/// any thread count; a phase the run skipped reads 0. The paper's
+/// any thread count; a phase the run skipped reads 0 (a run that reads the
+/// engine's kept variance table skips `sketch` and `variance`). The paper's
 /// Figure 15 modules (a) and (b) run inside the phases, mostly in
 /// `variance` (its TopFor pre-warm fans out over workers): score_cpu_ms
 /// and ca_cpu_ms are the explainer's own timers over the run, summed over
@@ -184,7 +190,9 @@ struct TSExplainResult {
 /// The TSExplain engine. Owns the registry, cube, and caches; one instance
 /// answers repeated Run() calls (e.g. with different fixed_k) without
 /// re-scanning the relation, and absorbs appended time buckets (the
-/// streaming extension, section 8).
+/// streaming extension, section 8). It keeps its last run's variance
+/// table, so a K variant costs the DP and the final explain, as the
+/// elbow method reads D(n, K) for every K off one DP (section 6).
 class TSExplain {
  public:
   /// Builds the registry and cube from `table` (module (a) precomputation).
@@ -200,7 +208,9 @@ class TSExplain {
   /// Module (c) and the final-segment explain run over `candidates`:
   /// sorted, distinct cuts from 0 to n-1 inclusive (the streaming
   /// extension passes the previous cuts plus the points appended since).
-  /// Empty lets the spec choose: the sketch (O2) or every point.
+  /// Empty lets the spec choose: the sketch (O2) or every point. When the
+  /// variance metric and the candidate choice match the previous run's,
+  /// the sketch and the variance fill are read from that run, not redone.
   TSExplainResult Run(const SegmentationSpec& spec,
                       std::vector<int> candidates = {});
 
@@ -254,6 +264,19 @@ class TSExplain {
   size_t active_count_ = 0;
   std::unique_ptr<SegmentExplainer> explainer_;
   double build_ms_ = 0.0;  // registry + cube + mask construction time
+
+  /// Module (c)'s K-independent output of the last run, and its key: the
+  /// variance metric and how the candidates were chosen. `sketch` holds
+  /// O2's derived (L, |S|) when the sketch chose them; otherwise the list
+  /// itself is the key, kept as the table's positions. One entry, the
+  /// last run's (M(M-1)/2 doubles for M candidates); AppendBucket drops
+  /// it, since the cube grew.
+  struct ModuleCState {
+    VarianceMetric metric;
+    std::optional<std::pair<int, int>> sketch;
+    VarianceTable table;
+  };
+  std::optional<ModuleCState> module_c_;
 };
 
 }  // namespace tsexplain

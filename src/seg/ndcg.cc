@@ -38,6 +38,38 @@ double NdcgFromTops(SegmentExplainer& explainer,
   return std::clamp(dcg / idcg, 0.0, 1.0);
 }
 
+void ScoreOwnTaus(const SegmentExplainer& explainer,
+                  const TopExplanations& top, int a, int b,
+                  std::vector<int>* taus) {
+  taus->clear();
+  for (const ExplId e : top.ids) taus->push_back(explainer.Score(e, a, b).tau);
+}
+
+std::vector<double> RankDiscounts(size_t count) {
+  std::vector<double> discounts(count);
+  for (size_t r = 0; r < count; ++r) {
+    discounts[r] = std::log2(static_cast<double>(r) + 2.0);
+  }
+  return discounts;
+}
+
+double NdcgFromScored(const SegmentExplainer& explainer,
+                      const ScoredTop& target, const ScoredTop& source,
+                      const std::vector<double>& discounts) {
+  const double idcg = target.top->idcg;
+  if (idcg <= kIdcgEps) return 1.0;
+
+  double dcg = 0.0;
+  for (size_t r = 0; r < source.top->ids.size(); ++r) {
+    const DiffScore on_target =
+        explainer.Score(source.top->ids[r], target.a, target.b);
+    const double rectified =
+        on_target.tau == source.taus[r] ? on_target.gamma : 0.0;
+    dcg += rectified / discounts[r];
+  }
+  return std::clamp(dcg / idcg, 0.0, 1.0);
+}
+
 double NdcgExplains(SegmentExplainer& explainer, int target_a, int target_b,
                     int source_a, int source_b) {
   const TopExplanations& target_top = explainer.TopFor(target_a, target_b);

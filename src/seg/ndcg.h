@@ -34,12 +34,40 @@ double NdcgExplains(SegmentExplainer& explainer, int target_a, int target_b,
                     int source_a, int source_b);
 
 /// Same computation with the two cached explanation lists already in hand
-/// (hot path for the distance library: avoids repeated cache lookups and
-/// reuses the precomputed ideal DCG).
+/// (avoids repeated cache lookups and reuses the precomputed ideal DCG).
+/// Scores both sides per rank: the reference the hoisted form below must
+/// match bit for bit.
 double NdcgFromTops(SegmentExplainer& explainer,
                     const TopExplanations& target_top, int target_a,
                     int target_b, const TopExplanations& source_top,
                     int source_a, int source_b);
+
+/// A segment [a, b] with its cached list and, for each listed explanation
+/// in rank order, its change effect on [a, b] itself: everything NDCG reads
+/// from its source side. The variance table scores each list once
+/// (ScoreOwnTaus) instead of once per distance.
+struct ScoredTop {
+  const TopExplanations* top = nullptr;
+  int a = 0;
+  int b = 0;
+  const int* taus = nullptr;  // tau(top->ids[r], [a, b])
+};
+
+/// Writes tau(e, [a, b]) for each e in top.ids, in rank order.
+void ScoreOwnTaus(const SegmentExplainer& explainer,
+                  const TopExplanations& top, int a, int b,
+                  std::vector<int>* taus);
+
+/// log2(r + 2) for ranks r = 0..count-1, Eq. 3's discounts, filled by the
+/// same libm call NdcgFromTops makes per rank.
+std::vector<double> RankDiscounts(size_t count);
+
+/// NdcgFromTops with the source side already scored and the discounts
+/// tabled (`discounts` covers the source list). It sums the same doubles
+/// in the same order, so the result is bit-identical.
+double NdcgFromScored(const SegmentExplainer& explainer,
+                      const ScoredTop& target, const ScoredTop& source,
+                      const std::vector<double>& discounts);
 
 }  // namespace tsexplain
 

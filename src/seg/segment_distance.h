@@ -17,6 +17,8 @@
 #ifndef TSEXPLAIN_SEG_SEGMENT_DISTANCE_H_
 #define TSEXPLAIN_SEG_SEGMENT_DISTANCE_H_
 
+#include <vector>
+
 #include "src/seg/ndcg.h"
 #include "src/seg/segment_explainer.h"
 
@@ -53,18 +55,19 @@ bool IsAllPairMetric(VarianceMetric metric);
 bool IsSquaredMetric(VarianceMetric metric);
 
 /// dist(centroid, object) in [0, 1] under `metric` (the allpair structures
-/// reuse the tse/Stse pairwise distance).
+/// reuse the tse/Stse pairwise distance). Scores both sides of each NDCG
+/// per call (NdcgFromTops): the reference for the form below.
 double SegmentDist(SegmentExplainer& explainer, VarianceMetric metric,
                    int centroid_a, int centroid_b, int object_a,
                    int object_b);
 
-/// Hot-path variant with both cached explanation lists already in hand
-/// (the variance table hoists the lookups out of its inner loops).
-double SegmentDistFromTops(SegmentExplainer& explainer, VarianceMetric metric,
-                           const TopExplanations& centroid_top,
-                           int centroid_a, int centroid_b,
-                           const TopExplanations& object_top, int object_a,
-                           int object_b);
+/// The variance table's hot path: both lists already in hand and scored on
+/// their own segments (NdcgFromScored), so the per-call work is the scores
+/// on the other side. Bit-identical to SegmentDist.
+double SegmentDistFromScored(const SegmentExplainer& explainer,
+                             VarianceMetric metric, const ScoredTop& centroid,
+                             const ScoredTop& object,
+                             const std::vector<double>& discounts);
 
 }  // namespace tsexplain
 

@@ -44,6 +44,17 @@ void FillAllPairRow(const std::vector<std::vector<double>>& col_sums,
   }
 }
 
+// Pins [a, b]'s cached list and scores it on [a, b] into `taus`, which
+// must stay put while the result is in use; widens `longest` to its rank
+// count so one discount table covers every list.
+ScoredTop PinScored(SegmentExplainer& explainer, int a, int b,
+                    std::vector<int>* taus, size_t* longest) {
+  const TopExplanations& top = explainer.TopFor(a, b);
+  ScoreOwnTaus(explainer, top, a, b, taus);
+  *longest = std::max(*longest, top.ids.size());
+  return ScoredTop{&top, a, b, taus->data()};
+}
+
 }  // namespace
 
 VarianceTable VarianceTable::Compute(VarianceCalculator& calc,
@@ -85,20 +96,22 @@ VarianceTable VarianceTable::Compute(VarianceCalculator& calc,
       }
       explainer.Prewarm(segments, threads);
     }
-    std::vector<const TopExplanations*> object_tops(num_objects);
+    std::vector<std::vector<int>> object_taus(num_objects);
+    std::vector<ScoredTop> objects(num_objects);
+    size_t longest = 0;
     for (size_t x = 0; x < num_objects; ++x) {
-      object_tops[x] = &explainer.TopFor(positions[x], positions[x + 1]);
+      objects[x] = PinScored(explainer, positions[x], positions[x + 1],
+                             &object_taus[x], &longest);
     }
+    const std::vector<double> discounts = RankDiscounts(longest);
     std::vector<std::vector<double>> pair_dist(
         num_objects, std::vector<double>(num_objects, 0.0));
     // Each row writes only pair_dist[x], so rows fan out across threads
     // (the NDCG evaluation is the dominant cost at Figure 6 scale).
     auto fill_dist_row = [&](size_t x) {
       for (size_t y = x + 1; y < num_objects; ++y) {
-        pair_dist[x][y] = SegmentDistFromTops(
-            explainer, metric, *object_tops[x], positions[x],
-            positions[x + 1], *object_tops[y], positions[y],
-            positions[y + 1]);
+        pair_dist[x][y] = SegmentDistFromScored(explainer, metric, objects[x],
+                                                objects[y], discounts);
       }
     };
     if (threads <= 1 || num_objects < 16) {
@@ -146,13 +159,16 @@ VarianceTable VarianceTable::Compute(VarianceCalculator& calc,
     explainer.Prewarm(segments, threads);
   }
 
-  // Pre-resolve every unit object's explanation list once; the inner loops
-  // below then never touch the explainer's cache for objects. (Pointers
-  // into the cache stay valid until ClearCache.)
-  std::vector<const TopExplanations*> unit_tops(
-      static_cast<size_t>(n - 1));
+  // Pre-resolve every unit object's explanation list once, scored on its
+  // own unit: that side of each NDCG never changes along the inner loops
+  // below, which then never touch the explainer's cache for objects.
+  // (Pointers into the cache stay valid until ClearCache.)
+  std::vector<std::vector<int>> unit_taus(static_cast<size_t>(n - 1));
+  std::vector<ScoredTop> units(static_cast<size_t>(n - 1));
+  size_t longest = 0;
   for (int x = 0; x + 1 < n; ++x) {
-    unit_tops[static_cast<size_t>(x)] = &explainer.TopFor(x, x + 1);
+    const size_t u = static_cast<size_t>(x);
+    units[u] = PinScored(explainer, x, x + 1, &unit_taus[u], &longest);
   }
   // Pin every centroid's list too (pure cache hits after the pre-warm).
   std::vector<std::vector<const TopExplanations*>> centroid_tops(m);
@@ -163,25 +179,31 @@ VarianceTable VarianceTable::Compute(VarianceCalculator& calc,
       const int b = positions[j];
       if (max_span >= 0 && b - a > max_span) break;
       centroid_tops[i].push_back(&explainer.TopFor(a, b));
+      longest = std::max(longest, centroid_tops[i].back()->ids.size());
     }
   }
+  const std::vector<double> discounts = RankDiscounts(longest);
 
   // Fill rows; everything below only READS the cube and the cached lists,
   // so rows can fan out across threads.
   auto fill_row = [&](size_t i) {
     const int a = positions[i];
+    std::vector<int> centroid_taus;
     table.rows_[i].reserve(centroid_tops[i].size());
     for (size_t offset = 0; offset < centroid_tops[i].size(); ++offset) {
       const size_t j = i + 1 + offset;
       const int b = positions[j];
       // Eq. 7 with the segment itself as centroid and the FINE unit
-      // segments as objects, regardless of the candidate granularity.
+      // segments as objects, regardless of the candidate granularity. The
+      // centroid is scored on itself once per entry.
       const TopExplanations& centroid_top = *centroid_tops[i][offset];
+      ScoreOwnTaus(explainer, centroid_top, a, b, &centroid_taus);
+      const ScoredTop centroid{&centroid_top, a, b, centroid_taus.data()};
       double sum = 0.0;
       for (int x = a; x < b; ++x) {
-        sum += SegmentDistFromTops(explainer, metric, centroid_top, a, b,
-                                   *unit_tops[static_cast<size_t>(x)], x,
-                                   x + 1);
+        sum += SegmentDistFromScored(explainer, metric, centroid,
+                                     units[static_cast<size_t>(x)],
+                                     discounts);
       }
       const double var = sum / static_cast<double>(b - a);
       table.rows_[i].push_back(static_cast<double>(b - a) * var);

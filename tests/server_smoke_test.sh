@@ -19,7 +19,9 @@
 #     count, and the Prometheus rendering carries the same series
 #   - trace-enabled explains return spans whose children tile every
 #     parent; a cold traced explain at threads 2 grafts exactly the
-#     phases the engine ran under engine_run, with its timing_ms values
+#     phases the engine ran under engine_run, with its timing_ms values;
+#     a traced K variant of it reads the engine's kept variance table and
+#     grafts only dp and final_explain
 #   - the retired stats op answers unknown_op; state serves its fields
 #   - TCP mode (with the overload flags set): a request dribbled
 #     byte-by-byte across many tiny writes still parses (recv-boundary
@@ -75,12 +77,17 @@ EXPLAIN_FIELDS='"dataset":"sales","measure":"sales","explain_by":["region"],"k":
   # Trace-enabled hot query: must carry non-empty spans that partition
   # the root's wall clock.
   echo "{\"op\":\"explain\",\"id\":41,$EXPLAIN_FIELDS,\"trace\":true}"
-  # Trace-enabled cold query at two threads (k=3 is a new key): its
-  # engine_run span holds exactly the engine's phases.
-  echo '{"op":"explain","id":44,"dataset":"sales","measure":"sales","explain_by":["region"],"k":3,"threads":2,"trace":true}'
   # Metrics scrape AFTER the burst, in both export formats.
   echo '{"op":"metrics","id":42}'
   echo '{"op":"metrics","id":43,"format":"prometheus"}'
+  # Trace-enabled cold query at two threads, after the barriers above. The
+  # engine last ran the tse table, so dist1 misses it: engine_run holds
+  # the variance fill too.
+  echo '{"op":"explain","id":44,"dataset":"sales","measure":"sales","explain_by":["region"],"k":3,"variance_metric":"dist1","threads":2,"trace":true}'
+  # The state barrier orders id 45 after id 44. Only K differs, so id 45
+  # reads id 44's variance table: engine_run holds dp and final_explain.
+  echo '{"op":"state","id":46}'
+  echo '{"op":"explain","id":45,"dataset":"sales","measure":"sales","explain_by":["region"],"k":4,"variance_metric":"dist1","threads":2,"trace":true}'
   echo '{"op":"open_session","id":8,"dataset":"sales","measure":"sales","explain_by":["region"],"k":2}'
   echo '{"op":"append","id":9,"session":1,"label":"zz","rows":[{"dims":["east"],"measures":[30]},{"dims":["west"],"measures":[11]}]}'
   echo '{"op":"explain_session","id":10,"session":1}'
@@ -101,9 +108,9 @@ if ! "$SERVE" <"$REQ" >"$OUT" 2>"$TMPDIR_SMOKE/serve.err"; then
   cat "$TMPDIR_SMOKE/serve.err" >&2
 fi
 
-# Every request (23 ids + 1 parse error) got exactly one response line.
+# Every request (25 ids + 1 parse error) got exactly one response line.
 lines=$(wc -l <"$OUT")
-[ "$lines" -eq 24 ] || fail response_count "expected 24 responses, got $lines"
+[ "$lines" -eq 26 ] || fail response_count "expected 26 responses, got $lines"
 
 response_for 1 "$OUT" | grep -q '"ok":true' || fail register "$(response_for 1 "$OUT")"
 response_for 1 "$OUT" | grep -q '"time_buckets":10' || fail register_shape "$(response_for 1 "$OUT")"
@@ -170,17 +177,17 @@ assert "# TYPE tsexplain_cache_hits counter" in prom["text"]
 assert "tsexplain_query_hot_ms_bucket{le=" in prom["text"]
 
 # Single-flight proof: 5 identical explains, exactly 1 admitted dataset
-# query (+1 for the session explain; the traced k=3 query is a third),
+# query (+1 for the session explain, +2 for the traced dist1 queries),
 # the rest hits or batched onto it. state lists the one dataset.
 final = by_id[17]["metrics"]["counters"]
-assert final["admission.admitted"] == 3, final
+assert final["admission.admitted"] == 4, final
 assert [d["name"] for d in by_id[15]["datasets"]] == ["sales"], by_id[15]
 
 # Spans travel with 6 significant digits, hence the relative tolerance.
 def tiles(parent_ms, child_sum):
     return abs(child_sum - parent_ms) <= 1e-5 * parent_ms + 1e-9
 
-for traced_id in (41, 44):
+for traced_id in (41, 44, 45):
     traced = by_id[traced_id]
     spans = traced["trace"]
     assert len(spans) >= 2, f"expected non-empty trace, got {spans}"
@@ -194,24 +201,27 @@ for traced_id in (41, 44):
                 f"id {traced_id}: children of {span['name']} sum to " \
                 f"{sum(children)}, not {span['duration_ms']}"
 
-# The cold traced run: engine_run's children are exactly the phases the
-# engine ran, in order, each > 0 and equal to its timing_ms value.
-cold = by_id[44]
-assert cold["cache_hit"] is False, cold
-timing = cold["result"]["timing_ms"]
-phases = [p for p in ("sketch", "variance", "dp", "final_explain")
-          if timing[p] > 0]
-assert phases == ["variance", "dp", "final_explain"], timing
-spans = cold["trace"]
-run = [i for i, s in enumerate(spans) if s["name"] == "engine_run"]
-assert len(run) == 1, spans
-children = [s for s in spans if s["parent"] == run[0]]
-assert [s["name"] for s in children] == phases, children
-for span in children:
-    assert span["duration_ms"] > 0, span
-    assert abs(span["duration_ms"] - timing[span["name"]]) <= \
-        1e-5 * timing[span["name"]], (span, timing)
-assert tiles(timing["total"], sum(timing[p] for p in phases)), timing
+# The traced computed runs: engine_run's children are exactly the phases
+# the engine ran, in order, each > 0 and equal to its timing_ms value.
+# The cold run (44) fills the variance table; its K variant (45) reads it.
+for traced_id, ran in ((44, ["variance", "dp", "final_explain"]),
+                       (45, ["dp", "final_explain"])):
+    computed = by_id[traced_id]
+    assert computed["cache_hit"] is False, computed
+    timing = computed["result"]["timing_ms"]
+    phases = [p for p in ("sketch", "variance", "dp", "final_explain")
+              if timing[p] > 0]
+    assert phases == ran, (traced_id, timing)
+    spans = computed["trace"]
+    run = [i for i, s in enumerate(spans) if s["name"] == "engine_run"]
+    assert len(run) == 1, spans
+    children = [s for s in spans if s["parent"] == run[0]]
+    assert [s["name"] for s in children] == phases, children
+    for span in children:
+        assert span["duration_ms"] > 0, span
+        assert abs(span["duration_ms"] - timing[span["name"]]) <= \
+            1e-5 * timing[span["name"]], (span, timing)
+    assert tiles(timing["total"], sum(timing[p] for p in phases)), timing
 PYEOF
 
 # --- TCP mode: dribbled bytes, oversized lines, overload flags ------------

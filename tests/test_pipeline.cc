@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "src/common/timer.h"
 #include "src/datagen/synthetic.h"
 #include "src/eval/segmentation_distance.h"
+#include "src/pipeline/report_json.h"
 #include "src/pipeline/tsexplain.h"
 
 namespace tsexplain {
@@ -215,6 +219,100 @@ TEST(Pipeline, ExplanationItemToString) {
   EXPECT_EQ(item.ToString(), "state=NY (-)");
   item.tau = 0;
   EXPECT_EQ(item.ToString(), "state=NY (=)");
+}
+
+// Everything RenderJsonReport emits except the timing_ms block.
+std::string RenderUntimed(const TSExplain& engine, TSExplainResult result) {
+  result.timing = TimingBreakdown();
+  return RenderJsonReport(engine, result);
+}
+
+// Appends one bucket holding the last bucket's rows with new values.
+void AppendBucketLikeTheLast(Table& table) {
+  const size_t rows = table.num_rows();
+  const TimeId last = static_cast<TimeId>(table.num_time_buckets() - 1);
+  const TimeId next = table.AddTimeBucket("appended");
+  for (size_t row = 0; row < rows; ++row) {
+    if (table.time(row) != last) continue;
+    table.AppendRowEncoded(next, {table.dim(row, 0)},
+                           {1.5 * table.measure(row, 0) + 3.0});
+  }
+}
+
+// One engine keeps its last run's variance table and reads it when only
+// K changes. Every answer it gives must equal a fresh engine's, while
+// the kept table is read, replaced (another metric, the sketch toggled,
+// another candidate list) and dropped (AppendBucket).
+TEST(Pipeline, KVariantsOnOneEngineMatchFreshEngines) {
+  SyntheticConfig synth;
+  synth.length = 80;  // O2 derives (L, |S|) = (4, 60) at n = 80 and 81
+  synth.num_categories = 4;
+  synth.snr_db = 30.0;
+  synth.num_interior_cuts = 3;
+  synth.seed = 23;
+  SyntheticDataset ds = GenerateSynthetic(synth);
+  Table& table = *ds.table;
+  const TSExplainConfig config = BaseConfig();
+  TSExplain engine(table, config);
+
+  const auto spec_for = [&config](VarianceMetric metric, bool sketch, int k) {
+    SegmentationSpec spec = SegmentationSpec::FromConfig(config);
+    spec.variance_metric = metric;
+    spec.use_sketch = sketch;
+    spec.fixed_k = k;
+    return spec;
+  };
+  const auto expect_fresh = [&](const SegmentationSpec& spec,
+                                const std::vector<int>& candidates,
+                                const std::string& where) {
+    TSExplain fresh(table, config);
+    EXPECT_EQ(RenderUntimed(engine, engine.Run(spec, candidates)),
+              RenderUntimed(fresh, fresh.Run(spec, candidates)))
+        << where << " (" << VarianceMetricName(spec.variance_metric)
+        << ", sketch " << spec.use_sketch << ", k " << spec.fixed_k << ")";
+  };
+
+  // K in {auto, 2..8} under every metric, sketch off then on.
+  for (VarianceMetric metric : kAllVarianceMetrics) {
+    for (const bool sketch : {false, true}) {
+      for (const int k : {0, 2, 3, 4, 5, 6, 7, 8}) {
+        expect_fresh(spec_for(metric, sketch, k), {}, "K sweep");
+      }
+    }
+  }
+  // Replace and refill: metric A -> B -> A, sketch on -> off -> on.
+  using Step = std::tuple<VarianceMetric, bool, int>;
+  for (const auto& [metric, sketch, k] : std::vector<Step>{
+           {VarianceMetric::kTse, false, 3},
+           {VarianceMetric::kDist1, false, 3},
+           {VarianceMetric::kTse, false, 5},
+           {VarianceMetric::kTse, true, 3},
+           {VarianceMetric::kTse, false, 4},
+           {VarianceMetric::kTse, true, 6}}) {
+    expect_fresh(spec_for(metric, sketch, k), {}, "replace and refill");
+  }
+  // Two explicit candidate lists, in turn.
+  std::vector<int> every_fifth;
+  std::vector<int> every_seventh;
+  for (int p = 0; p < 79; p += 5) every_fifth.push_back(p);
+  for (int p = 0; p < 79; p += 7) every_seventh.push_back(p);
+  every_fifth.push_back(79);
+  every_seventh.push_back(79);
+  for (const auto& [candidates, k] :
+       std::vector<std::pair<std::vector<int>, int>>{
+           {every_fifth, 3}, {every_seventh, 3}, {every_fifth, 4}}) {
+    expect_fresh(spec_for(VarianceMetric::kTse, false, k), candidates,
+                 "explicit candidates");
+  }
+  // An append between two runs whose sketch key is unchanged: only the
+  // dropped table keeps out the old sketch, whose last cut is the old
+  // endpoint.
+  expect_fresh(spec_for(VarianceMetric::kTse, true, 4), {}, "before append");
+  AppendBucketLikeTheLast(table);
+  ASSERT_TRUE(engine.AppendBucket());
+  expect_fresh(spec_for(VarianceMetric::kTse, true, 4), {}, "after append");
+  expect_fresh(spec_for(VarianceMetric::kTse, true, 5), {},
+               "K variant after append");
 }
 
 TEST(PipelineDeathTest, UnknownColumnsRejected) {

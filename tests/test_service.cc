@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -690,7 +691,10 @@ TEST(ExplainServiceTest, StreamingUnderConcurrentLoadMatchesSerialReplay) {
 
 // Under concurrent service traffic at threads = 8 every result's phases
 // still add up to its run's wall clock, and a run that this request
-// admitted and computed fits inside the request's latency.
+// admitted and computed fits inside the request's latency. All requests
+// share one engine and differ only in K, so exactly one computed result
+// ran the variance fill; the others read its table (coalesced followers
+// and hits share their leader's result).
 TEST(ExplainServiceTest, TimingBreakdownStaysAPartitionUnderConcurrency) {
   ExplainService service;
   std::string error;
@@ -714,6 +718,7 @@ TEST(ExplainServiceTest, TimingBreakdownStaysAPartitionUnderConcurrency) {
     });
   }
   for (std::thread& client : clients) client.join();
+  std::set<const TSExplainResult*> filled;
   for (const auto& per_thread : collected) {
     for (const ExplainResponse& response : per_thread) {
       ASSERT_TRUE(response.ok) << response.error;
@@ -723,13 +728,14 @@ TEST(ExplainServiceTest, TimingBreakdownStaysAPartitionUnderConcurrency) {
         EXPECT_GE(ms, 0.0) << name;
         phase_sum += ms;
       }
-      EXPECT_GT(timing.variance_ms, 0.0);
+      if (timing.variance_ms > 0.0) filled.insert(response.result.get());
       EXPECT_NEAR(phase_sum, timing.total_ms, 1e-9 * timing.total_ms);
       if (!response.cache_hit && response.admission_outcome == "admitted") {
         EXPECT_LE(timing.total_ms, response.latency_ms);
       }
     }
   }
+  EXPECT_EQ(filled.size(), 1u);
 }
 
 // A traced cold explain grafts exactly the phases the engine ran under

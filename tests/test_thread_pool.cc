@@ -1,12 +1,19 @@
 // ThreadPool contract: Submit futures, ParallelFor completeness, nested
 // ParallelFor from inside pool tasks (the deadlock-freedom property the
-// pipeline + service rely on), and determinism of the fill pattern.
+// pipeline + service rely on), determinism of the fill pattern, and a
+// throwing ParallelFor task surfacing on the caller.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -118,6 +125,102 @@ TEST(ThreadPoolTest, DestructionDrainsQueuedParallelForHelpers) {
 
     release.store(true);
     pool.reset();  // queue still holds the parked helpers: drain + join
+  }
+}
+
+// One ParallelFor whose throwing side is the caller or a helper. The
+// thrower waits until the other side is inside fn, and the other side
+// stays there until after the throw, so the loop must both catch an
+// exception and wait out a running task. Returns "ok", or what went wrong.
+std::string ThrowingLoop(ThreadPool& pool, bool throw_on_caller) {
+  using Clock = std::chrono::steady_clock;
+  const std::thread::id caller = std::this_thread::get_id();
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(5);
+  std::atomic<int> inside{0};
+  std::atomic<bool> other_entered{false};
+  std::atomic<bool> thrown{false};
+  try {
+    pool.ParallelFor(64, 4, [&](size_t) {
+      const bool on_caller = std::this_thread::get_id() == caller;
+      if (on_caller == throw_on_caller) {
+        while (!other_entered.load() && Clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        thrown.store(true);
+        throw std::runtime_error("task failed");
+      }
+      inside.fetch_add(1);
+      other_entered.store(true);
+      while (!thrown.load() && Clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      inside.fetch_sub(1);
+    });
+  } catch (const std::runtime_error&) {
+    return inside.load() == 0 ? "ok" : "rethrew while a task was inside fn";
+  }
+  return "no exception reached the caller";
+}
+
+TEST(ThreadPoolTest, ParallelForRethrowsOnceOnTheCallerWhereverTaskThrows) {
+  // Each round runs on its own thread against a deadline: a lost
+  // exception leaves the caller waiting forever, and joining it would
+  // hang the suite, so a timeout fails the whole binary at once.
+  ThreadPool pool(3);
+  for (const bool on_caller : {false, true}) {
+    const char* side = on_caller ? "caller" : "helper";
+    for (int round = 0; round < 8; ++round) {
+      std::promise<std::string> outcome;
+      std::future<std::string> done = outcome.get_future();
+      std::thread runner([&pool, &outcome, on_caller] {
+        outcome.set_value(ThrowingLoop(pool, on_caller));
+      });
+      if (done.wait_for(std::chrono::seconds(30)) !=
+          std::future_status::ready) {
+        std::fprintf(stderr, "FAIL: ParallelFor never returned (throw on %s)\n",
+                     side);
+        std::fflush(stderr);
+        std::_Exit(1);
+      }
+      runner.join();
+      EXPECT_EQ(done.get(), "ok") << "throw on " << side << ", round " << round;
+    }
+  }
+  // The pool is still whole: a later loop covers every index.
+  std::vector<std::atomic<int>> touched(257);
+  for (auto& t : touched) t.store(0);
+  pool.ParallelFor(touched.size(), 4,
+                   [&](size_t i) { touched[i].fetch_add(1); });
+  for (size_t i = 0; i < touched.size(); ++i) {
+    EXPECT_EQ(touched[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForStopsRunningIndicesAfterAThrow) {
+  // Inline (parallelism 1) and fanned-out loops alike: the exception
+  // reaches the caller once, and the loop does not run out its indices.
+  // Every task but the throwing one takes 100 us, so running all 10000
+  // would take over 300 ms on three threads.
+  ThreadPool pool(2);
+  for (const int parallelism : {1, 3}) {
+    std::atomic<int> ran{0};
+    int caught = 0;
+    try {
+      pool.ParallelFor(10000, parallelism, [&](size_t i) {
+        ran.fetch_add(1);
+        if (i == 0) throw std::runtime_error("first index");
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      });
+    } catch (const std::runtime_error&) {
+      ++caught;
+    }
+    EXPECT_EQ(caught, 1) << "parallelism " << parallelism;
+    if (parallelism == 1) {
+      EXPECT_EQ(ran.load(), 1);
+    } else {
+      EXPECT_LT(ran.load(), 10000);
+    }
   }
 }
 

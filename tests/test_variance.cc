@@ -100,16 +100,29 @@ TEST_F(VarianceTest, GroundTruthCutsBeatShiftedCuts) {
 }
 
 TEST_F(VarianceTest, VarianceTableMatchesCalculator) {
-  VarianceCalculator calc(*explainer_, VarianceMetric::kTse);
-  std::vector<int> positions;
-  for (int i = 0; i <= 10; ++i) positions.push_back(i);
-  const VarianceTable table = VarianceTable::Compute(calc, positions);
-  for (size_t i = 0; i < positions.size(); ++i) {
-    for (size_t j = i + 1; j < positions.size(); ++j) {
-      EXPECT_NEAR(table.WeightedVar(i, j),
-                  calc.WeightedVariance(static_cast<int>(i),
-                                        static_cast<int>(j)),
-                  1e-12);
+  // The table scores each list on its own segment once per fill (units)
+  // or per entry (centroids); the calculator's SegmentDist scores both
+  // sides of every NDCG per distance. Both sum the same doubles in the
+  // same order, so every centroid metric agrees bit for bit, at unit
+  // granularity and on a coarse candidate set (whose objects stay the
+  // unit segments). All-pair metrics use coarse objects in the table.
+  std::vector<int> all_points;
+  for (int i = 0; i <= 10; ++i) all_points.push_back(i);
+  const std::vector<int> coarse{0, 5, 10};
+  for (VarianceMetric metric : kAllVarianceMetrics) {
+    if (IsAllPairMetric(metric)) continue;
+    VarianceCalculator calc(*explainer_, metric);
+    for (const std::vector<int>& positions : {all_points, coarse}) {
+      const VarianceTable table = VarianceTable::Compute(calc, positions);
+      for (size_t i = 0; i < positions.size(); ++i) {
+        for (size_t j = i + 1; j < positions.size(); ++j) {
+          EXPECT_EQ(table.WeightedVar(i, j),
+                    calc.WeightedVariance(positions[i], positions[j]))
+              << VarianceMetricName(metric) << " [" << positions[i] << ", "
+              << positions[j] << "] of " << positions.size()
+              << " positions";
+        }
+      }
     }
   }
 }
