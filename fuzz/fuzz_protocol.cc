@@ -5,7 +5,8 @@
 //   * raw: the line is parsed as JSON (handler path) or answered with
 //     MakeParseError, exactly like the transport;
 //   * assembled (line starts with 0x01): the remaining bytes pick an op
-//     and a soup of known field names with adversarial values — the
+//     (any row of the handler's op table, or one name outside it) and a
+//     soup of known field names with adversarial values — the
 //     structure-aware mode that reaches deep op handlers a text mutator
 //     rarely finds.
 // File-path fields ("path", "csv_path") are rewritten into a per-input
@@ -35,12 +36,18 @@ namespace {
 using tsexplain::JsonValue;
 using tsexplain::fuzz::ByteSource;
 
-constexpr const char* kOps[] = {
-    "register",       "list_datasets", "drop_dataset",  "explain",
-    "recommend",      "open_session",  "append",        "explain_session",
-    "close_session",  "save_cache",    "load_cache",    "recover_session",
-    "state",          "metrics",       "shutdown",      "bogus_op",
-};
+// Every op in the handler's table, in table order, then one it lacks.
+const std::vector<std::string>& OpNames() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const auto& op : tsexplain::ProtocolHandler::Ops()) {
+      out.push_back(op.name);
+    }
+    out.push_back("bogus_op");
+    return out;
+  }();
+  return names;
+}
 
 constexpr const char* kFields[] = {
     "id",         "name",        "dataset",       "measure",
@@ -92,9 +99,9 @@ JsonValue SoupValue(ByteSource& src, int depth) {
 
 JsonValue AssembleRequest(ByteSource& src) {
   std::vector<std::pair<std::string, JsonValue>> members;
-  members.emplace_back(
-      "op", JsonValue::MakeString(
-                kOps[src.NextByte() % (sizeof(kOps) / sizeof(kOps[0]))]));
+  const std::vector<std::string>& ops = OpNames();
+  members.emplace_back("op",
+                       JsonValue::MakeString(ops[src.NextByte() % ops.size()]));
   members.emplace_back("id", JsonValue::MakeNumber(src.NextByte()));
   const size_t nfields = src.NextByte() % 8;
   for (size_t i = 0; i < nfields; ++i) {

@@ -287,6 +287,12 @@ void MakeProtocolSeeds() {
             "{\"op\":\"save_cache\",\"id\":1,\"path\":\"warm.bin\"}\n"
             "{\"op\":\"load_cache\",\"id\":2,\"path\":\"warm.bin\"}\n"
             "{\"op\":\"load_cache\",\"id\":3,\"path\":\"missing.bin\"}\n");
+  WriteSeed("protocol", "introspection",
+            "{\"op\":\"healthz\",\"id\":1}\n"
+            "{\"op\":\"metrics_history\",\"id\":2,\"sample\":true,"
+            "\"last_n\":4}\n"
+            "{\"op\":\"metrics_history\",\"id\":3,\"format\":\"csv\","
+            "\"export_as\":\"telemetry\"}\n");
   WriteSeed("protocol", "hostile_lines",
             "{\"op\":\"explain\"\n"
             "not json at all\n"

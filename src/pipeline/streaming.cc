@@ -40,7 +40,6 @@ void StreamingTSExplain::AppendBucket(const std::string& label,
     engine_ = std::make_unique<TSExplain>(*table_, config_);
   }
   AppendBucketMs().Observe(append_timer.ElapsedMs());
-  if (append_observer_) append_observer_(label, rows);
 }
 
 std::vector<int> StreamingTSExplain::IncrementalCandidates() const {

@@ -23,7 +23,6 @@
 #ifndef TSEXPLAIN_PIPELINE_STREAMING_H_
 #define TSEXPLAIN_PIPELINE_STREAMING_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,9 +44,7 @@ struct StreamRow {
 /// table / engine, and the owner must serialize all calls externally. In
 /// the service, that owner is ExplainService::Session, whose `engine`
 /// field is TSE_GUARDED_BY(Session::mu); standalone users (CLI, benches,
-/// tests) drive one instance from one thread. The append-observer
-/// callback runs synchronously inside AppendBucket and therefore inherits
-/// the caller's serialization.
+/// tests) drive one instance from one thread.
 class StreamingTSExplain {
  public:
   /// Copies `initial` (at least three time buckets) into the internal
@@ -86,19 +83,6 @@ class StreamingTSExplain {
   /// Whether the last AppendBucket forced a full rebuild (new cells).
   bool last_append_rebuilt() const { return last_append_rebuilt_; }
 
-  /// Append observer: invoked at the END of every AppendBucket (after the
-  /// table and engine absorbed the bucket) with the bucket's label and
-  /// rows. This is the persistence layer's append-log hook — the service
-  /// subscribes a storage::SessionLogWriter here (src/storage/
-  /// session_log.h), keeping the pipeline free of storage dependencies.
-  /// Replay during recovery constructs the engine BEFORE subscribing, so
-  /// replayed appends are not re-logged. nullptr clears the hook.
-  using AppendObserver = std::function<void(
-      const std::string& label, const std::vector<StreamRow>& rows)>;
-  void set_append_observer(AppendObserver observer) {
-    append_observer_ = std::move(observer);
-  }
-
  private:
   std::unique_ptr<Table> table_;
   TSExplainConfig config_;
@@ -107,7 +91,6 @@ class StreamingTSExplain {
   std::vector<int> last_cuts_;  // empty until the first Explain()
   int last_n_ = 0;
   bool last_append_rebuilt_ = false;
-  AppendObserver append_observer_;
 };
 
 }  // namespace tsexplain

@@ -294,89 +294,101 @@ ExplainResponse ExplainService::AdmitAndCompute(
   return response;
 }
 
-ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
+template <typename Resolve>
+ExplainResponse ExplainService::ServeQuery(const std::string& tenant,
+                                           bool trace_requested,
+                                           const Resolve& resolve) {
   Timer timer;
   std::unique_ptr<QueryTrace> trace_holder;
-  if (request.trace) trace_holder = std::make_unique<QueryTrace>();
+  if (trace_requested) trace_holder = std::make_unique<QueryTrace>();
   QueryTrace* const trace = trace_holder.get();
-  if (!request.tenant.empty() && !IsValidTenantId(request.tenant)) {
+  if (!tenant.empty() && !IsValidTenantId(tenant)) {
     return ErrorResponse(
         error_code::kBadRequest,
         "invalid tenant id (use [A-Za-z0-9._:-], at most 64 chars)");
   }
-  const DatasetRegistry::TableRef ref = registry_.GetRef(request.dataset);
-  if (!ref.table) {
-    return ErrorResponse(error_code::kNotFound,
-                         "unknown dataset: " + request.dataset);
-  }
-  TSExplainConfig config = request.config;
-  std::string validation_error;
-  if (!ValidateAndNormalize(*ref.table, &config, &validation_error)) {
-    return ErrorResponse(error_code::kInvalidQuery, validation_error);
-  }
-
-  const CanonicalQuery canonical =
-      CanonicalizeQuery(request.dataset, config);
-  // The registration uid fences drop + re-register races: a computation
-  // against the old table can only ever land under the old uid's key,
-  // which no post-re-register request asks for (it ages out via LRU).
-  // The tenant prefix namespaces the entry so per-tenant cache budgets
-  // can scope evictions to exactly this tenant's keys.
-  const std::string cache_key =
-      TenantKeyPrefix(request.tenant) + canonical.query_key +
-      StrFormat("|uid=%llu", static_cast<unsigned long long>(ref.uid)) +
-      ReportSuffix(request.include_trendlines, request.include_k_curve);
-  if (!request.tenant.empty()) tenant_quotas_.EnsureTenant(request.tenant);
-
-  // Hot path: cached results bypass admission — overload can defer cold
-  // work but never a hit.
-  const int lookup_span = trace ? trace->BeginSpan("cache_lookup") : -1;
-  const ResultCache::ValuePtr hot = cache_.Lookup(cache_key);
-  if (trace) trace->EndSpan(lookup_span);
-  if (hot) {
-    ExplainResponse response = ServedResponse(cache_key, hot,
-                                              /*cache_hit=*/true,
-                                              timer.ElapsedMs());
-    response.admission_outcome = "cache_hit";
-    ServiceMetrics::Get().hot_ms.Observe(response.latency_ms);
+  const auto serve = [&](const std::string& cache_key, int requested_threads,
+                         const auto& compute) {
+    // Hot path: cached results bypass admission — overload can defer cold
+    // work but never a hit.
+    const int lookup_span = trace ? trace->BeginSpan("cache_lookup") : -1;
+    const ResultCache::ValuePtr hot = cache_.Lookup(cache_key);
+    if (trace) trace->EndSpan(lookup_span);
+    if (hot) {
+      ExplainResponse response = ServedResponse(cache_key, hot,
+                                                /*cache_hit=*/true,
+                                                timer.ElapsedMs());
+      response.admission_outcome = "cache_hit";
+      ServiceMetrics::Get().hot_ms.Observe(response.latency_ms);
+      return FinishTraced(std::move(response), trace, timer.ElapsedMs());
+    }
+    ExplainResponse response =
+        AdmitAndCompute(cache_key, tenant,
+                        ResolveThreadCount(requested_threads), trace, compute);
     return FinishTraced(std::move(response), trace, timer.ElapsedMs());
-  }
+  };
+  return resolve(serve);
+}
 
-  ExplainResponse response = AdmitAndCompute(
-      cache_key, request.tenant, ResolveThreadCount(config.threads), trace,
-      [&](int granted_threads, QueryTrace* compute_trace, int compute_span,
-          std::string* compute_error) -> ResultCache::ValuePtr {
-        // The admission grant replaces the requested thread count (it is
-        // a ceiling, not a demand); results are identical either way.
-        TSExplainConfig run_config = config;
-        run_config.threads = granted_threads;
-        std::string engine_error;
-        const double build_start =
-            compute_trace ? compute_trace->ElapsedMs() : 0.0;
-        EngineHandle handle = registry_.GetOrBuildEngine(
-            request.dataset, canonical.engine_key, run_config,
-            ref.table.get(), &engine_error);
-        if (!handle.ok()) {
-          *compute_error = engine_error;
-          return nullptr;
-        }
-        if (compute_trace) {
-          compute_trace->AddSpan("engine_build", build_start,
-                                 compute_trace->ElapsedMs() - build_start,
-                                 compute_span);
-        }
-        const SegmentationSpec spec =
-            SegmentationSpec::FromConfig(run_config);
-        // Run mutates the engine's explanation caches; serialize per
-        // engine. Distinct engines still run fully in parallel.
-        MutexLock lock(*handle.mu);
-        return RunAndRender([&] { return handle.engine->Run(spec); },
-                            handle.engine->cube(),
-                            WireReportOptions(request.include_trendlines,
-                                              request.include_k_curve),
-                            compute_trace, compute_span);
-      });
-  return FinishTraced(std::move(response), trace, timer.ElapsedMs());
+ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
+  return ServeQuery(request.tenant, request.trace, [&](const auto& serve) {
+    const DatasetRegistry::TableRef ref = registry_.GetRef(request.dataset);
+    if (!ref.table) {
+      return ErrorResponse(error_code::kNotFound,
+                           "unknown dataset: " + request.dataset);
+    }
+    TSExplainConfig config = request.config;
+    std::string validation_error;
+    if (!ValidateAndNormalize(*ref.table, &config, &validation_error)) {
+      return ErrorResponse(error_code::kInvalidQuery, validation_error);
+    }
+    const CanonicalQuery canonical =
+        CanonicalizeQuery(request.dataset, config);
+    // The registration uid fences drop + re-register races: a computation
+    // against the old table can only ever land under the old uid's key,
+    // which no post-re-register request asks for (it ages out via LRU).
+    // The tenant prefix namespaces the entry so per-tenant cache budgets
+    // can scope evictions to exactly this tenant's keys.
+    const std::string cache_key =
+        TenantKeyPrefix(request.tenant) + canonical.query_key +
+        StrFormat("|uid=%llu", static_cast<unsigned long long>(ref.uid)) +
+        ReportSuffix(request.include_trendlines, request.include_k_curve);
+    if (!request.tenant.empty()) tenant_quotas_.EnsureTenant(request.tenant);
+    return serve(
+        cache_key, config.threads,
+        [&](int granted_threads, QueryTrace* compute_trace, int compute_span,
+            std::string* compute_error) -> ResultCache::ValuePtr {
+          // The admission grant replaces the requested thread count (it
+          // is a ceiling, not a demand); results are identical either way.
+          TSExplainConfig run_config = config;
+          run_config.threads = granted_threads;
+          std::string engine_error;
+          const double build_start =
+              compute_trace ? compute_trace->ElapsedMs() : 0.0;
+          EngineHandle handle = registry_.GetOrBuildEngine(
+              request.dataset, canonical.engine_key, run_config,
+              ref.table.get(), &engine_error);
+          if (!handle.ok()) {
+            *compute_error = engine_error;
+            return nullptr;
+          }
+          if (compute_trace) {
+            compute_trace->AddSpan("engine_build", build_start,
+                                   compute_trace->ElapsedMs() - build_start,
+                                   compute_span);
+          }
+          const SegmentationSpec spec =
+              SegmentationSpec::FromConfig(run_config);
+          // Run mutates the engine's explanation caches; serialize per
+          // engine. Distinct engines still run fully in parallel.
+          MutexLock lock(*handle.mu);
+          return RunAndRender([&] { return handle.engine->Run(spec); },
+                              handle.engine->cube(),
+                              WireReportOptions(request.include_trendlines,
+                                                request.include_k_curve),
+                              compute_trace, compute_span);
+        });
+  });
 }
 
 ExplainService::RecommendResponse ExplainService::Recommend(
@@ -406,7 +418,8 @@ ExplainService::RecommendResponse ExplainService::Recommend(
 
 uint64_t ExplainService::OpenSession(const std::string& dataset,
                                      const TSExplainConfig& config,
-                                     std::string* error) {
+                                     std::string* error,
+                                     SessionState* state) {
   const DatasetRegistry::TableRef ref = registry_.GetRef(dataset);
   const std::shared_ptr<const Table>& table = ref.table;
   if (!table) {
@@ -436,10 +449,11 @@ uint64_t ExplainService::OpenSession(const std::string& dataset,
       // copy keeps OpenSession from re-serializing the table here.
       AttachSessionLog(*session, ref.fingerprint, {});
     }
+    if (state) *state = StateOf(*session);
   }
   {
-    // Published only after the log observer is subscribed: no append can
-    // reach the session unlogged.
+    // Published only once its log is attached: no append can reach the
+    // session unlogged.
     MutexLock lock(sessions_mu_);
     sessions_.emplace(session->id, session);
   }
@@ -486,43 +500,12 @@ void ExplainService::AttachSessionLog(
     session.log.reset();
     std::remove(session.log_path.c_str());
     session.log_path.clear();
-    return;
   }
-  // Subscribed AFTER the header and any replayed appends are on disk, so
-  // replayed appends are never double-logged. The raw pointer is safe:
-  // log and engine are destroyed together with the session, every
-  // AppendBucket happens under the session mutex, and sessions live in
-  // the map via shared_ptr (stable address).
-  Session* s = &session;
-  session.engine->set_append_observer(
-      [s](const std::string& label, const std::vector<StreamRow>& rows) {
-        // Contract: AppendBucket (hence this observer) only runs under
-        // the session mutex; the std::function boundary hides that from
-        // the static analysis, so assert it instead.
-        s->mu.AssertHeld();
-        if (!s->log || s->log_failed) return;
-        const storage::StorageStatus append_status =
-            s->log->LogAppend(label, rows);
-        if (!append_status.ok()) {
-          // One missing bucket would make every LATER append a lie:
-          // recovery would replay a gapped series with ok/torn=false.
-          // Disable the log and delete the file — no recovery beats a
-          // silently wrong one.
-          s->log_failed = true;
-          s->log->Close();
-          std::remove(s->log_path.c_str());
-          std::fprintf(stderr,
-                       "session %llu: log disabled after failed append "
-                       "(%s)\n",
-                       static_cast<unsigned long long>(s->id),
-                       append_status.ToString().c_str());
-        }
-      });
 }
 
 uint64_t ExplainService::RecoverSession(const std::string& log_path,
                                         std::string* error, bool* torn,
-                                        int* replayed) {
+                                        int* replayed, SessionState* state) {
   // Peek the header for the dataset name, then run the full recovery
   // (fingerprint fencing + replay) against the currently registered
   // table. The double read is fine: recovery is a rare startup path.
@@ -579,6 +562,7 @@ uint64_t ExplainService::RecoverSession(const std::string& log_path,
     // the old log is superseded but left for the operator to remove.
     AttachSessionLog(*session, recovered.contents.base_fingerprint,
                      recovered.contents.appends);
+    if (state) *state = StateOf(*session);
   }
   {
     MutexLock lock(sessions_mu_);
@@ -596,7 +580,7 @@ std::shared_ptr<ExplainService::Session> ExplainService::FindSession(
 
 bool ExplainService::Append(uint64_t session_id, const std::string& label,
                             const std::vector<StreamRow>& rows,
-                            std::string* error) {
+                            std::string* error, SessionState* state) {
   const std::shared_ptr<Session> session = FindSession(session_id);
   if (!session) {
     *error = StrFormat("unknown session: %llu",
@@ -618,12 +602,29 @@ bool ExplainService::Append(uint64_t session_id, const std::string& label,
   }
   Timer append_timer;
   session->engine->AppendBucket(label, rows);
+  if (session->log && !session->log_failed) {
+    // Logged once the engine absorbed the bucket; recovery replays it.
+    const storage::StorageStatus status = session->log->LogAppend(label, rows);
+    if (!status.ok()) {
+      // One missing bucket would make every LATER append a lie: recovery
+      // would replay a gapped series with ok/torn=false. Disable the log
+      // and delete the file — no recovery beats a silently wrong one.
+      session->log_failed = true;
+      session->log->Close();
+      std::remove(session->log_path.c_str());
+      std::fprintf(stderr,
+                   "session %llu: log disabled after failed append (%s)\n",
+                   static_cast<unsigned long long>(session_id),
+                   status.ToString().c_str());
+    }
+  }
   // New data makes this session's cached explanations stale — and ONLY
   // this session's: the prefix scopes the invalidation, so dataset-level
   // cache entries and other sessions are untouched (tested).
   cache_.InvalidatePrefix(StrFormat(
       "session/%llu/", static_cast<unsigned long long>(session_id)));
   ServiceMetrics::Get().append_ms.Observe(append_timer.ElapsedMs());
+  if (state) *state = StateOf(*session);
   return true;
 }
 
@@ -631,64 +632,47 @@ ExplainResponse ExplainService::ExplainSession(uint64_t session_id,
                                                bool include_trendlines,
                                                bool include_k_curve,
                                                const std::string& tenant,
-                                               bool trace_requested) {
-  Timer timer;
-  std::unique_ptr<QueryTrace> trace_holder;
-  if (trace_requested) trace_holder = std::make_unique<QueryTrace>();
-  QueryTrace* const trace = trace_holder.get();
-  if (!tenant.empty() && !IsValidTenantId(tenant)) {
-    return ErrorResponse(
-        error_code::kBadRequest,
-        "invalid tenant id (use [A-Za-z0-9._:-], at most 64 chars)");
-  }
-  const std::shared_ptr<Session> session = FindSession(session_id);
-  if (!session) {
-    return ErrorResponse(
-        error_code::kNotFound,
-        StrFormat("unknown session: %llu",
-                  static_cast<unsigned long long>(session_id)));
-  }
-  MutexLock lock(session->mu);
-  if (session->engine->n() < 3) {
-    return ErrorResponse(error_code::kInvalidQuery,
-                         "session needs at least three time buckets");
-  }
-  // The key embeds the current length: an explain after an append can
-  // never alias a pre-append entry even if an invalidation is lost.
-  // Session keys stay OUTSIDE tenant namespaces (a session is already
-  // private to its creator and appends must invalidate it wholesale),
-  // but the request still counts against the tenant's in-flight cap.
-  const std::string cache_key =
-      StrFormat("session/%llu/n%d",
-                static_cast<unsigned long long>(session_id),
-                session->engine->n()) +
-      ReportSuffix(include_trendlines, include_k_curve);
-  const int lookup_span = trace ? trace->BeginSpan("cache_lookup") : -1;
-  const ResultCache::ValuePtr hot = cache_.Lookup(cache_key);
-  if (trace) trace->EndSpan(lookup_span);
-  if (hot) {
-    ExplainResponse response = ServedResponse(cache_key, hot,
-                                              /*cache_hit=*/true,
-                                              timer.ElapsedMs());
-    response.admission_outcome = "cache_hit";
-    ServiceMetrics::Get().hot_ms.Observe(response.latency_ms);
-    return FinishTraced(std::move(response), trace, timer.ElapsedMs());
-  }
-  // Admission happens while holding the session mutex: every op on one
-  // session is serialized anyway (that is the session contract), and the
-  // slot taken here is released before any other session op can need it.
-  ExplainResponse response = AdmitAndCompute(
-      cache_key, tenant,
-      ResolveThreadCount(session->config.threads), trace,
-      [&](int granted_threads, QueryTrace* compute_trace, int compute_span,
-          std::string* /*compute_error*/) -> ResultCache::ValuePtr {
-        return RunAndRender(
-            [&] { return session->engine->Explain(granted_threads); },
-            session->engine->cube(),
-            WireReportOptions(include_trendlines, include_k_curve),
-            compute_trace, compute_span);
-      });
-  return FinishTraced(std::move(response), trace, timer.ElapsedMs());
+                                               bool trace_requested,
+                                               SessionState* state) {
+  return ServeQuery(tenant, trace_requested, [&](const auto& serve) {
+    const std::shared_ptr<Session> session = FindSession(session_id);
+    if (!session) {
+      return ErrorResponse(
+          error_code::kNotFound,
+          StrFormat("unknown session: %llu",
+                    static_cast<unsigned long long>(session_id)));
+    }
+    // Admission happens while holding the session mutex: every op on one
+    // session is serialized anyway (that is the session contract), and
+    // the slot taken here is released before any other session op can
+    // need it.
+    MutexLock lock(session->mu);
+    if (session->engine->n() < 3) {
+      return ErrorResponse(error_code::kInvalidQuery,
+                           "session needs at least three time buckets");
+    }
+    if (state) *state = StateOf(*session);
+    // The key embeds the current length: an explain after an append can
+    // never alias a pre-append entry even if an invalidation is lost.
+    // Session keys stay OUTSIDE tenant namespaces (a session is already
+    // private to its creator and appends must invalidate it wholesale),
+    // but the request still counts against the tenant's in-flight cap.
+    const std::string cache_key =
+        StrFormat("session/%llu/n%d",
+                  static_cast<unsigned long long>(session_id),
+                  session->engine->n()) +
+        ReportSuffix(include_trendlines, include_k_curve);
+    return serve(
+        cache_key, session->config.threads,
+        [&](int granted_threads, QueryTrace* compute_trace, int compute_span,
+            std::string* /*compute_error*/) -> ResultCache::ValuePtr {
+          return RunAndRender(
+              [&] { return session->engine->Explain(granted_threads); },
+              session->engine->cube(),
+              WireReportOptions(include_trendlines, include_k_curve),
+              compute_trace, compute_span);
+        });
+  });
 }
 
 bool ExplainService::CloseSession(uint64_t session_id) {
@@ -704,7 +688,6 @@ bool ExplainService::CloseSession(uint64_t session_id) {
     // A deliberately closed session needs no crash recovery: drop its log.
     MutexLock lock(session->mu);
     if (session->log) {
-      session->engine->set_append_observer(nullptr);
       session->log->Close();
       session->log.reset();
       std::remove(session->log_path.c_str());
@@ -715,28 +698,14 @@ bool ExplainService::CloseSession(uint64_t session_id) {
   return true;
 }
 
-std::string ExplainService::SessionLogPath(uint64_t session_id) const {
-  const std::shared_ptr<Session> session = FindSession(session_id);
-  if (!session) return std::string();
-  MutexLock lock(session->mu);
+ExplainService::SessionState ExplainService::StateOf(const Session& session) {
+  SessionState state;
+  state.n = session.engine->n();
+  state.rebuilt = session.engine->last_append_rebuilt();
   // log_failed means the file was deleted: reporting its path would tell
   // the operator the session is recoverable when it is not.
-  if (!session->log || session->log_failed) return std::string();
-  return session->log_path;
-}
-
-int ExplainService::SessionLength(uint64_t session_id) const {
-  const std::shared_ptr<Session> session = FindSession(session_id);
-  if (!session) return -1;
-  MutexLock lock(session->mu);
-  return session->engine->n();
-}
-
-bool ExplainService::SessionLastAppendRebuilt(uint64_t session_id) const {
-  const std::shared_ptr<Session> session = FindSession(session_id);
-  if (!session) return false;
-  MutexLock lock(session->mu);
-  return session->engine->last_append_rebuilt();
+  if (session.log && !session.log_failed) state.log_path = session.log_path;
+  return state;
 }
 
 ServiceStats ExplainService::Stats() const {

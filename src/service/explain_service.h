@@ -74,11 +74,12 @@ struct ServiceOptions {
   size_t tenant_cache_budget_bytes = 0;
   /// When set, every streaming session appends to a crash-recovery log
   /// under this directory (src/storage/session_log.h): OpenSession
-  /// writes the header, each Append is logged after the engine absorbs
+  /// writes the header, Append logs each bucket once the engine absorbed
   /// it, CloseSession deletes the log. RecoverSession replays a log from
   /// a crashed process. The file name is incarnation-scoped
-  /// (pid + instance tag + session id) — never construct it by hand, ask
-  /// SessionLogPath() (the open_session response carries it as "log").
+  /// (pid + instance tag + session id) — never construct it by hand:
+  /// SessionState::log_path has it (the open_session response carries it
+  /// as "log").
   /// Empty = session persistence off.
   std::string session_log_dir;
 };
@@ -177,27 +178,32 @@ class ExplainService {
                               AggregateFunction aggregate,
                               const std::string& measure, int m);
 
+  /// What a session op reports about its session, read under the lock
+  /// the op holds: the state that op left, whatever runs next.
+  struct SessionState {
+    int n = 0;              // time buckets
+    bool rebuilt = false;   // the last append forced a full engine rebuild
+    std::string log_path;   // crash-recovery log; "" when there is none
+                            // (the name embeds the pid: never guess it)
+  };
+
   /// Streaming sessions: append-then-re-explain over one growing table
   /// (wraps StreamingTSExplain). Session cache entries live under the key
   /// prefix "session/<id>/" so appends invalidate exactly that session.
+  /// Each op fills `state` (optional) when it succeeds.
   uint64_t OpenSession(const std::string& dataset,
-                       const TSExplainConfig& config, std::string* error);
+                       const TSExplainConfig& config, std::string* error,
+                       SessionState* state = nullptr);
   bool Append(uint64_t session_id, const std::string& label,
-              const std::vector<StreamRow>& rows, std::string* error);
+              const std::vector<StreamRow>& rows, std::string* error,
+              SessionState* state = nullptr);
   ExplainResponse ExplainSession(uint64_t session_id,
                                  bool include_trendlines = false,
                                  bool include_k_curve = true,
                                  const std::string& tenant = std::string(),
-                                 bool trace = false);
+                                 bool trace = false,
+                                 SessionState* state = nullptr);
   bool CloseSession(uint64_t session_id);
-  /// Number of time buckets in the session; -1 when unknown.
-  int SessionLength(uint64_t session_id) const;
-  /// The session's crash-recovery log path ("" when logging is off or the
-  /// session is unknown). The name embeds the pid, so callers must ask
-  /// rather than guess.
-  std::string SessionLogPath(uint64_t session_id) const;
-  /// Whether the session's last append forced a full engine rebuild.
-  bool SessionLastAppendRebuilt(uint64_t session_id) const;
 
   /// Rebuilds a streaming session from a crash-recovery log written by a
   /// previous process (ServiceOptions::session_log_dir): validates the
@@ -208,7 +214,8 @@ class ExplainService {
   /// `torn` (optional) reports whether a torn tail was truncated away
   /// (the append in flight at the crash is lost, by design).
   uint64_t RecoverSession(const std::string& log_path, std::string* error,
-                          bool* torn = nullptr, int* replayed = nullptr);
+                          bool* torn = nullptr, int* replayed = nullptr,
+                          SessionState* state = nullptr);
 
   ServiceStats Stats() const;
 
@@ -242,29 +249,39 @@ class ExplainService {
     TSExplainConfig config;
     std::unique_ptr<StreamingTSExplain> engine TSE_GUARDED_BY(mu)
         TSE_PT_GUARDED_BY(mu);
-    /// Crash-recovery log (null when session logging is off). Lives with
-    /// the session; the engine's append observer writes through it, so
-    /// it must outlive the engine's last AppendBucket (both are guarded
-    /// by `mu`).
+    /// Crash-recovery log (null when session logging is off). Append
+    /// writes each bucket through it under `mu`, right after the engine
+    /// absorbed the bucket.
     std::unique_ptr<storage::SessionLogWriter> log TSE_GUARDED_BY(mu)
         TSE_PT_GUARDED_BY(mu);
     std::string log_path TSE_GUARDED_BY(mu);
-    /// Latched by the append observer on the first failed LogAppend (the
-    /// file is deleted then: a gapped log must never be recovered from).
+    /// Latched by Append on the first failed LogAppend (the file is
+    /// deleted then: a gapped log must never be recovered from).
     bool log_failed TSE_GUARDED_BY(mu) = false;
   };
 
   std::shared_ptr<Session> FindSession(uint64_t session_id) const
       TSE_EXCLUDES(sessions_mu_);
 
-  /// Installs `session`'s crash-recovery log (header + any already-
-  /// replayed appends) and subscribes the engine's append observer to
-  /// it. No-op when session logging is off. The caller holds the session
+  static SessionState StateOf(const Session& session) TSE_REQUIRES(session.mu);
+
+  /// Installs `session`'s crash-recovery log: the header, then any
+  /// already-replayed appends, so Append logs only what comes after.
+  /// No-op when session logging is off. The caller holds the session
   /// mutex (construction-time sessions are unpublished, so the lock is
   /// uncontended — it exists to make the guarded-field access provable).
   void AttachSessionLog(Session& session, uint64_t base_fingerprint,
                         const std::vector<storage::SessionLogAppend>& replayed)
       TSE_REQUIRES(session.mu);
+
+  /// The serve path Explain and ExplainSession share: the tenant check,
+  /// the optional trace, then `resolve` (the caller's dataset or session
+  /// lookup and validation), which returns its error or the result of
+  /// `serve(cache_key, requested_threads, compute)`: a hit on the hot
+  /// path (query.hot_ms) without admission, else AdmitAndCompute.
+  template <typename Resolve>
+  ExplainResponse ServeQuery(const std::string& tenant, bool trace_requested,
+                             const Resolve& resolve);
 
   /// Runs admission + the compute for one cache key its caller missed
   /// on; shared by Explain and ExplainSession. The admitted leader

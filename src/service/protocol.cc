@@ -125,6 +125,18 @@ void EmitTrace(JsonWriter& json, const std::vector<TraceSpan>& spans) {
   json.EndArray();
 }
 
+// The fields both explain ops end their ok envelope with, closing it.
+void EndExplainOk(JsonWriter& json, const ExplainResponse& response) {
+  json.Key("cache_hit");
+  json.Bool(response.cache_hit);
+  json.Key("latency_ms");
+  json.Number(response.latency_ms);
+  EmitTrace(json, response.trace);
+  json.Key("result");
+  json.Raw(response.json);
+  json.EndObject();
+}
+
 // The "build" block of `state` and the `metrics` op: who is this binary
 // (docs/OBSERVABILITY.md, "Self-observation").
 void EmitBuildInfo(JsonWriter& json, int pool_size) {
@@ -259,44 +271,43 @@ bool ParseQueryConfig(const JsonValue& request, TSExplainConfig* config,
   return true;
 }
 
-namespace {
-
-// Every op the handler answers. healthz is the one non-barrier op beyond
-// the reads: liveness must answer while everything else is wedged, so
-// transports run it inline without draining (protocol.h).
-constexpr ProtocolHandler::OpInfo kOps[] = {
-    {"register", true, false},        {"list_datasets", false, false},
-    {"drop_dataset", true, false},    {"explain", false, true},
-    {"recommend", false, false},      {"open_session", true, false},
-    {"append", true, false},          {"explain_session", false, true},
-    {"close_session", true, false},   {"save_cache", true, false},
-    {"load_cache", true, false},      {"recover_session", true, false},
-    {"healthz", false, false},        {"state", true, false},
-    {"metrics", true, false},         {"metrics_history", true, false},
-    {"shutdown", true, false},
+// Every op the handler answers, with the class the transport dispatches
+// it by and its handler (protocol.h).
+using Self = ProtocolHandler;
+const ProtocolHandler::OpInfo ProtocolHandler::kOps[] = {
+    {"register", Dispatch::kBarrier, &Self::HandleRegister},
+    {"list_datasets", Dispatch::kRead, &Self::HandleListDatasets},
+    {"drop_dataset", Dispatch::kBarrier, &Self::HandleDropDataset},
+    {"explain", Dispatch::kAdmittedRead, &Self::HandleExplain},
+    {"recommend", Dispatch::kRead, &Self::HandleRecommend},
+    {"open_session", Dispatch::kBarrier, &Self::HandleOpenSession},
+    {"append", Dispatch::kBarrier, &Self::HandleAppend},
+    {"explain_session", Dispatch::kAdmittedRead, &Self::HandleExplainSession},
+    {"close_session", Dispatch::kBarrier, &Self::HandleCloseSession},
+    {"save_cache", Dispatch::kBarrier, &Self::HandleSaveCache},
+    {"load_cache", Dispatch::kBarrier, &Self::HandleLoadCache},
+    {"recover_session", Dispatch::kBarrier, &Self::HandleRecoverSession},
+    {"healthz", Dispatch::kInline, &Self::HandleHealthz},
+    {"state", Dispatch::kBarrier, &Self::HandleState},
+    {"metrics", Dispatch::kBarrier, &Self::HandleMetrics},
+    {"metrics_history", Dispatch::kBarrier, &Self::HandleMetricsHistory},
+    {"shutdown", Dispatch::kShutdown, &Self::HandleShutdown},
 };
 
-const ProtocolHandler::OpInfo* FindOp(const std::string& op) {
-  for (const ProtocolHandler::OpInfo& info : kOps) {
+const ProtocolHandler::OpInfo* ProtocolHandler::FindOp(const std::string& op) {
+  for (const OpInfo& info : kOps) {
     if (op == info.name) return &info;
   }
   return nullptr;
 }
 
-}  // namespace
-
 std::vector<ProtocolHandler::OpInfo> ProtocolHandler::Ops() {
   return {std::begin(kOps), std::end(kOps)};
 }
 
-bool ProtocolHandler::IsBarrierOp(const std::string& op) {
+ProtocolHandler::Dispatch ProtocolHandler::DispatchOf(const std::string& op) {
   const OpInfo* info = FindOp(op);
-  return info == nullptr || info->barrier;
-}
-
-bool ProtocolHandler::IsExpensiveOp(const std::string& op) {
-  const OpInfo* info = FindOp(op);
-  return info != nullptr && info->expensive;
+  return info == nullptr ? Dispatch::kBarrier : info->dispatch;
 }
 
 std::string ProtocolHandler::OpOf(const JsonValue& request) {
@@ -317,11 +328,12 @@ std::string ProtocolHandler::MakeOverloaded(const JsonValue& request) const {
 std::string ProtocolHandler::Handle(const JsonValue& request) {
   const uint64_t request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::string op = OpOf(request);
   // The watchdog brackets the WHOLE handler, so a query wedged anywhere
   // (admission wait, engine run, render) ages in the in-flight set and
   // eventually surfaces through healthz / `query.stuck`.
   if (introspection_.watchdog) {
-    introspection_.watchdog->Begin(request_id, OpOf(request));
+    introspection_.watchdog->Begin(request_id, op);
   }
   Timer timer;
   std::string response;
@@ -329,11 +341,11 @@ std::string ProtocolHandler::Handle(const JsonValue& request) {
   // its request once and releases its watchdog entry.
   const auto internal_error = [&](const std::string& what) {
     MetricRegistry::Global().GetCounter("protocol.internal_errors").Inc();
-    return MakeError(&request, OpOf(request), error_code::kInternal,
+    return MakeError(&request, op, error_code::kInternal,
                      "internal error: " + what);
   };
   try {
-    response = HandleInternal(request, request_id);
+    response = HandleInternal(request, op, request_id);
   } catch (const std::exception& e) {
     response = internal_error(e.what());
   } catch (...) {
@@ -355,7 +367,7 @@ std::string ProtocolHandler::Handle(const JsonValue& request) {
   json.Key("request_id");
   json.Int(static_cast<long long>(request_id));
   json.Key("op");
-  json.String(OpOf(request));
+  json.String(op);
   json.Key("ok");
   json.Bool(ok);
   json.Key("latency_ms");
@@ -412,70 +424,638 @@ void ProtocolHandler::MaybeLogSlowQuery(const std::string& op,
   log_.slow_query_log->WriteLine(json.str());
 }
 
-std::string ProtocolHandler::HandleInternal(const JsonValue& request,
-                                            uint64_t request_id) {
+std::string ProtocolHandler::HandleInternal(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
   if (!request.IsObject()) {
     return MakeError(&request, "", error_code::kBadRequest,
                      "request must be a JSON object");
   }
-  const std::string op = OpOf(request);
-  if (FindOp(op) == nullptr) {
+  const OpInfo* info = FindOp(op);
+  if (info == nullptr) {
     return MakeError(&request, op, error_code::kUnknownOp,
                      op.empty() ? "missing 'op'" : "unknown op: " + op);
   }
+  return (this->*info->handle)(request, op, request_id);
+}
 
-  if (op == "register") {
-    const std::string name = request.GetString("name");
-    if (name.empty()) {
+std::string ProtocolHandler::HandleRegister(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  const std::string name = request.GetString("name");
+  if (name.empty()) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "missing 'name'");
+  }
+  const std::string path = request.GetString("csv_path");
+  const std::string inline_csv = request.GetString("csv");
+  if (path.empty() == inline_csv.empty()) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "exactly one of 'csv_path' or 'csv' is required");
+  }
+  std::string error;
+  DatasetInfo info;  // from registration, not a racy Get() re-lookup
+  bool ok = false;
+  if (!path.empty() && storage::IsTableSnapshotFile(path)) {
+    // A csv_path that is really a binary table snapshot registers
+    // through the storage layer (no re-parse; docs/STORAGE.md). The
+    // time/measure columns are baked into the snapshot's schema, so
+    // 'time_column' is not required.
+    ok = service_.registry().RegisterSnapshotFile(name, path, &error,
+                                                  &info);
+  } else {
+    CsvOptions options;
+    options.time_column = request.GetString("time_column");
+    if (options.time_column.empty()) {
       return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'name'");
+                       "missing 'time_column'");
     }
-    const std::string path = request.GetString("csv_path");
-    const std::string inline_csv = request.GetString("csv");
-    if (path.empty() == inline_csv.empty()) {
+    bool measures_ok = true;
+    if (request.Find("measures")) {
+      options.measure_columns =
+          request.GetStringArray("measures", &measures_ok);
+    }
+    if (!measures_ok) {
       return MakeError(&request, op, error_code::kBadRequest,
-                       "exactly one of 'csv_path' or 'csv' is required");
+                       "'measures' must be an array of strings");
+    }
+    options.sort_time = request.GetBool("sort_time", true);
+    ok = path.empty()
+             ? service_.registry().RegisterCsvText(name, inline_csv,
+                                                   options, &error, &info)
+             : service_.registry().RegisterCsvFile(name, path, options,
+                                                   &error, &info);
+  }
+  if (!ok) {
+    return MakeError(&request, op, error_code::kBadRequest, error);
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("dataset");
+  json.String(name);
+  json.Key("rows");
+  json.Int(static_cast<long long>(info.rows));
+  json.Key("time_buckets");
+  json.Int(static_cast<long long>(info.time_buckets));
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleListDatasets(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("datasets");
+  json.BeginArray();
+  for (const DatasetInfo& info : service_.registry().List()) {
+    json.BeginObject();
+    json.Key("name");
+    json.String(info.name);
+    json.Key("source");
+    json.String(info.source);
+    json.Key("rows");
+    json.Int(static_cast<long long>(info.rows));
+    json.Key("time_buckets");
+    json.Int(static_cast<long long>(info.time_buckets));
+    json.Key("dimensions");
+    json.BeginArray();
+    for (const std::string& dim : info.dimensions) json.String(dim);
+    json.EndArray();
+    json.Key("measures");
+    json.BeginArray();
+    for (const std::string& measure : info.measures) {
+      json.String(measure);
+    }
+    json.EndArray();
+    json.Key("hot_engines");
+    json.Int(static_cast<long long>(info.hot_engines));
+    json.EndObject();
+  }
+  json.EndArray();
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleDropDataset(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  const std::string name = request.GetString("name");
+  // Service-level drop: also invalidates the dataset's cached results,
+  // so a later re-register under the same name starts clean.
+  if (!service_.DropDataset(name)) {
+    return MakeError(&request, op, error_code::kNotFound,
+                     "unknown dataset: " + name);
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("dataset");
+  json.String(name);
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleExplain(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  ExplainRequest explain;
+  explain.dataset = request.GetString("dataset");
+  if (explain.dataset.empty()) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "missing 'dataset'");
+  }
+  std::string parse_error;
+  if (!ParseQueryConfig(request, &explain.config, &parse_error)) {
+    return MakeError(&request, op, error_code::kBadRequest, parse_error);
+  }
+  explain.tenant = request.GetString("tenant");
+  explain.include_trendlines = request.GetBool("trendlines", false);
+  explain.include_k_curve = request.GetBool("k_curve", true);
+  explain.trace = request.GetBool("trace", false);
+  const ExplainResponse response = service_.Explain(explain);
+  MaybeLogSlowQuery(op, request_id, explain.dataset, /*session=*/0,
+                    explain.tenant, response);
+  if (!response.ok) {
+    return MakeError(&request, op, response.error_code, response.error,
+                     response.retry_after_ms);
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("dataset");
+  json.String(explain.dataset);
+  EndExplainOk(json, response);
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleRecommend(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  const std::string dataset = request.GetString("dataset");
+  if (dataset.empty()) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "missing 'dataset'");
+  }
+  AggregateFunction aggregate = AggregateFunction::kSum;
+  const std::string agg = request.GetString("agg", "sum");
+  if (!ParseAggregate(agg, &aggregate)) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "unknown aggregate: " + agg);
+  }
+  const ExplainService::RecommendResponse response = service_.Recommend(
+      dataset, aggregate, request.GetString("measure"),
+      request.GetInt("m", 3));
+  if (!response.ok) {
+    return MakeError(&request, op, response.error_code, response.error);
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("dataset");
+  json.String(dataset);
+  json.Key("recommendations");
+  json.BeginArray();
+  for (const ExplainByRecommendation& rec : response.recommendations) {
+    json.BeginObject();
+    json.Key("dimension");
+    json.String(rec.dimension);
+    json.Key("concentration");
+    json.Number(rec.concentration);
+    json.Key("cardinality");
+    json.Int(static_cast<long long>(rec.cardinality));
+    json.EndObject();
+  }
+  json.EndArray();
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleOpenSession(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  const std::string dataset = request.GetString("dataset");
+  if (dataset.empty()) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "missing 'dataset'");
+  }
+  TSExplainConfig config;
+  std::string parse_error;
+  if (!ParseQueryConfig(request, &config, &parse_error)) {
+    return MakeError(&request, op, error_code::kBadRequest, parse_error);
+  }
+  std::string error;
+  ExplainService::SessionState state;
+  const uint64_t session =
+      service_.OpenSession(dataset, config, &error, &state);
+  if (session == 0) {
+    return MakeError(&request, op, error_code::kInvalidQuery, error);
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("session");
+  json.Int(static_cast<long long>(session));
+  json.Key("n");
+  json.Int(state.n);
+  if (!state.log_path.empty()) {
+    // The crash-recovery log (pid-scoped name — clients must not guess
+    // it); pass it to recover_session after a crash.
+    json.Key("log");
+    json.String(state.log_path);
+  }
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleAppend(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  uint64_t session = 0;
+  std::string error;
+  if (!ParseSessionId(request, &session, &error)) {
+    return MakeError(&request, op, error_code::kBadRequest, error);
+  }
+  const std::string label = request.GetString("label");
+  if (label.empty()) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "missing 'label'");
+  }
+  const JsonValue* rows_json = request.Find("rows");
+  if (!rows_json || !rows_json->IsArray()) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "'rows' must be an array");
+  }
+  std::vector<StreamRow> rows;
+  rows.reserve(rows_json->array().size());
+  for (const JsonValue& row_json : rows_json->array()) {
+    StreamRow row;
+    bool dims_ok = false;
+    row.dims = row_json.GetStringArray("dims", &dims_ok);
+    const JsonValue* measures = row_json.Find("measures");
+    if (!row_json.IsObject() || !dims_ok || !measures ||
+        !measures->IsArray()) {
+      return MakeError(&request, op, error_code::kBadRequest,
+                       "each row needs 'dims' (strings) and 'measures' "
+                       "(numbers)");
+    }
+    for (const JsonValue& m : measures->array()) {
+      if (!m.IsNumber()) {
+        return MakeError(&request, op, error_code::kBadRequest,
+                         "'measures' entries must be numbers");
+      }
+      row.measures.push_back(m.AsDouble());
+    }
+    rows.push_back(std::move(row));
+  }
+  ExplainService::SessionState state;
+  if (!service_.Append(session, label, rows, &error, &state)) {
+    const bool unknown = error.rfind("unknown session", 0) == 0;
+    return MakeError(&request, op,
+                     unknown ? error_code::kNotFound
+                             : error_code::kBadRequest,
+                     error);
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("session");
+  json.Int(static_cast<long long>(session));
+  json.Key("n");
+  json.Int(state.n);
+  json.Key("rebuilt");
+  json.Bool(state.rebuilt);
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleExplainSession(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  uint64_t session = 0;
+  std::string error;
+  if (!ParseSessionId(request, &session, &error)) {
+    return MakeError(&request, op, error_code::kBadRequest, error);
+  }
+  const std::string tenant = request.GetString("tenant");
+  ExplainService::SessionState state;
+  const ExplainResponse response = service_.ExplainSession(
+      session, request.GetBool("trendlines", false),
+      request.GetBool("k_curve", true), tenant,
+      request.GetBool("trace", false), &state);
+  MaybeLogSlowQuery(op, request_id, /*dataset=*/"", session, tenant,
+                    response);
+  if (!response.ok) {
+    return MakeError(&request, op, response.error_code, response.error,
+                     response.retry_after_ms);
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("session");
+  json.Int(static_cast<long long>(session));
+  json.Key("n");
+  json.Int(state.n);
+  EndExplainOk(json, response);
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleCloseSession(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  uint64_t session = 0;
+  std::string error;
+  if (!ParseSessionId(request, &session, &error)) {
+    return MakeError(&request, op, error_code::kBadRequest, error);
+  }
+  if (!service_.CloseSession(session)) {
+    return MakeError(&request, op, error_code::kNotFound,
+                     StrFormat("unknown session: %llu",
+                               static_cast<unsigned long long>(session)));
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("session");
+  json.Int(static_cast<long long>(session));
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleSaveCache(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  const std::string path = request.GetString("path");
+  if (path.empty()) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "missing 'path'");
+  }
+  std::string error;
+  size_t saved = 0;
+  if (!service_.SaveCache(path, &error, &saved)) {
+    return MakeError(&request, op, error_code::kBadRequest, error);
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("path");
+  json.String(path);
+  json.Key("saved");
+  json.Int(static_cast<long long>(saved));
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleLoadCache(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  const std::string path = request.GetString("path");
+  if (path.empty()) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "missing 'path'");
+  }
+  std::string error;
+  size_t restored = 0;
+  size_t fenced = 0;
+  if (!service_.LoadCache(path, &error, &restored, &fenced)) {
+    return MakeError(&request, op, error_code::kBadRequest, error);
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("path");
+  json.String(path);
+  json.Key("restored");
+  json.Int(static_cast<long long>(restored));
+  json.Key("fenced");
+  json.Int(static_cast<long long>(fenced));
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleRecoverSession(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  const std::string path = request.GetString("path");
+  if (path.empty()) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "missing 'path'");
+  }
+  std::string error;
+  bool torn = false;
+  int replayed = 0;
+  ExplainService::SessionState state;
+  const uint64_t session =
+      service_.RecoverSession(path, &error, &torn, &replayed, &state);
+  if (session == 0) {
+    const bool unknown = error.rfind("unknown dataset", 0) == 0;
+    return MakeError(&request, op,
+                     unknown ? error_code::kNotFound
+                             : error_code::kBadRequest,
+                     error);
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("session");
+  json.Int(static_cast<long long>(session));
+  json.Key("n");
+  json.Int(state.n);
+  json.Key("replayed");
+  json.Int(replayed);
+  json.Key("torn");
+  json.Bool(torn);
+  if (!state.log_path.empty()) {
+    json.Key("log");
+    json.String(state.log_path);
+  }
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleHealthz(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  // Liveness probe. Reads ONLY the watchdog's own mutex and the wall
+  // clock — never the registry, cache, admission, or engine mutexes —
+  // so it answers even while every pool worker is wedged inside a
+  // compute (the transport dispatches it inline, ahead of the barrier
+  // drain, for the same reason).
+  QueryWatchdog::Status status;
+  if (introspection_.watchdog != nullptr) {
+    status = introspection_.watchdog->Scan();
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("status");
+  json.String(status.stuck.empty() ? "ok" : "stuck");
+  json.Key("uptime_seconds");
+  json.Number(UptimeSeconds(introspection_.start_wall_ms));
+  json.Key("inflight");  // includes this healthz request itself
+  json.Int(static_cast<long long>(status.inflight));
+  json.Key("stuck");
+  json.Int(static_cast<long long>(status.stuck.size()));
+  if (!status.stuck.empty()) {
+    json.Key("stuck_queries");
+    json.BeginArray();
+    for (const QueryWatchdog::StuckQuery& query : status.stuck) {
+      json.BeginObject();
+      json.Key("request_id");
+      json.Int(static_cast<long long>(query.request_id));
+      json.Key("op");
+      json.String(query.op);
+      json.Key("age_ms");
+      json.Number(query.age_ms);
+      json.EndObject();
+    }
+    json.EndArray();
+  }
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleState(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  // Operator introspection: everything an on-call wants in one shot —
+  // build identity, datasets with content fingerprints, live sessions,
+  // admission occupancy vs limits, cache bytes, watchdog state. Unlike
+  // healthz this DOES take service-wide mutexes (briefly), so it runs
+  // as a normal barrier op.
+  const ServiceStats stats = service_.Stats();
+  QueryWatchdog::Status watchdog_status;
+  double stuck_after_ms = 0.0;
+  if (introspection_.watchdog != nullptr) {
+    watchdog_status = introspection_.watchdog->Scan();
+    stuck_after_ms = introspection_.watchdog->stuck_after_ms();
+  }
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("uptime_seconds");
+  json.Number(UptimeSeconds(introspection_.start_wall_ms));
+  EmitBuildInfo(json, introspection_.pool_size);
+  json.Key("datasets");
+  json.BeginArray();
+  for (const DatasetInfo& info : service_.registry().List()) {
+    json.BeginObject();
+    json.Key("name");
+    json.String(info.name);
+    json.Key("source");
+    json.String(info.source);
+    json.Key("rows");
+    json.Int(static_cast<long long>(info.rows));
+    json.Key("time_buckets");
+    json.Int(static_cast<long long>(info.time_buckets));
+    json.Key("fingerprint");
+    json.String(StrFormat(
+        "%016llx", static_cast<unsigned long long>(info.fingerprint)));
+    json.Key("hot_engines");
+    json.Int(static_cast<long long>(info.hot_engines));
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("open_sessions");
+  json.Int(static_cast<long long>(stats.open_sessions));
+  json.Key("tenants");
+  json.Int(static_cast<long long>(stats.tenants));
+  json.Key("tenant_bytes");
+  json.BeginObject();
+  for (const auto& [tenant, bytes] : stats.tenant_bytes) {
+    json.Key(tenant);
+    json.Int(static_cast<long long>(bytes));
+  }
+  json.EndObject();
+  json.Key("admission");
+  json.BeginObject();
+  json.Key("active");
+  json.Int(static_cast<long long>(stats.admission.active));
+  json.Key("queued");
+  json.Int(static_cast<long long>(stats.admission.queued));
+  json.Key("peak_active");
+  json.Int(static_cast<long long>(stats.admission.peak_active));
+  json.Key("peak_queued");
+  json.Int(static_cast<long long>(stats.admission.peak_queued));
+  json.Key("max_concurrent");
+  json.Int(service_.admission().max_concurrent());
+  json.Key("queue_depth");
+  json.Int(service_.admission().queue_depth());
+  json.EndObject();
+  json.Key("cache");
+  json.BeginObject();
+  json.Key("entries");
+  json.Int(static_cast<long long>(stats.cache.entries));
+  json.Key("bytes_used");
+  json.Int(static_cast<long long>(stats.cache.bytes_used));
+  json.Key("capacity_bytes");
+  json.Int(static_cast<long long>(stats.cache.capacity_bytes));
+  json.EndObject();
+  json.Key("watchdog");
+  json.BeginObject();
+  json.Key("inflight");
+  json.Int(static_cast<long long>(watchdog_status.inflight));
+  json.Key("stuck");
+  json.Int(static_cast<long long>(watchdog_status.stuck.size()));
+  json.Key("stuck_after_ms");
+  json.Number(stuck_after_ms);
+  json.EndObject();
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleMetrics(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  // Scrape endpoint: the registry's full contents, as structured JSON
+  // (default) or as a Prometheus text exposition embedded in the
+  // envelope's "text" field (docs/OBSERVABILITY.md has the scrape
+  // recipe).
+  const std::string format = request.GetString("format", "json");
+  if (format != "json" && format != "prometheus") {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "unknown format: " + format +
+                         " (expected 'json' or 'prometheus')");
+  }
+  const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.Key("uptime_seconds");
+  json.Number(UptimeSeconds(introspection_.start_wall_ms));
+  EmitBuildInfo(json, introspection_.pool_size);
+  if (format == "prometheus") {
+    json.Key("format");
+    json.String("prometheus");
+    json.Key("text");
+    json.String(RenderPrometheusText(snapshot));
+  } else {
+    json.Key("metrics");
+    json.Raw(RenderMetricsJson(snapshot));
+  }
+  json.EndObject();
+  return json.str();
+}
+
+std::string ProtocolHandler::HandleMetricsHistory(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  // Windowed time-series view of the registry (docs/OBSERVABILITY.md,
+  // "Self-observation"). Optional fields: "format" ("json"|"csv"),
+  // "last_n" (trailing ticks only), "prefix" (series-name filter),
+  // "sample" (true = take one synchronous tick first — how tests and
+  // the soak harness get deterministic ticks without a live sampler),
+  // and "export_as" (materialize the window as a registered dataset so
+  // explain can run over the server's own telemetry).
+  MetricsHistory* history = introspection_.history;
+  if (history == nullptr) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "metrics history is not enabled on this server");
+  }
+  const std::string format = request.GetString("format", "json");
+  if (format != "json" && format != "csv") {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "unknown format: " + format +
+                         " (expected 'json' or 'csv')");
+  }
+  const int last_n_raw = request.GetInt("last_n", 0);
+  if (last_n_raw < 0) {
+    return MakeError(&request, op, error_code::kBadRequest,
+                     "last_n must be >= 0");
+  }
+  const size_t last_n = static_cast<size_t>(last_n_raw);
+  const std::string prefix = request.GetString("prefix");
+  if (request.GetBool("sample", false)) history->SampleNow();
+  const std::string export_as = request.GetString("export_as");
+  if (!export_as.empty()) {
+    std::shared_ptr<const Table> table =
+        history->ExportAsTable(last_n, prefix);
+    if (table == nullptr) {
+      return MakeError(&request, op, error_code::kBadRequest,
+                       "metrics history has fewer than two ticks; "
+                       "nothing to export");
     }
     std::string error;
-    DatasetInfo info;  // from registration, not a racy Get() re-lookup
-    bool ok = false;
-    if (!path.empty() && storage::IsTableSnapshotFile(path)) {
-      // A csv_path that is really a binary table snapshot registers
-      // through the storage layer (no re-parse; docs/STORAGE.md). The
-      // time/measure columns are baked into the snapshot's schema, so
-      // 'time_column' is not required.
-      ok = service_.registry().RegisterSnapshotFile(name, path, &error,
-                                                    &info);
-    } else {
-      CsvOptions options;
-      options.time_column = request.GetString("time_column");
-      if (options.time_column.empty()) {
-        return MakeError(&request, op, error_code::kBadRequest,
-                         "missing 'time_column'");
-      }
-      bool measures_ok = true;
-      if (request.Find("measures")) {
-        options.measure_columns =
-            request.GetStringArray("measures", &measures_ok);
-      }
-      if (!measures_ok) {
-        return MakeError(&request, op, error_code::kBadRequest,
-                         "'measures' must be an array of strings");
-      }
-      options.sort_time = request.GetBool("sort_time", true);
-      ok = path.empty()
-               ? service_.registry().RegisterCsvText(name, inline_csv,
-                                                     options, &error, &info)
-               : service_.registry().RegisterCsvFile(name, path, options,
-                                                     &error, &info);
-    }
-    if (!ok) {
+    DatasetInfo info;
+    if (!service_.registry().RegisterTable(export_as, std::move(table),
+                                           "<metrics_history>", &error,
+                                           &info)) {
       return MakeError(&request, op, error_code::kBadRequest, error);
     }
     JsonWriter json(false);
     BeginOk(json, request, op, request_id);
     json.Key("dataset");
-    json.String(name);
+    json.String(info.name);
     json.Key("rows");
     json.Int(static_cast<long long>(info.rows));
     json.Key("time_buckets");
@@ -483,579 +1063,29 @@ std::string ProtocolHandler::HandleInternal(const JsonValue& request,
     json.EndObject();
     return json.str();
   }
-
-  if (op == "list_datasets") {
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("datasets");
-    json.BeginArray();
-    for (const DatasetInfo& info : service_.registry().List()) {
-      json.BeginObject();
-      json.Key("name");
-      json.String(info.name);
-      json.Key("source");
-      json.String(info.source);
-      json.Key("rows");
-      json.Int(static_cast<long long>(info.rows));
-      json.Key("time_buckets");
-      json.Int(static_cast<long long>(info.time_buckets));
-      json.Key("dimensions");
-      json.BeginArray();
-      for (const std::string& dim : info.dimensions) json.String(dim);
-      json.EndArray();
-      json.Key("measures");
-      json.BeginArray();
-      for (const std::string& measure : info.measures) {
-        json.String(measure);
-      }
-      json.EndArray();
-      json.Key("hot_engines");
-      json.Int(static_cast<long long>(info.hot_engines));
-      json.EndObject();
-    }
-    json.EndArray();
-    json.EndObject();
-    return json.str();
+  const HistoryWindow window = history->Window(last_n, prefix);
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  if (format == "csv") {
+    json.Key("format");
+    json.String("csv");
+    json.Key("text");
+    json.String(RenderHistoryCsv(window));
+  } else {
+    json.Key("history");
+    json.Raw(RenderHistoryJson(window));
   }
+  json.EndObject();
+  return json.str();
+}
 
-  if (op == "drop_dataset") {
-    const std::string name = request.GetString("name");
-    // Service-level drop: also invalidates the dataset's cached results,
-    // so a later re-register under the same name starts clean.
-    if (!service_.DropDataset(name)) {
-      return MakeError(&request, op, error_code::kNotFound,
-                       "unknown dataset: " + name);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("dataset");
-    json.String(name);
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "explain") {
-    ExplainRequest explain;
-    explain.dataset = request.GetString("dataset");
-    if (explain.dataset.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'dataset'");
-    }
-    std::string parse_error;
-    if (!ParseQueryConfig(request, &explain.config, &parse_error)) {
-      return MakeError(&request, op, error_code::kBadRequest, parse_error);
-    }
-    explain.tenant = request.GetString("tenant");
-    explain.include_trendlines = request.GetBool("trendlines", false);
-    explain.include_k_curve = request.GetBool("k_curve", true);
-    explain.trace = request.GetBool("trace", false);
-    const ExplainResponse response = service_.Explain(explain);
-    MaybeLogSlowQuery(op, request_id, explain.dataset, /*session=*/0,
-                      explain.tenant, response);
-    if (!response.ok) {
-      return MakeError(&request, op, response.error_code, response.error,
-                       response.retry_after_ms);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("dataset");
-    json.String(explain.dataset);
-    json.Key("cache_hit");
-    json.Bool(response.cache_hit);
-    json.Key("latency_ms");
-    json.Number(response.latency_ms);
-    EmitTrace(json, response.trace);
-    json.Key("result");
-    json.Raw(response.json);
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "recommend") {
-    const std::string dataset = request.GetString("dataset");
-    if (dataset.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'dataset'");
-    }
-    AggregateFunction aggregate = AggregateFunction::kSum;
-    const std::string agg = request.GetString("agg", "sum");
-    if (!ParseAggregate(agg, &aggregate)) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "unknown aggregate: " + agg);
-    }
-    const ExplainService::RecommendResponse response = service_.Recommend(
-        dataset, aggregate, request.GetString("measure"),
-        request.GetInt("m", 3));
-    if (!response.ok) {
-      return MakeError(&request, op, response.error_code, response.error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("dataset");
-    json.String(dataset);
-    json.Key("recommendations");
-    json.BeginArray();
-    for (const ExplainByRecommendation& rec : response.recommendations) {
-      json.BeginObject();
-      json.Key("dimension");
-      json.String(rec.dimension);
-      json.Key("concentration");
-      json.Number(rec.concentration);
-      json.Key("cardinality");
-      json.Int(static_cast<long long>(rec.cardinality));
-      json.EndObject();
-    }
-    json.EndArray();
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "open_session") {
-    const std::string dataset = request.GetString("dataset");
-    if (dataset.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'dataset'");
-    }
-    TSExplainConfig config;
-    std::string parse_error;
-    if (!ParseQueryConfig(request, &config, &parse_error)) {
-      return MakeError(&request, op, error_code::kBadRequest, parse_error);
-    }
-    std::string error;
-    const uint64_t session = service_.OpenSession(dataset, config, &error);
-    if (session == 0) {
-      return MakeError(&request, op, error_code::kInvalidQuery, error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("session");
-    json.Int(static_cast<long long>(session));
-    json.Key("n");
-    json.Int(service_.SessionLength(session));
-    const std::string log_path = service_.SessionLogPath(session);
-    if (!log_path.empty()) {
-      // The crash-recovery log (pid-scoped name — clients must not guess
-      // it); pass it to recover_session after a crash.
-      json.Key("log");
-      json.String(log_path);
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "append") {
-    uint64_t session = 0;
-    std::string error;
-    if (!ParseSessionId(request, &session, &error)) {
-      return MakeError(&request, op, error_code::kBadRequest, error);
-    }
-    const std::string label = request.GetString("label");
-    if (label.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'label'");
-    }
-    const JsonValue* rows_json = request.Find("rows");
-    if (!rows_json || !rows_json->IsArray()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "'rows' must be an array");
-    }
-    std::vector<StreamRow> rows;
-    rows.reserve(rows_json->array().size());
-    for (const JsonValue& row_json : rows_json->array()) {
-      StreamRow row;
-      bool dims_ok = false;
-      row.dims = row_json.GetStringArray("dims", &dims_ok);
-      const JsonValue* measures = row_json.Find("measures");
-      if (!row_json.IsObject() || !dims_ok || !measures ||
-          !measures->IsArray()) {
-        return MakeError(&request, op, error_code::kBadRequest,
-                         "each row needs 'dims' (strings) and 'measures' "
-                         "(numbers)");
-      }
-      for (const JsonValue& m : measures->array()) {
-        if (!m.IsNumber()) {
-          return MakeError(&request, op, error_code::kBadRequest,
-                           "'measures' entries must be numbers");
-        }
-        row.measures.push_back(m.AsDouble());
-      }
-      rows.push_back(std::move(row));
-    }
-    if (!service_.Append(session, label, rows, &error)) {
-      const bool unknown = error.rfind("unknown session", 0) == 0;
-      return MakeError(&request, op,
-                       unknown ? error_code::kNotFound
-                               : error_code::kBadRequest,
-                       error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("session");
-    json.Int(static_cast<long long>(session));
-    json.Key("n");
-    json.Int(service_.SessionLength(session));
-    json.Key("rebuilt");
-    json.Bool(service_.SessionLastAppendRebuilt(session));
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "explain_session") {
-    uint64_t session = 0;
-    std::string error;
-    if (!ParseSessionId(request, &session, &error)) {
-      return MakeError(&request, op, error_code::kBadRequest, error);
-    }
-    const std::string tenant = request.GetString("tenant");
-    const ExplainResponse response = service_.ExplainSession(
-        session, request.GetBool("trendlines", false),
-        request.GetBool("k_curve", true), tenant,
-        request.GetBool("trace", false));
-    MaybeLogSlowQuery(op, request_id, /*dataset=*/"", session, tenant,
-                      response);
-    if (!response.ok) {
-      return MakeError(&request, op, response.error_code, response.error,
-                       response.retry_after_ms);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("session");
-    json.Int(static_cast<long long>(session));
-    json.Key("n");
-    json.Int(service_.SessionLength(session));
-    json.Key("cache_hit");
-    json.Bool(response.cache_hit);
-    json.Key("latency_ms");
-    json.Number(response.latency_ms);
-    EmitTrace(json, response.trace);
-    json.Key("result");
-    json.Raw(response.json);
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "close_session") {
-    uint64_t session = 0;
-    std::string error;
-    if (!ParseSessionId(request, &session, &error)) {
-      return MakeError(&request, op, error_code::kBadRequest, error);
-    }
-    if (!service_.CloseSession(session)) {
-      return MakeError(&request, op, error_code::kNotFound,
-                       StrFormat("unknown session: %llu",
-                                 static_cast<unsigned long long>(session)));
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("session");
-    json.Int(static_cast<long long>(session));
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "save_cache" || op == "load_cache") {
-    const std::string path = request.GetString("path");
-    if (path.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'path'");
-    }
-    std::string error;
-    size_t primary = 0;
-    size_t fenced = 0;
-    const bool ok = op == "save_cache"
-                        ? service_.SaveCache(path, &error, &primary)
-                        : service_.LoadCache(path, &error, &primary,
-                                             &fenced);
-    if (!ok) {
-      return MakeError(&request, op, error_code::kBadRequest, error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("path");
-    json.String(path);
-    json.Key(op == "save_cache" ? "saved" : "restored");
-    json.Int(static_cast<long long>(primary));
-    if (op == "load_cache") {
-      json.Key("fenced");
-      json.Int(static_cast<long long>(fenced));
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "recover_session") {
-    const std::string path = request.GetString("path");
-    if (path.empty()) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "missing 'path'");
-    }
-    std::string error;
-    bool torn = false;
-    int replayed = 0;
-    const uint64_t session =
-        service_.RecoverSession(path, &error, &torn, &replayed);
-    if (session == 0) {
-      const bool unknown = error.rfind("unknown dataset", 0) == 0;
-      return MakeError(&request, op,
-                       unknown ? error_code::kNotFound
-                               : error_code::kBadRequest,
-                       error);
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("session");
-    json.Int(static_cast<long long>(session));
-    json.Key("n");
-    json.Int(service_.SessionLength(session));
-    json.Key("replayed");
-    json.Int(replayed);
-    json.Key("torn");
-    json.Bool(torn);
-    const std::string log_path = service_.SessionLogPath(session);
-    if (!log_path.empty()) {
-      json.Key("log");
-      json.String(log_path);
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "healthz") {
-    // Liveness probe. Reads ONLY the watchdog's own mutex and the wall
-    // clock — never the registry, cache, admission, or engine mutexes —
-    // so it answers even while every pool worker is wedged inside a
-    // compute (the transport dispatches it inline, ahead of the barrier
-    // drain, for the same reason).
-    QueryWatchdog::Status status;
-    if (introspection_.watchdog != nullptr) {
-      status = introspection_.watchdog->Scan();
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("status");
-    json.String(status.stuck.empty() ? "ok" : "stuck");
-    json.Key("uptime_seconds");
-    json.Number(UptimeSeconds(introspection_.start_wall_ms));
-    json.Key("inflight");  // includes this healthz request itself
-    json.Int(static_cast<long long>(status.inflight));
-    json.Key("stuck");
-    json.Int(static_cast<long long>(status.stuck.size()));
-    if (!status.stuck.empty()) {
-      json.Key("stuck_queries");
-      json.BeginArray();
-      for (const QueryWatchdog::StuckQuery& query : status.stuck) {
-        json.BeginObject();
-        json.Key("request_id");
-        json.Int(static_cast<long long>(query.request_id));
-        json.Key("op");
-        json.String(query.op);
-        json.Key("age_ms");
-        json.Number(query.age_ms);
-        json.EndObject();
-      }
-      json.EndArray();
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "state") {
-    // Operator introspection: everything an on-call wants in one shot —
-    // build identity, datasets with content fingerprints, live sessions,
-    // admission occupancy vs limits, cache bytes, watchdog state. Unlike
-    // healthz this DOES take service-wide mutexes (briefly), so it runs
-    // as a normal barrier op.
-    const ServiceStats stats = service_.Stats();
-    QueryWatchdog::Status watchdog_status;
-    double stuck_after_ms = 0.0;
-    if (introspection_.watchdog != nullptr) {
-      watchdog_status = introspection_.watchdog->Scan();
-      stuck_after_ms = introspection_.watchdog->stuck_after_ms();
-    }
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("uptime_seconds");
-    json.Number(UptimeSeconds(introspection_.start_wall_ms));
-    EmitBuildInfo(json, introspection_.pool_size);
-    json.Key("datasets");
-    json.BeginArray();
-    for (const DatasetInfo& info : service_.registry().List()) {
-      json.BeginObject();
-      json.Key("name");
-      json.String(info.name);
-      json.Key("source");
-      json.String(info.source);
-      json.Key("rows");
-      json.Int(static_cast<long long>(info.rows));
-      json.Key("time_buckets");
-      json.Int(static_cast<long long>(info.time_buckets));
-      json.Key("fingerprint");
-      json.String(StrFormat(
-          "%016llx", static_cast<unsigned long long>(info.fingerprint)));
-      json.Key("hot_engines");
-      json.Int(static_cast<long long>(info.hot_engines));
-      json.EndObject();
-    }
-    json.EndArray();
-    json.Key("open_sessions");
-    json.Int(static_cast<long long>(stats.open_sessions));
-    json.Key("tenants");
-    json.Int(static_cast<long long>(stats.tenants));
-    json.Key("tenant_bytes");
-    json.BeginObject();
-    for (const auto& [tenant, bytes] : stats.tenant_bytes) {
-      json.Key(tenant);
-      json.Int(static_cast<long long>(bytes));
-    }
-    json.EndObject();
-    json.Key("admission");
-    json.BeginObject();
-    json.Key("active");
-    json.Int(static_cast<long long>(stats.admission.active));
-    json.Key("queued");
-    json.Int(static_cast<long long>(stats.admission.queued));
-    json.Key("peak_active");
-    json.Int(static_cast<long long>(stats.admission.peak_active));
-    json.Key("peak_queued");
-    json.Int(static_cast<long long>(stats.admission.peak_queued));
-    json.Key("max_concurrent");
-    json.Int(service_.admission().max_concurrent());
-    json.Key("queue_depth");
-    json.Int(service_.admission().queue_depth());
-    json.EndObject();
-    json.Key("cache");
-    json.BeginObject();
-    json.Key("entries");
-    json.Int(static_cast<long long>(stats.cache.entries));
-    json.Key("bytes_used");
-    json.Int(static_cast<long long>(stats.cache.bytes_used));
-    json.Key("capacity_bytes");
-    json.Int(static_cast<long long>(stats.cache.capacity_bytes));
-    json.EndObject();
-    json.Key("watchdog");
-    json.BeginObject();
-    json.Key("inflight");
-    json.Int(static_cast<long long>(watchdog_status.inflight));
-    json.Key("stuck");
-    json.Int(static_cast<long long>(watchdog_status.stuck.size()));
-    json.Key("stuck_after_ms");
-    json.Number(stuck_after_ms);
-    json.EndObject();
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "metrics") {
-    // Scrape endpoint: the registry's full contents, as structured JSON
-    // (default) or as a Prometheus text exposition embedded in the
-    // envelope's "text" field (docs/OBSERVABILITY.md has the scrape
-    // recipe).
-    const std::string format = request.GetString("format", "json");
-    if (format != "json" && format != "prometheus") {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "unknown format: " + format +
-                           " (expected 'json' or 'prometheus')");
-    }
-    const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.Key("uptime_seconds");
-    json.Number(UptimeSeconds(introspection_.start_wall_ms));
-    EmitBuildInfo(json, introspection_.pool_size);
-    if (format == "prometheus") {
-      json.Key("format");
-      json.String("prometheus");
-      json.Key("text");
-      json.String(RenderPrometheusText(snapshot));
-    } else {
-      json.Key("metrics");
-      json.Raw(RenderMetricsJson(snapshot));
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "metrics_history") {
-    // Windowed time-series view of the registry (docs/OBSERVABILITY.md,
-    // "Self-observation"). Optional fields: "format" ("json"|"csv"),
-    // "last_n" (trailing ticks only), "prefix" (series-name filter),
-    // "sample" (true = take one synchronous tick first — how tests and
-    // the soak harness get deterministic ticks without a live sampler),
-    // and "export_as" (materialize the window as a registered dataset so
-    // explain can run over the server's own telemetry).
-    MetricsHistory* history = introspection_.history;
-    if (history == nullptr) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "metrics history is not enabled on this server");
-    }
-    const std::string format = request.GetString("format", "json");
-    if (format != "json" && format != "csv") {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "unknown format: " + format +
-                           " (expected 'json' or 'csv')");
-    }
-    const int last_n_raw = request.GetInt("last_n", 0);
-    if (last_n_raw < 0) {
-      return MakeError(&request, op, error_code::kBadRequest,
-                       "last_n must be >= 0");
-    }
-    const size_t last_n = static_cast<size_t>(last_n_raw);
-    const std::string prefix = request.GetString("prefix");
-    if (request.GetBool("sample", false)) history->SampleNow();
-    const std::string export_as = request.GetString("export_as");
-    if (!export_as.empty()) {
-      std::shared_ptr<const Table> table =
-          history->ExportAsTable(last_n, prefix);
-      if (table == nullptr) {
-        return MakeError(&request, op, error_code::kBadRequest,
-                         "metrics history has fewer than two ticks; "
-                         "nothing to export");
-      }
-      std::string error;
-      DatasetInfo info;
-      if (!service_.registry().RegisterTable(export_as, std::move(table),
-                                             "<metrics_history>", &error,
-                                             &info)) {
-        return MakeError(&request, op, error_code::kBadRequest, error);
-      }
-      JsonWriter json(false);
-      BeginOk(json, request, op, request_id);
-      json.Key("dataset");
-      json.String(info.name);
-      json.Key("rows");
-      json.Int(static_cast<long long>(info.rows));
-      json.Key("time_buckets");
-      json.Int(static_cast<long long>(info.time_buckets));
-      json.EndObject();
-      return json.str();
-    }
-    const HistoryWindow window = history->Window(last_n, prefix);
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    if (format == "csv") {
-      json.Key("format");
-      json.String("csv");
-      json.Key("text");
-      json.String(RenderHistoryCsv(window));
-    } else {
-      json.Key("history");
-      json.Raw(RenderHistoryJson(window));
-    }
-    json.EndObject();
-    return json.str();
-  }
-
-  if (op == "shutdown") {
-    // The transport watches for this op and stops reading afterwards.
-    JsonWriter json(false);
-    BeginOk(json, request, op, request_id);
-    json.EndObject();
-    return json.str();
-  }
-
-  // A table entry without a handler (tests/test_service.cc catches it).
-  return MakeError(&request, op, error_code::kUnknownOp,
-                   "unknown op: " + op);
+std::string ProtocolHandler::HandleShutdown(
+    const JsonValue& request, const std::string& op, uint64_t request_id) {
+  // The transport stops reading after this op (Dispatch::kShutdown).
+  JsonWriter json(false);
+  BeginOk(json, request, op, request_id);
+  json.EndObject();
+  return json.str();
 }
 
 }  // namespace tsexplain

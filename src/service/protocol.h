@@ -2,11 +2,12 @@
 // object per line out (docs/SERVICE.md documents every op and schema).
 //
 // The handler is a pure request->response function over an ExplainService
-// and is therefore safe to call from many threads at once; the transport
-// (tools/tsexplain_serve.cc) decides which ops run inline (mutations, to
-// preserve submission order) and which fan out to the executor pool
-// (reads). Responses echo the request's "id" so clients can match
-// out-of-order completions.
+// and is therefore safe to call from many threads at once. One op table
+// names every op with its handler and its dispatch class; the transport
+// (tools/tsexplain_serve.cc) reads the class to decide which ops run
+// inline (mutations, to preserve submission order) and which fan out to
+// the executor pool (reads). Responses echo the request's "id" so clients
+// can match out-of-order completions.
 
 #ifndef TSEXPLAIN_SERVICE_PROTOCOL_H_
 #define TSEXPLAIN_SERVICE_PROTOCOL_H_
@@ -74,38 +75,50 @@ class ProtocolHandler {
   /// service-level shed.
   std::string MakeOverloaded(const JsonValue& request) const;
 
-  /// One row of the op table: every op the handler answers, with the
-  /// properties the transport dispatches on. A name missing from the
-  /// table is answered `unknown_op`.
+  /// How the transport dispatches an op (docs/SERVICE.md, "Protocol").
+  enum class Dispatch {
+    kInline,        // on the reader thread: no drain, pool task or backlog
+                    // slot, so liveness answers while workers are wedged
+    kBarrier,       // the stream's pending reads drain, then it runs inline:
+                    // mutations and introspection see a settled state
+    kRead,          // fans out to the pool
+    kAdmittedRead,  // takes a backlog slot (or is shed), then fans out
+    kShutdown,      // a barrier after which the stream stops reading
+  };
+
+  /// The signature every op handler shares (protocol.cc).
+  using OpHandler = std::string(const JsonValue& request,
+                                const std::string& op, uint64_t request_id);
+
+  /// One row of the op table: every op the handler answers, with its
+  /// dispatch class and its handler. A name missing from the table is
+  /// answered `unknown_op`.
   struct OpInfo {
     const char* name;
-    bool barrier;    // see IsBarrierOp
-    bool expensive;  // see IsExpensiveOp
+    Dispatch dispatch;
+    OpHandler ProtocolHandler::*handle;
   };
   static std::vector<OpInfo> Ops();
 
-  /// Ops the transport must run inline as ordering barriers (after
-  /// draining previously dispatched reads) instead of fanning out to the
-  /// pool: every state mutation (register, sessions, shutdown) plus the
-  /// introspection ops ("state", "metrics", "metrics_history"), whose
-  /// numbers are only meaningful once earlier requests have settled.
-  /// Unknown ops return true — an unrecognized request is
-  /// answered inline, cheaply. "healthz" is the one cheap read that is
-  /// NOT a barrier: liveness must answer immediately, so the transport
-  /// handles it inline without draining (and this handler never touches
-  /// an engine or cache mutex for it).
-  static bool IsBarrierOp(const std::string& op);
+  /// The dispatch class of `op`. An op not in the table is a barrier: it
+  /// is answered inline, cheaply, with `unknown_op`.
+  static Dispatch DispatchOf(const std::string& op);
 
   /// Extracts "op" from a request object ("" when absent).
   static std::string OpOf(const JsonValue& request);
 
-  /// Ops expensive enough to fall under admission control; the transport
-  /// bounds its dispatch backlog for exactly these (cheap reads and
-  /// barrier ops are never shed).
-  static bool IsExpensiveOp(const std::string& op);
-
  private:
-  std::string HandleInternal(const JsonValue& request, uint64_t request_id);
+  static const OpInfo kOps[];
+  static const OpInfo* FindOp(const std::string& op);  // null: not in kOps
+
+  OpHandler HandleInternal;  // the table lookup, then the row's handler
+
+  // The op handlers, one per table row.
+  OpHandler HandleRegister, HandleListDatasets, HandleDropDataset,
+      HandleExplain, HandleRecommend, HandleOpenSession, HandleAppend,
+      HandleExplainSession, HandleCloseSession, HandleSaveCache,
+      HandleLoadCache, HandleRecoverSession, HandleHealthz, HandleState,
+      HandleMetrics, HandleMetricsHistory, HandleShutdown;
 
   /// Writes a slow-query record when the slow-query log is armed and
   /// `response.latency_ms` reached the threshold. `dataset` is empty for

@@ -11,10 +11,9 @@
 // reported and replay stops before it; the bucket being appended at the
 // crash is lost, everything before it is recovered.
 //
-// The hook on the other side lives in src/pipeline/streaming.h: a
-// StreamingTSExplain append observer that a SessionLogWriter (or any
-// other sink) subscribes to, keeping the pipeline layer free of storage
-// dependencies.
+// The writing side is the service's: ExplainService::Append logs each
+// bucket through a SessionLogWriter once the engine has absorbed it, so
+// the pipeline layer stays free of storage dependencies.
 
 #ifndef TSEXPLAIN_STORAGE_SESSION_LOG_H_
 #define TSEXPLAIN_STORAGE_SESSION_LOG_H_
@@ -63,8 +62,7 @@ class SessionLogWriter {
   // Not thread-safe: the writer mutates one FILE* stream, so the owner
   // serializes all calls. In the service the owning
   // ExplainService::Session holds the writer TSE_GUARDED_BY(Session::mu)
-  // and every LogAppend happens under that mutex (inside the engine's
-  // append observer).
+  // and every LogAppend happens under that mutex.
   AppendLogWriter log_;
 };
 

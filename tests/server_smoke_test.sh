@@ -23,6 +23,9 @@
 #     a traced K variant of it reads the engine's kept variance table and
 #     grafts only dp and final_explain
 #   - the retired stats op answers unknown_op; state serves its fields
+#   - one framer for both transports: a 6 MiB line of valid JSON draws
+#     ONE parse_error in pipe mode, the requests after it are answered,
+#     and the same byte stream over TCP gets the same response lines
 #   - TCP mode (with the overload flags set): a request dribbled
 #     byte-by-byte across many tiny writes still parses (recv-boundary
 #     handling), a multi-MB garbage line draws ONE structured error and
@@ -224,6 +227,32 @@ for traced_id, ran in ((44, ["variance", "dp", "final_explain"]),
     assert tiles(timing["total"], sum(timing[p] for p in phases)), timing
 PYEOF
 
+# --- One framer on both transports: a line over the 4 MiB bound ----------
+# A 6 MiB line of VALID JSON is still over the bound: pipe mode must answer
+# it with one parse_error, then answer the requests after it. The TCP
+# section below sends the same bytes and compares the answers.
+LONG="$TMPDIR_SMOKE/long_line.ndjson"
+{
+  printf '{"op":"healthz","id":60,"pad":"'
+  head -c $((6 * 1024 * 1024)) /dev/zero | tr '\0' 'x'
+  printf '"}\n'
+  echo '{"op":"healthz","id":61}'
+  echo '{"op":"bogus","id":62}'
+} >"$LONG"
+LONG_OUT="$TMPDIR_SMOKE/long_line.out"
+if ! "$SERVE" <"$LONG" >"$LONG_OUT" 2>"$TMPDIR_SMOKE/long.err"; then
+  fail long_exit "server exited non-zero on the long line"
+  cat "$TMPDIR_SMOKE/long.err" >&2
+fi
+lines=$(wc -l <"$LONG_OUT")
+[ "$lines" -eq 3 ] || fail long_count "expected 3 responses, got $lines"
+LONG_1=$(sed -n 1p "$LONG_OUT")
+LONG_3=$(sed -n 3p "$LONG_OUT")
+echo "$LONG_1" | grep -q '"code":"parse_error"' || fail long_parse_error "$LONG_1"
+echo "$LONG_1" | grep -q 'exceeds' || fail long_message "$LONG_1"
+sed -n 2p "$LONG_OUT" | grep -q '"id":61,"ok":true' || fail long_next "$(sed -n 2p "$LONG_OUT")"
+echo "$LONG_3" | grep -q '"id":62,"ok":false' || fail long_unknown "$LONG_3"
+
 # --- TCP mode: dribbled bytes, oversized lines, overload flags ------------
 # The TCP read loop must reassemble lines split across arbitrary recv()
 # boundaries, survive a multi-MB garbage line with a structured error
@@ -279,6 +308,16 @@ else
   read -r -t 30 RESP <&3
   echo "$RESP" | grep -q '"id":102,"ok":true' || fail tcp_alive_after_garbage "$RESP"
   echo "$RESP" | grep -q '"cache_hit":true' || fail tcp_cache_after_garbage "$RESP"
+
+  # The long-line stream from the pipe-mode check: the same answers. The
+  # healthz answer carries process-specific fields (request_id, uptime).
+  cat "$LONG" >&3
+  read -r -t 30 RESP <&3
+  [ "$RESP" = "$LONG_1" ] || fail tcp_long_parse_error "pipe: $LONG_1 tcp: $RESP"
+  read -r -t 30 RESP <&3
+  echo "$RESP" | grep -q '"id":61,"ok":true' || fail tcp_long_next "$RESP"
+  read -r -t 30 RESP <&3
+  [ "$RESP" = "$LONG_3" ] || fail tcp_long_unknown "pipe: $LONG_3 tcp: $RESP"
 
   # state exposes admission occupancy and the tenants; shutdown stops
   # the server cleanly.

@@ -343,10 +343,11 @@ TEST(SessionRecovery, RecoveredSessionExplainsIdentically) {
     ExplainService service(options);
     RegisterSales(service);
     std::string error;
+    ExplainService::SessionState state;
     const uint64_t session =
-        service.OpenSession("sales", SalesRequest().config, &error);
+        service.OpenSession("sales", SalesRequest().config, &error, &state);
     ASSERT_NE(session, 0u) << error;
-    log_path = service.SessionLogPath(session);  // pid-scoped: never guess
+    log_path = state.log_path;  // pid-scoped: never guess
     ASSERT_FALSE(log_path.empty());
     ASSERT_TRUE(service.Append(session, "b1", Bucket(1), &error)) << error;
     ASSERT_TRUE(service.Append(session, "b2", Bucket(2), &error)) << error;
@@ -363,12 +364,13 @@ TEST(SessionRecovery, RecoveredSessionExplainsIdentically) {
   std::string error;
   bool torn = true;
   int replayed = -1;
+  ExplainService::SessionState state;
   const uint64_t recovered =
-      restarted.RecoverSession(log_path, &error, &torn, &replayed);
+      restarted.RecoverSession(log_path, &error, &torn, &replayed, &state);
   ASSERT_NE(recovered, 0u) << error;
   EXPECT_FALSE(torn);
   EXPECT_EQ(replayed, 2);
-  EXPECT_EQ(restarted.SessionLength(recovered), 12);
+  EXPECT_EQ(state.n, 12);
 
   const ExplainResponse response = restarted.ExplainSession(recovered);
   ASSERT_TRUE(response.ok) << response.error;
@@ -378,7 +380,7 @@ TEST(SessionRecovery, RecoveredSessionExplainsIdentically) {
 
   // The recovered session logs onward: a further append + crash would
   // recover to THIS state (header + replayed appends are re-logged).
-  const std::string new_log = restarted.SessionLogPath(recovered);
+  const std::string new_log = state.log_path;
   ASSERT_FALSE(new_log.empty());
   // The recovered session's log must NOT clobber the crashed process's
   // (same pid here, but a new id; across processes the pid differs too).
@@ -405,10 +407,11 @@ TEST(SessionRecovery, FailsStructurallyWhenBaseChangedOrMissing) {
     ExplainService service(options);
     RegisterSales(service, /*variant=*/0);
     std::string error;
+    ExplainService::SessionState state;
     const uint64_t session =
-        service.OpenSession("sales", SalesRequest().config, &error);
+        service.OpenSession("sales", SalesRequest().config, &error, &state);
     ASSERT_NE(session, 0u) << error;
-    log_path = service.SessionLogPath(session);
+    log_path = state.log_path;
     ASSERT_FALSE(log_path.empty());
     ASSERT_TRUE(service.Append(session, "b1", Bucket(1), &error)) << error;
   }
@@ -459,6 +462,12 @@ TEST(ProtocolPersistence, SaveLoadRecoverOpsRoundTrip) {
     EXPECT_TRUE(ParseJson(line, &request, &parse_error)) << parse_error;
     return handler.Handle(request);
   };
+  auto log_of = [](const std::string& response) {
+    JsonValue parsed;
+    std::string parse_error;
+    EXPECT_TRUE(ParseJson(response, &parsed, &parse_error)) << parse_error;
+    return parsed.GetString("log");
+  };
 
   const std::string explain_line =
       "{\"op\":\"explain\",\"id\":1,\"dataset\":\"sales\","
@@ -475,9 +484,8 @@ TEST(ProtocolPersistence, SaveLoadRecoverOpsRoundTrip) {
       "\"measure\":\"sales\",\"explain_by\":[\"region\"],\"k\":2}");
   EXPECT_NE(response.find("\"session\":1"), std::string::npos) << response;
   // The response exposes the (pid-scoped) log path; clients never guess.
-  EXPECT_NE(response.find("\"log\":\""), std::string::npos) << response;
-  log_path = service.SessionLogPath(1);
-  ASSERT_FALSE(log_path.empty());
+  log_path = log_of(response);
+  ASSERT_FALSE(log_path.empty()) << response;
 
   // Ops without a path are bad requests; a bad path is a structured error.
   EXPECT_NE(handle("{\"op\":\"load_cache\",\"id\":4}")
@@ -503,11 +511,16 @@ TEST(ProtocolPersistence, SaveLoadRecoverOpsRoundTrip) {
   EXPECT_NE(response.find("\"ok\":true"), std::string::npos) << response;
   EXPECT_NE(response.find("\"session\":2"), std::string::npos) << response;
   EXPECT_NE(response.find("\"torn\":false"), std::string::npos) << response;
+  const std::string recovered_log = log_of(response);
+  EXPECT_FALSE(recovered_log.empty()) << response;
 
   // Persistence ops are barriers (they mutate / snapshot global state).
-  EXPECT_TRUE(ProtocolHandler::IsBarrierOp("save_cache"));
-  EXPECT_TRUE(ProtocolHandler::IsBarrierOp("load_cache"));
-  EXPECT_TRUE(ProtocolHandler::IsBarrierOp("recover_session"));
+  EXPECT_EQ(ProtocolHandler::DispatchOf("save_cache"),
+            ProtocolHandler::Dispatch::kBarrier);
+  EXPECT_EQ(ProtocolHandler::DispatchOf("load_cache"),
+            ProtocolHandler::Dispatch::kBarrier);
+  EXPECT_EQ(ProtocolHandler::DispatchOf("recover_session"),
+            ProtocolHandler::Dispatch::kBarrier);
 
   // state carries the tenant_bytes object.
   response = handle("{\"op\":\"state\",\"id\":8}");
@@ -515,7 +528,7 @@ TEST(ProtocolPersistence, SaveLoadRecoverOpsRoundTrip) {
       << response;
 
   std::remove(log_path.c_str());
-  std::remove(service.SessionLogPath(2).c_str());
+  std::remove(recovered_log.c_str());
   std::remove(cache_path.c_str());
 }
 

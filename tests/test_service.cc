@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -367,8 +368,12 @@ TEST(ExplainServiceTest, SessionAppendInvalidatesOnlyThatSession) {
       service.registry().RegisterTable("ds", table, "<table>", &error));
 
   const TSExplainConfig config = BaseConfig();
-  const uint64_t s1 = service.OpenSession("ds", config, &error);
+  // Each session op reports the state it left, read under its own lock.
+  ExplainService::SessionState state;
+  const uint64_t s1 = service.OpenSession("ds", config, &error, &state);
   ASSERT_NE(s1, 0u) << error;
+  EXPECT_EQ(state.n, 48);
+  EXPECT_EQ(state.log_path, "");  // session logging is off
   const uint64_t s2 = service.OpenSession("ds", config, &error);
   ASSERT_NE(s2, 0u) << error;
 
@@ -396,15 +401,19 @@ TEST(ExplainServiceTest, SessionAppendInvalidatesOnlyThatSession) {
     row.measures = {42.0 + c};
     rows.push_back(row);
   }
-  ASSERT_TRUE(service.Append(s1, "t_new", rows, &error)) << error;
-  EXPECT_EQ(service.SessionLength(s1), 49);
-  EXPECT_EQ(service.SessionLength(s2), 48);
+  ASSERT_TRUE(service.Append(s1, "t_new", rows, &error, &state)) << error;
+  EXPECT_EQ(state.n, 49);
+  EXPECT_FALSE(state.rebuilt);
 
-  const ExplainResponse after = service.ExplainSession(s1);
+  const ExplainResponse after =
+      service.ExplainSession(s1, false, true, "", false, &state);
   ASSERT_TRUE(after.ok);
   EXPECT_FALSE(after.cache_hit);  // invalidated by the append
-  EXPECT_TRUE(service.ExplainSession(s2).cache_hit);   // other session kept
-  EXPECT_TRUE(service.Explain(request).cache_hit);     // dataset kept
+  EXPECT_EQ(state.n, 49);
+  EXPECT_TRUE(service.ExplainSession(s2, false, true, "", false, &state)
+                  .cache_hit);  // other session kept, at its own length
+  EXPECT_EQ(state.n, 48);
+  EXPECT_TRUE(service.Explain(request).cache_hit);  // dataset kept
 
   // Row-shape validation surfaces as an error, not an abort.
   StreamRow bad;
@@ -413,9 +422,21 @@ TEST(ExplainServiceTest, SessionAppendInvalidatesOnlyThatSession) {
   EXPECT_FALSE(service.Append(s1, "t_bad", {bad}, &error));
   EXPECT_NE(error.find("row shape mismatch"), std::string::npos);
 
+  // A never-seen category forces a rebuild, and the append says so.
+  StreamRow fresh;
+  fresh.dims = {"a_new"};
+  fresh.measures = {7.0};
+  ASSERT_TRUE(service.Append(s1, "t_fresh", {fresh}, &error, &state))
+      << error;
+  EXPECT_EQ(state.n, 50);
+  EXPECT_TRUE(state.rebuilt);
+  ASSERT_TRUE(
+      service.ExplainSession(s1, false, true, "", false, &state).ok);
+  EXPECT_EQ(state.n, 50);
+
   EXPECT_TRUE(service.CloseSession(s1));
   EXPECT_FALSE(service.CloseSession(s1));
-  EXPECT_EQ(service.SessionLength(s1), -1);
+  EXPECT_EQ(service.ExplainSession(s1).error_code, error_code::kNotFound);
 }
 
 TEST(ExplainServiceTest, SessionExplainMatchesStreamingEngine) {
@@ -989,6 +1010,7 @@ TEST(ProtocolTest, EveryTableOpHasAHandler) {
   const std::vector<ProtocolHandler::OpInfo> ops = ProtocolHandler::Ops();
   ASSERT_FALSE(ops.empty());
   for (const ProtocolHandler::OpInfo& op : ops) {
+    EXPECT_NE(op.handle, nullptr) << op.name;
     JsonValue request;
     std::string error;
     ASSERT_TRUE(ParseJson(std::string(R"({"op":")") + op.name + "\"}",
@@ -998,12 +1020,36 @@ TEST(ProtocolTest, EveryTableOpHasAHandler) {
     EXPECT_EQ(reply.find("\"code\":\"unknown_op\""), std::string::npos)
         << op.name << ": " << reply;
   }
-  // Unknown ops are barriers; healthz is the one non-barrier non-read.
-  EXPECT_TRUE(ProtocolHandler::IsBarrierOp("no_such_op"));
-  EXPECT_FALSE(ProtocolHandler::IsExpensiveOp("no_such_op"));
-  EXPECT_FALSE(ProtocolHandler::IsBarrierOp("healthz"));
-  EXPECT_FALSE(ProtocolHandler::IsBarrierOp("explain"));
-  EXPECT_TRUE(ProtocolHandler::IsBarrierOp("state"));
+  // Every row's dispatch class (docs/SERVICE.md, "Protocol").
+  using Dispatch = ProtocolHandler::Dispatch;
+  const std::map<std::string, Dispatch> want = {
+      {"healthz", Dispatch::kInline},
+      {"register", Dispatch::kBarrier},
+      {"drop_dataset", Dispatch::kBarrier},
+      {"open_session", Dispatch::kBarrier},
+      {"append", Dispatch::kBarrier},
+      {"close_session", Dispatch::kBarrier},
+      {"save_cache", Dispatch::kBarrier},
+      {"load_cache", Dispatch::kBarrier},
+      {"recover_session", Dispatch::kBarrier},
+      {"state", Dispatch::kBarrier},
+      {"metrics", Dispatch::kBarrier},
+      {"metrics_history", Dispatch::kBarrier},
+      {"list_datasets", Dispatch::kRead},
+      {"recommend", Dispatch::kRead},
+      {"explain", Dispatch::kAdmittedRead},
+      {"explain_session", Dispatch::kAdmittedRead},
+      {"shutdown", Dispatch::kShutdown},
+  };
+  ASSERT_EQ(ops.size(), want.size());
+  for (const ProtocolHandler::OpInfo& op : ops) {
+    ASSERT_EQ(want.count(op.name), 1u) << op.name;
+    EXPECT_EQ(op.dispatch, want.at(op.name)) << op.name;
+    EXPECT_EQ(ProtocolHandler::DispatchOf(op.name), op.dispatch) << op.name;
+  }
+  // An op outside the table is a barrier, answered inline.
+  EXPECT_EQ(ProtocolHandler::DispatchOf("no_such_op"), Dispatch::kBarrier);
+  EXPECT_EQ(ProtocolHandler::DispatchOf(""), Dispatch::kBarrier);
   // The retired `stats` op is not in the table: `state` and `metrics`
   // serve everything it printed.
   JsonValue stats;
@@ -1063,11 +1109,14 @@ TEST(ProtocolTest, OverloadAndTenantWireShapes) {
             std::string::npos);
   EXPECT_NE(transport_shed.find("\"retry_after_ms\":"), std::string::npos);
 
-  // Expensive-op classification for the transport's backlog bounding.
-  EXPECT_TRUE(ProtocolHandler::IsExpensiveOp("explain"));
-  EXPECT_TRUE(ProtocolHandler::IsExpensiveOp("explain_session"));
-  EXPECT_FALSE(ProtocolHandler::IsExpensiveOp("recommend"));
-  EXPECT_FALSE(ProtocolHandler::IsExpensiveOp("state"));
+  // Admitted-read classification for the transport's backlog bounding.
+  using Dispatch = ProtocolHandler::Dispatch;
+  EXPECT_EQ(ProtocolHandler::DispatchOf("explain"), Dispatch::kAdmittedRead);
+  EXPECT_EQ(ProtocolHandler::DispatchOf("explain_session"),
+            Dispatch::kAdmittedRead);
+  EXPECT_NE(ProtocolHandler::DispatchOf("recommend"),
+            Dispatch::kAdmittedRead);
+  EXPECT_NE(ProtocolHandler::DispatchOf("state"), Dispatch::kAdmittedRead);
 
   // state exposes admission occupancy and the tenants; metrics the shed
   // and cache-budget counters.

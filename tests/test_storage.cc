@@ -611,20 +611,17 @@ TEST(SessionLog, RecoveryReplaysToBitIdenticalState) {
   const TSExplainConfig config = SessionConfig();
   const std::string path = TempPath("recover");
 
-  // The "crashed" session: logs two appends, never closes cleanly.
+  // The "crashed" session: logs two appends, never closes cleanly. Each
+  // bucket is logged once the engine absorbed it, as the service does.
   StreamingTSExplain live(*base, config);
   {
     SessionLogWriter writer;
     ASSERT_TRUE(
         writer.Open(path, "sales", TableFingerprint(*base), config).ok());
-    SessionLogWriter* w = &writer;
-    live.set_append_observer(
-        [w](const std::string& label, const std::vector<StreamRow>& rows) {
-          ASSERT_TRUE(w->LogAppend(label, rows).ok());
-        });
     live.AppendBucket("t6", BucketRows(0));
+    ASSERT_TRUE(writer.LogAppend("t6", BucketRows(0)).ok());
     live.AppendBucket("t7", BucketRows(1));
-    live.set_append_observer(nullptr);
+    ASSERT_TRUE(writer.LogAppend("t7", BucketRows(1)).ok());
   }
 
   SessionRecoveryResult recovered = RecoverStreamingSession(*base, path);

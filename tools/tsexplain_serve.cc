@@ -9,25 +9,26 @@
 //   * TCP mode (--port N): accepts connections on 127.0.0.1:N, one
 //     NDJSON stream per connection, one handler thread per connection.
 //
-// Concurrency model: read ops (explain, explain_session, recommend,
-// list_datasets) fan out to the shared thread pool, so slow cold queries
-// never block cache hits behind them; identical concurrent queries
-// collapse to one computation (single-flight) inside the service. Barrier
-// ops (register, sessions, drop_dataset, state, metrics, shutdown) first
-// wait for every dispatched read, then run inline on the reader thread —
-// mutations and introspection therefore observe a settled state in
-// submission order. Every request gets exactly one response line: the
-// protocol handler answers a request whose handler threw with a
-// structured `internal` error (docs/SERVICE.md).
+// Both serve every stream through ServeStream: one framer (the last line
+// needs no newline; a line over 4 MiB draws one parse_error and is
+// dropped) and one dispatcher, which schedules each op by the dispatch
+// class its op-table row gives (ProtocolHandler::Dispatch). Reads fan out
+// to the shared thread pool, so slow cold queries never block cache hits
+// behind them; identical concurrent queries collapse to one computation
+// inside the service. Barriers (mutations, introspection, unknown ops)
+// first wait for every read the stream dispatched, then run inline on the
+// reader thread, so they observe a settled state in submission order.
+// Every request gets exactly one response line: the protocol handler
+// answers a request whose handler threw with a structured `internal`
+// error (docs/SERVICE.md).
 //
-// Overload safety: explain/explain_session requests pass the service's
-// AdmissionController (bounded concurrency + bounded queue + per-tenant
-// caps); beyond that, the transport itself sheds expensive requests with
-// a structured `overloaded` response BEFORE they reach the thread pool,
-// so the dispatch backlog is bounded too — a flood degrades into fast
-// shed responses, never into unbounded queue growth. Requests may carry
-// a "tenant" field for per-tenant cache budgets and in-flight caps
-// (docs/SERVICE.md, "Operating under load").
+// Overload safety: admitted reads pass the service's AdmissionController
+// (bounded concurrency + bounded queue + per-tenant caps); beyond that,
+// the transport itself sheds them with a structured `overloaded` response
+// BEFORE they reach the thread pool, so the dispatch backlog is bounded
+// too — a flood degrades into fast shed responses, never into unbounded
+// queue growth. Requests may carry a "tenant" field for per-tenant cache
+// budgets and in-flight caps (docs/SERVICE.md, "Operating under load").
 //
 // Options:
 //   --port N          TCP mode on 127.0.0.1:N (default: pipe mode)
@@ -70,8 +71,6 @@
 //                     (default 600 = 10 minutes at the default interval)
 //   --stuck-after-ms N  age at which an in-flight query counts as stuck
 //                     in healthz / the query.stuck gauge (default 10000)
-//   --serial          handle every op inline (deterministic ordering;
-//                     debugging aid)
 
 #include <algorithm>
 #include <atomic>
@@ -80,7 +79,6 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -125,7 +123,6 @@ struct ServeOptions {
   int history_interval_ms = 1000;      // 0 = sampler thread off
   int history_capacity = 600;          // ticks retained per series
   double stuck_after_ms = 10000.0;     // watchdog deadline
-  bool serial = false;
 };
 
 void PrintUsage(std::FILE* out, const char* argv0) {
@@ -138,7 +135,7 @@ void PrintUsage(std::FILE* out, const char* argv0) {
                "[--slow-query-log PATH] [--access-log PATH] "
                "[--metrics-history-interval-ms N] "
                "[--metrics-history-capacity N] [--stuck-after-ms N] "
-               "[--serial] [--help]\n",
+               "[--help]\n",
                argv0);
 }
 
@@ -262,8 +259,6 @@ bool ParseArgs(int argc, char** argv, ServeOptions* options,
         return false;
       }
       options->stuck_after_ms = std::atof(v);
-    } else if (arg == "--serial") {
-      options->serial = true;
     } else if (arg == "--help" || arg == "-h") {
       *want_help = true;
       return true;
@@ -275,20 +270,13 @@ bool ParseArgs(int argc, char** argv, ServeOptions* options,
   return true;
 }
 
-/// Serializes response lines onto one output stream.
+/// Serializes response lines onto one file descriptor.
 class LineWriter {
  public:
-  explicit LineWriter(std::FILE* out) : out_(out) {}
   explicit LineWriter(int fd) : fd_(fd) {}
 
   void Write(const std::string& line) {
     MutexLock lock(mu_);
-    if (out_) {
-      std::fputs(line.c_str(), out_);
-      std::fputc('\n', out_);
-      std::fflush(out_);
-      return;
-    }
     std::string framed = line;
     framed.push_back('\n');
     size_t off = 0;
@@ -303,23 +291,21 @@ class LineWriter {
  private:
   Mutex mu_;
   // The stream itself is what mu_ serializes: writes interleave at line
-  // granularity. The handles are set once at construction, but every
-  // use goes through Write under mu_, so they are guarded like the
-  // stream state they name.
-  std::FILE* out_ TSE_GUARDED_BY(mu_) = nullptr;
-  int fd_ TSE_GUARDED_BY(mu_) = -1;
+  // granularity. The descriptor is set once at construction, but every
+  // use goes through Write under mu_, so it is guarded like the stream
+  // state it names.
+  int fd_ TSE_GUARDED_BY(mu_);
 };
 
-/// Parse-and-dispatch for one NDJSON stream; shared by both transports,
-/// so the barrier/fan-out semantics cannot drift between them.
+/// Parse-and-dispatch for one NDJSON stream, by the dispatch class the
+/// op table gives each op (ProtocolHandler::Dispatch).
 class RequestDispatcher {
  public:
   RequestDispatcher(ProtocolHandler& handler, AdmissionController& admission,
-                    ThreadPool& pool, bool serial, LineWriter& writer)
+                    ThreadPool& pool, LineWriter& writer)
       : handler_(handler),
         admission_(admission),
         pool_(pool),
-        serial_(serial),
         writer_(writer) {}
 
   ~RequestDispatcher() { Drain(); }
@@ -335,42 +321,40 @@ class RequestDispatcher {
       writer_.Write(handler_.MakeParseError(parse_error));
       return false;
     }
-    const std::string op = ProtocolHandler::OpOf(request);
-    if (op == "healthz") {
-      // Liveness must answer even when every pool worker is wedged in a
-      // compute and the dispatch backlog is full: handled right here on
-      // the reader thread — no Drain(), no pool submit, no backlog slot.
-      // The handler side keeps the op off every engine/cache mutex, so
-      // this cannot block behind the very stall it is reporting.
-      writer_.Write(handler_.Handle(request));
-      return false;
-    }
-    if (serial_ || ProtocolHandler::IsBarrierOp(op)) {
-      // Barrier: earlier dispatched reads finish first, so mutations and
-      // introspection observe a settled state, in submission order.
-      Drain();
-      writer_.Write(handler_.Handle(request));
-      return op == "shutdown";
-    }
-    // Expensive reads reserve a backlog slot BEFORE touching the pool:
-    // at most max_inflight + queue_depth of them exist anywhere
-    // (running, queued in admission, or parked in the pool's task
-    // queue); the rest are shed right here, on the reader thread, with a
-    // structured overloaded response. Queue growth is bounded even when
-    // clients flood faster than the pool drains.
-    const bool expensive = ProtocolHandler::IsExpensiveOp(op);
-    if (expensive && !admission_.TryAcquireBacklogSlot()) {
-      writer_.Write(handler_.MakeOverloaded(request));
-      return false;
+    using Dispatch = ProtocolHandler::Dispatch;
+    const Dispatch dispatch =
+        ProtocolHandler::DispatchOf(ProtocolHandler::OpOf(request));
+    switch (dispatch) {
+      case Dispatch::kInline:
+        writer_.Write(handler_.Handle(request));
+        return false;
+      case Dispatch::kBarrier:
+      case Dispatch::kShutdown:
+        Drain();
+        writer_.Write(handler_.Handle(request));
+        return dispatch == Dispatch::kShutdown;
+      case Dispatch::kAdmittedRead:
+        // At most max_inflight + queue_depth of these exist anywhere
+        // (running, queued in admission, or parked in the pool's task
+        // queue); the rest are shed right here, on the reader thread, so
+        // queue growth stays bounded however fast clients flood.
+        if (!admission_.TryAcquireBacklogSlot()) {
+          writer_.Write(handler_.MakeOverloaded(request));
+          return false;
+        }
+        break;
+      case Dispatch::kRead:
+        break;
     }
     // Reads fan out; the response carries the echoed id. Completed
     // futures are pruned as we go so a read-only stream stays O(live).
     PruneCompleted();
+    const bool holds_slot = dispatch == Dispatch::kAdmittedRead;
     auto shared_request = std::make_shared<JsonValue>(std::move(request));
     pending_.push_back(
-        pool_.Submit([this, shared_request, expensive] {
+        pool_.Submit([this, shared_request, holds_slot] {
           writer_.Write(handler_.Handle(*shared_request));
-          if (expensive) admission_.ReleaseBacklogSlot();
+          if (holds_slot) admission_.ReleaseBacklogSlot();
         }));
     return false;
   }
@@ -395,75 +379,85 @@ class RequestDispatcher {
   ProtocolHandler& handler_;
   AdmissionController& admission_;
   ThreadPool& pool_;
-  bool serial_;
   LineWriter& writer_;
   std::vector<std::future<void>> pending_;
 };
 
-/// Splits a byte stream into NDJSON lines for a RequestDispatcher,
-/// tolerating lines split across arbitrarily small read() chunks and
-/// bounding line length: once a line exceeds kMaxLineBytes the framer
-/// responds with ONE structured error, discards bytes until the next
-/// newline, and keeps the connection alive — a multi-MB garbage line can
-/// neither desync the stream nor balloon memory.
+/// Splits a byte stream into NDJSON lines for a RequestDispatcher. Lines
+/// may arrive split across arbitrarily small read() chunks, and the last
+/// line needs no newline. A line longer than kMaxLineBytes is never
+/// dispatched: it draws ONE structured error as soon as it passes the
+/// bound, its remaining bytes are dropped unbuffered up to the next
+/// newline, and the stream stays usable. A multi-MB garbage line can
+/// therefore neither desync the stream nor balloon memory, and whether a
+/// line passes depends on its length alone, not on how it was chunked.
 class LineFramer {
  public:
   static constexpr size_t kMaxLineBytes = 4u << 20;  // 4 MiB
 
-  LineFramer(RequestDispatcher& dispatcher, LineWriter& writer)
-      : dispatcher_(dispatcher), writer_(writer) {}
+  LineFramer(const ProtocolHandler& handler, RequestDispatcher& dispatcher,
+             LineWriter& writer)
+      : handler_(handler), dispatcher_(dispatcher), writer_(writer) {}
 
   /// Feeds one chunk; returns true when a shutdown op was handled.
-  bool Consume(const char* data, size_t size,
-               const ProtocolHandler& handler) {
-    if (discarding_) {
-      // Tail of an oversized line: drop bytes WITHOUT buffering them (a
-      // client that never sends a newline must not grow memory) until
-      // the line finally ends. The error already went out.
+  bool Consume(const char* data, size_t size) {
+    while (size > 0) {
       const void* nl = std::memchr(data, '\n', size);
+      const size_t take =
+          nl ? static_cast<size_t>(static_cast<const char*>(nl) - data)
+             : size;
+      if (!discarding_ && buffer_.size() + take > kMaxLineBytes) {
+        writer_.Write(handler_.MakeParseError(
+            "request line exceeds 4 MiB; dropped"));
+        buffer_.clear();
+        buffer_.shrink_to_fit();
+        discarding_ = true;
+      }
+      if (!discarding_) buffer_.append(data, take);
       if (nl == nullptr) return false;
-      const size_t skip =
-          static_cast<size_t>(static_cast<const char*>(nl) - data) + 1;
-      data += skip;
-      size -= skip;
+      data += take + 1;
+      size -= take + 1;
+      const bool was_discarding = discarding_;
       discarding_ = false;
-    }
-    buffer_.append(data, size);
-    size_t start = 0;
-    bool done = false;
-    for (size_t nl = buffer_.find('\n', start);
-         nl != std::string::npos && !done;
-         start = nl + 1, nl = buffer_.find('\n', start)) {
-      done = dispatcher_.HandleLine(buffer_.substr(start, nl - start));
-    }
-    buffer_.erase(0, start);
-    if (!done && buffer_.size() > kMaxLineBytes) {
-      writer_.Write(handler.MakeParseError(
-          "request line exceeds 4 MiB; dropped"));
+      if (!was_discarding && dispatcher_.HandleLine(std::move(buffer_))) {
+        return true;
+      }
       buffer_.clear();
-      buffer_.shrink_to_fit();
-      discarding_ = true;
     }
-    return done;
+    return false;
+  }
+
+  /// Ends the stream, dispatching a last line that had no newline;
+  /// returns true when it was a shutdown op.
+  bool Finish() {
+    return !discarding_ && dispatcher_.HandleLine(std::move(buffer_));
   }
 
  private:
+  const ProtocolHandler& handler_;
   RequestDispatcher& dispatcher_;
   LineWriter& writer_;
   std::string buffer_;
   bool discarding_ = false;
 };
 
-int RunPipeMode(ProtocolHandler& handler, AdmissionController& admission,
-                ThreadPool& pool, bool serial) {
-  LineWriter writer(stdout);
-  RequestDispatcher dispatcher(handler, admission, pool, serial, writer);
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (dispatcher.HandleLine(std::move(line))) break;
-    line.clear();
+/// Serves one NDJSON stream until EOF, a read error or a shutdown op:
+/// stdin/stdout in pipe mode, one connection in TCP mode, so both
+/// transports frame, bound and dispatch lines alike. Returns true when a
+/// shutdown op ended the stream.
+bool ServeStream(int in_fd, int out_fd, ProtocolHandler& handler,
+                 AdmissionController& admission, ThreadPool& pool) {
+  LineWriter writer(out_fd);
+  RequestDispatcher dispatcher(handler, admission, pool, writer);
+  LineFramer framer(handler, dispatcher, writer);
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::read(in_fd, chunk, sizeof(chunk));
+    if (n < 0 && errno == EINTR) continue;  // signal: not EOF
+    if (n == 0) return framer.Finish();
+    if (n < 0) return false;
+    if (framer.Consume(chunk, static_cast<size_t>(n))) return true;
   }
-  return 0;
 }
 
 /// Live TCP connections, so a shutdown op can unblock every reader (a
@@ -490,7 +484,7 @@ class ConnectionSet {
 };
 
 int RunTcpMode(ProtocolHandler& handler, AdmissionController& admission,
-               ThreadPool& pool, bool serial, int port) {
+               ThreadPool& pool, int port) {
   ::signal(SIGPIPE, SIG_IGN);
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listener < 0) {
@@ -547,25 +541,13 @@ int RunTcpMode(ProtocolHandler& handler, AdmissionController& admission,
     Connection connection;
     connection.finished = finished;
     connection.thread = std::thread([fd, listener, &handler, &admission,
-                                     &pool, serial, &stop, &live, finished] {
-      LineWriter writer(fd);
-      RequestDispatcher dispatcher(handler, admission, pool, serial, writer);
-      LineFramer framer(dispatcher, writer);
-      char chunk[4096];
-      bool done = false;
-      while (!done) {
-        const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-        if (n < 0 && errno == EINTR) continue;  // signal: not EOF
-        if (n <= 0) break;
-        if (framer.Consume(chunk, static_cast<size_t>(n), handler)) {
-          stop.store(true);
-          done = true;
-          // Unblock accept AND every other connection's read().
-          ::shutdown(listener, SHUT_RDWR);
-          live.ShutdownAll();
-        }
+                                     &pool, &stop, &live, finished] {
+      if (ServeStream(fd, fd, handler, admission, pool)) {
+        stop.store(true);
+        // Unblock accept AND every other connection's read().
+        ::shutdown(listener, SHUT_RDWR);
+        live.ShutdownAll();
       }
-      dispatcher.Drain();
       live.Remove(fd);
       ::close(fd);
       finished->store(true);
@@ -718,11 +700,13 @@ int main(int argc, char** argv) {
   introspection.pool_size = static_cast<int>(pool.size());
   handler.set_introspection(introspection);
 
-  const int exit_code =
-      options.port > 0
-          ? RunTcpMode(handler, service.admission(), pool, options.serial,
-                       options.port)
-          : RunPipeMode(handler, service.admission(), pool, options.serial);
+  int exit_code = 0;
+  if (options.port > 0) {
+    exit_code = RunTcpMode(handler, service.admission(), pool, options.port);
+  } else {
+    ServeStream(STDIN_FILENO, STDOUT_FILENO, handler, service.admission(),
+                pool);
+  }
   history.Stop();
 
   if (!options.cache_save.empty()) {
