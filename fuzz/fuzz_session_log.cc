@@ -21,6 +21,7 @@
 #include "src/pipeline/tsexplain.h"
 #include "src/storage/append_log.h"
 #include "src/storage/session_log.h"
+#include "src/storage/table_snapshot.h"
 #include "src/table/csv_reader.h"
 #include "src/table/table.h"
 
@@ -42,6 +43,12 @@ const Table& BaseTable() {
     return result.table.release();
   }();
   return *table;
+}
+
+uint64_t BaseFingerprint() {
+  static const uint64_t fingerprint =
+      tsexplain::storage::TableFingerprint(BaseTable());
+  return fingerprint;
 }
 
 // The validated config the service would pass as config_override: the
@@ -103,8 +110,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // Layer 3: full recovery with the service's validated override.
   const tsexplain::TSExplainConfig safe = SafeConfig();
   const tsexplain::storage::SessionRecoveryResult recovered =
-      tsexplain::storage::RecoverStreamingSession(BaseTable(), file.path(),
-                                                  &safe);
+      tsexplain::storage::RecoverStreamingSession(
+          BaseTable(), BaseFingerprint(), file.path(), &safe);
   if (recovered.ok()) {
     FUZZ_ASSERT(recovered.status.ok());
     AssertMatchesFreshEngine(*recovered.engine);

@@ -413,6 +413,37 @@ JsonValue JsonValue::MakeObject(
   return value;
 }
 
+std::string JsonEscape(const std::string& raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (char c : raw) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += StrFormat("\\u%04x", c);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  return out;
+}
+
 bool ParseJson(const std::string& text, JsonValue* out, std::string* error) {
   std::string scratch;
   std::string* err = error ? error : &scratch;

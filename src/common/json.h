@@ -6,6 +6,8 @@
 //
 // Serialization lives elsewhere: responses are written with the JsonWriter
 // in src/pipeline/report_json.h, keeping one emitter for CLI and server.
+// The one string escaper (JsonEscape) sits here, so the metrics renderers
+// in src/common share it with that emitter.
 
 #ifndef TSEXPLAIN_COMMON_JSON_H_
 #define TSEXPLAIN_COMMON_JSON_H_
@@ -85,6 +87,10 @@ class JsonValue {
 /// recursive descent, so this also caps its stack use; the protocol
 /// itself never nests past ~4.
 inline constexpr int kMaxJsonDepth = 64;
+
+/// Escapes a string for embedding in JSON (quotes, backslashes, control
+/// characters).
+std::string JsonEscape(const std::string& raw);
 
 /// Parses one JSON document (the whole string must be consumed apart from
 /// trailing whitespace). Returns false and fills `error` on malformed

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "src/common/check.h"
+#include "src/common/json.h"
 
 namespace tsexplain {
 namespace {
@@ -22,50 +23,14 @@ double BitsToDouble(uint64_t bits) {
   return value;
 }
 
-// Shortest-ish decimal rendering good for both JSON values and
-// Prometheus `le` labels. %.12g round-trips every bound we use and
-// avoids trailing-zero noise.
-std::string FormatDouble(double value) {
+}  // namespace
+
+std::string FormatMetricValue(double value) {
   if (!std::isfinite(value)) return "0";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.12g", value);
   return buf;
 }
-
-std::string JsonEscapeName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {
@@ -275,7 +240,7 @@ std::string RenderMetricsJson(const MetricsSnapshot& snapshot) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += JsonEscapeName(entry.first);
+    out += JsonEscape(entry.first);
     out += "\":";
     out += std::to_string(entry.second);
   }
@@ -285,7 +250,7 @@ std::string RenderMetricsJson(const MetricsSnapshot& snapshot) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += JsonEscapeName(entry.first);
+    out += JsonEscape(entry.first);
     out += "\":";
     out += std::to_string(entry.second);
   }
@@ -295,23 +260,23 @@ std::string RenderMetricsJson(const MetricsSnapshot& snapshot) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += JsonEscapeName(hist.name);
+    out += JsonEscape(hist.name);
     out += "\":{\"count\":";
     out += std::to_string(hist.count);
     out += ",\"sum\":";
-    out += FormatDouble(hist.sum);
+    out += FormatMetricValue(hist.sum);
     out += ",\"p50\":";
-    out += FormatDouble(hist.Percentile(0.50));
+    out += FormatMetricValue(hist.Percentile(0.50));
     out += ",\"p90\":";
-    out += FormatDouble(hist.Percentile(0.90));
+    out += FormatMetricValue(hist.Percentile(0.90));
     out += ",\"p99\":";
-    out += FormatDouble(hist.Percentile(0.99));
+    out += FormatMetricValue(hist.Percentile(0.99));
     out += ",\"buckets\":[";
     for (size_t i = 0; i < hist.counts.size(); ++i) {
       if (i > 0) out += ',';
       out += "{\"le\":";
       if (i < hist.bounds.size()) {
-        out += FormatDouble(hist.bounds[i]);
+        out += FormatMetricValue(hist.bounds[i]);
       } else {
         out += "\"+Inf\"";
       }
@@ -376,12 +341,12 @@ std::string RenderPrometheusText(const MetricsSnapshot& snapshot) {
     for (size_t i = 0; i < hist.counts.size(); ++i) {
       cumulative += hist.counts[i];
       const std::string le = i < hist.bounds.size()
-                                 ? FormatDouble(hist.bounds[i])
+                                 ? FormatMetricValue(hist.bounds[i])
                                  : std::string("+Inf");
       out += name + "_bucket{le=\"" + PrometheusEscapeLabel(le) + "\"} " +
              std::to_string(cumulative) + "\n";
     }
-    out += name + "_sum " + FormatDouble(hist.sum) + "\n";
+    out += name + "_sum " + FormatMetricValue(hist.sum) + "\n";
     out += name + "_count " + std::to_string(hist.count) + "\n";
   }
   return out;

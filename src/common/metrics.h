@@ -204,6 +204,13 @@ class MetricRegistry {
       TSE_GUARDED_BY(mu_);
 };
 
+/// Shortest-ish decimal rendering (%.12g; non-finite values render "0")
+/// for JSON values and Prometheus `le` labels: it round-trips every bound
+/// and sample the renderers emit and avoids trailing-zero noise. Shared by
+/// RenderMetricsJson, RenderPrometheusText and the metrics_history
+/// renderers.
+std::string FormatMetricValue(double value);
+
 /// Compact JSON object:
 ///   {"counters":{name:value,...},
 ///    "gauges":{name:value,...},

@@ -2,65 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/json.h"
+#include "src/common/timer.h"
 #include "src/table/table.h"
 
 namespace tsexplain {
 namespace {
-
-// Wall-clock sample timestamps (same convention as the log records in
-// protocol.cc); every interval decision runs on the steady clock.
-double WallMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
-
-// Matches metrics.cc's renderer: %.12g round-trips every value we store
-// and avoids trailing-zero noise.
-std::string FormatDouble(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  return buf;
-}
-
-std::string JsonEscapeName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 // RFC 4180 quoting, applied only when the field needs it (metric names
 // are dot-separated identifiers by convention, but the format must not
@@ -319,7 +269,7 @@ std::string RenderHistoryJson(const HistoryWindow& window) {
   out += "],\"ts_ms\":[";
   for (size_t k = 0; k < window.ts_ms.size(); ++k) {
     if (k > 0) out += ',';
-    out += FormatDouble(window.ts_ms[k]);
+    out += FormatMetricValue(window.ts_ms[k]);
   }
   out += "],\"series\":{";
   bool first = true;
@@ -327,13 +277,13 @@ std::string RenderHistoryJson(const HistoryWindow& window) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += JsonEscapeName(series.name);
+    out += JsonEscape(series.name);
     out += "\":{\"kind\":\"";
     out += series.kind;
     out += "\",\"values\":[";
     for (size_t k = 0; k < series.values.size(); ++k) {
       if (k > 0) out += ',';
-      out += FormatDouble(series.values[k]);
+      out += FormatMetricValue(series.values[k]);
     }
     out += "]}";
   }
@@ -347,13 +297,13 @@ std::string RenderHistoryCsv(const HistoryWindow& window) {
     for (const HistoryWindow::Series& series : window.series) {
       out += std::to_string(window.ticks[k]);
       out += ',';
-      out += FormatDouble(window.ts_ms[k]);
+      out += FormatMetricValue(window.ts_ms[k]);
       out += ',';
       out += CsvField(series.name);
       out += ',';
       out += series.kind;
       out += ',';
-      out += FormatDouble(series.values[k]);
+      out += FormatMetricValue(series.values[k]);
       out += '\n';
     }
   }

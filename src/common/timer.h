@@ -1,5 +1,5 @@
-// Wall-clock timing utilities used by the pipeline's latency breakdown
-// (paper Figure 15) and the benchmark harness.
+// Timing utilities used by the pipeline's latency breakdown (paper
+// Figure 15), the benchmark harness, and the service's log timestamps.
 
 #ifndef TSEXPLAIN_COMMON_TIMER_H_
 #define TSEXPLAIN_COMMON_TIMER_H_
@@ -29,6 +29,15 @@ class Timer {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// Wall-clock milliseconds since the Unix epoch, for log-record and
+/// metrics-history timestamps. Every latency is measured on the steady
+/// clock (Timer); this is the only wall-clock read.
+inline double WallMs() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::system_clock::now().time_since_epoch())
+      .count();
+}
 
 /// Adds the scope's elapsed milliseconds to `*sink` on destruction.
 class ScopedTimer {

@@ -24,37 +24,6 @@ void JsonWriter::Number(double value) {
   }
 }
 
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 void WriteTimingJson(JsonWriter& json, const TimingBreakdown& timing) {
   json.BeginObject();
   for (const auto& [name, ms] : timing.Phases()) {

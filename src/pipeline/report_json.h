@@ -13,12 +13,10 @@
 #include <string>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/pipeline/tsexplain.h"
 
 namespace tsexplain {
-
-/// Escapes a string for embedding in JSON (quotes, control characters).
-std::string JsonEscape(const std::string& raw);
 
 /// Minimal streaming JSON emitter: tracks depth for pretty printing. The
 /// schemas in this codebase are small and fixed, so a full JSON library is

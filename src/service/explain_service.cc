@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string_view>
 #include <utility>
 
 #include <unistd.h>
@@ -13,6 +14,7 @@
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
 #include "src/service/query_key.h"
+#include "src/service/quota.h"
 #include "src/storage/cache_snapshot.h"
 #include "src/storage/table_snapshot.h"
 
@@ -212,10 +214,9 @@ uint64_t NextServiceInstanceTag() {
 }  // namespace
 
 ExplainService::ExplainService(ServiceOptions options)
-    : cache_(options.cache_capacity_bytes, options.cache_shards),
+    : cache_(options.cache_capacity_bytes, options.cache_shards,
+             options.tenant_cache_budget_bytes),
       admission_(options.admission),
-      tenant_quotas_(cache_,
-                     TenantQuotaOptions{options.tenant_cache_budget_bytes}),
       session_log_dir_(std::move(options.session_log_dir)),
       instance_tag_(NextServiceInstanceTag()) {}
 
@@ -223,13 +224,9 @@ bool ExplainService::DropDataset(const std::string& name) {
   if (!registry_.Drop(name)) return false;
   // Open sessions keep their own table copy and session/<id>/ keys; only
   // the dataset-level entries go — in the shared namespace AND in every
-  // known tenant's namespace (tenant keys prepend "tenant/<id>/", so the
-  // bare dataset prefix would miss them). One multi-prefix pass: the
-  // scan cost stays O(entries) however many tenants exist.
-  std::vector<std::string> prefixes = tenant_quotas_.KnownTenantPrefixes();
-  for (std::string& prefix : prefixes) prefix += DatasetKeyPrefix(name);
-  prefixes.push_back(DatasetKeyPrefix(name));
-  cache_.InvalidatePrefixes(prefixes);
+  // tenant's, since InvalidatePrefix matches after a key's tenant
+  // namespace. One pass over the entries, however many tenants exist.
+  cache_.InvalidatePrefix(DatasetKeyPrefix(name));
   return true;
 }
 
@@ -347,13 +344,12 @@ ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
     // The registration uid fences drop + re-register races: a computation
     // against the old table can only ever land under the old uid's key,
     // which no post-re-register request asks for (it ages out via LRU).
-    // The tenant prefix namespaces the entry so per-tenant cache budgets
-    // can scope evictions to exactly this tenant's keys.
+    // The tenant prefix namespaces the entry: the cache accounts (and,
+    // with a budget, evicts) the tenant's bytes by it.
     const std::string cache_key =
         TenantKeyPrefix(request.tenant) + canonical.query_key +
         StrFormat("|uid=%llu", static_cast<unsigned long long>(ref.uid)) +
         ReportSuffix(request.include_trendlines, request.include_k_curve);
-    if (!request.tenant.empty()) tenant_quotas_.EnsureTenant(request.tenant);
     return serve(
         cache_key, config.threads,
         [&](int granted_threads, QueryTrace* compute_trace, int compute_span,
@@ -515,7 +511,8 @@ uint64_t ExplainService::RecoverSession(const std::string& log_path,
     *error = status.ToString();
     return 0;
   }
-  const std::shared_ptr<const Table> table = registry_.Get(contents.dataset);
+  const DatasetRegistry::TableRef ref = registry_.GetRef(contents.dataset);
+  const std::shared_ptr<const Table>& table = ref.table;
   if (!table) {
     *error = "unknown dataset: " + contents.dataset +
              " (register it before recovering sessions that stream on it)";
@@ -536,8 +533,10 @@ uint64_t ExplainService::RecoverSession(const std::string& log_path,
       return 0;
     }
   }
-  storage::SessionRecoveryResult recovered =
-      storage::RecoverStreamingSession(*table, log_path, &validated);
+  // The fingerprint was computed once at registration: recovery fences
+  // on the cached copy instead of re-serializing the table.
+  storage::SessionRecoveryResult recovered = storage::RecoverStreamingSession(
+      *table, ref.fingerprint, log_path, &validated);
   if (!recovered.ok()) {
     *error = recovered.status.ToString();
     return 0;
@@ -716,19 +715,10 @@ ServiceStats ExplainService::Stats() const {
     MutexLock lock(sessions_mu_);
     stats.open_sessions = sessions_.size();
   }
-  stats.tenants = tenant_quotas_.NumTenants();
   stats.cache = cache_.stats();
   stats.admission = admission_.stats();
-  const std::vector<std::string> tenants = tenant_quotas_.KnownTenants();
-  std::vector<std::string> prefixes;
-  prefixes.reserve(tenants.size());
-  for (const std::string& tenant : tenants) {
-    prefixes.push_back(TenantKeyPrefix(tenant));
-  }
-  const std::vector<size_t> bytes = cache_.PrefixBytesMany(prefixes);
-  for (size_t t = 0; t < tenants.size(); ++t) {
-    stats.tenant_bytes.emplace_back(tenants[t], bytes[t]);
-  }
+  stats.tenant_bytes = cache_.TenantBytes();
+  stats.tenants = stats.tenant_bytes.size();
   return stats;
 }
 
@@ -820,16 +810,11 @@ bool ExplainService::LoadCache(const std::string& path, std::string* error,
       }
       const auto it = uid_remap.find(saved_uid);
       if (it == uid_remap.end()) return {};
-      // Tenant-namespaced entries re-install their tenant (and its cache
-      // budget) so warm-started bytes are governed exactly like fresh
-      // ones. A malformed tenant id fences the entry.
-      if (entry.key.rfind("tenant/", 0) == 0) {
-        const size_t slash = entry.key.find('/', 7);
-        if (slash == std::string::npos) return {};
-        const std::string tenant = entry.key.substr(7, slash - 7);
-        if (!IsValidTenantId(tenant)) return {};
-        tenant_quotas_.EnsureTenant(tenant);
-      }
+      // A malformed tenant id fences the entry. A well-formed one needs
+      // nothing more: Put budgets warm-started bytes like fresh ones.
+      std::string_view tenant;
+      std::string_view rest;
+      if (!ParseTenantKey(entry.key, &tenant, &rest)) return {};
       return entry.key.substr(0, digits) +
              StrFormat("%llu", static_cast<unsigned long long>(it->second)) +
              entry.key.substr(end);

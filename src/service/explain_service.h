@@ -40,7 +40,6 @@
 #include "src/pipeline/streaming.h"
 #include "src/service/admission.h"
 #include "src/service/dataset_registry.h"
-#include "src/service/quota.h"
 #include "src/service/result_cache.h"
 #include "src/service/trace.h"
 #include "src/storage/session_log.h"
@@ -69,8 +68,9 @@ struct ServiceOptions {
   /// shedding, duplicate batching, per-tenant in-flight caps, adaptive
   /// thread grants. Defaults admit one running query per pool worker.
   AdmissionOptions admission;
-  /// Per-tenant ResultCache byte budget (quota.h); 0 = tenants share the
-  /// global LRU unbounded. Cache hits are never quota-checked.
+  /// Per-tenant ResultCache byte budget (result_cache.h), applied to
+  /// every tenant namespace at insert; 0 = tenants share the global LRU
+  /// unbounded. Cache hits are never quota-checked.
   size_t tenant_cache_budget_bytes = 0;
   /// When set, every streaming session appends to a crash-recovery log
   /// under this directory (src/storage/session_log.h): OpenSession
@@ -90,7 +90,8 @@ struct ExplainRequest {
   /// Optional tenant identifier ([A-Za-z0-9._:-], <= 64 chars). Tenants
   /// get their own cache namespace (budgeted when the service is
   /// configured with tenant_cache_budget_bytes) and count against the
-  /// per-tenant in-flight cap. Empty = the shared namespace.
+  /// per-tenant in-flight cap; nothing else records them. Empty = the
+  /// shared namespace.
   std::string tenant;
   /// Report shape (part of the cache key). The wire JSON is always
   /// compact; trendlines are opt-in to keep hot responses small.
@@ -132,13 +133,15 @@ struct ServiceStats {
   size_t datasets = 0;
   size_t hot_engines = 0;
   size_t open_sessions = 0;
+  /// Tenants holding cache bytes now: tenant_bytes.size().
   size_t tenants = 0;
   ResultCache::Stats cache;
   AdmissionController::Stats admission;
   /// Resident cache bytes per tenant namespace, sorted by tenant id —
   /// the operator's view of who a (possibly warm-started) cache belongs
-  /// to. The shared (tenant-less) namespace is cache.bytes_used minus
-  /// the sum of these.
+  /// to. A tenant whose entries were all evicted or dropped is absent.
+  /// The shared (tenant-less) namespace is cache.bytes_used minus the sum
+  /// of these.
   std::vector<std::pair<std::string, size_t>> tenant_bytes;
 };
 
@@ -301,7 +304,6 @@ class ExplainService {
   DatasetRegistry registry_;
   ResultCache cache_;
   AdmissionController admission_;
-  TenantQuotaRegistry tenant_quotas_;
   std::string session_log_dir_;
   /// Distinguishes this service's session-log names from every other
   /// incarnation's (process-wide counter; the pid handles cross-process):

@@ -1,6 +1,6 @@
 #include "src/service/protocol.h"
 
-#include <chrono>
+#include <cmath>
 #include <exception>
 #include <iterator>
 #include <utility>
@@ -24,14 +24,6 @@
 
 namespace tsexplain {
 namespace {
-
-// Wall-clock timestamp for log records (the only place the service uses
-// wall time; every latency is steady-clock).
-double WallMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 // Response envelope helpers ------------------------------------------------
 
@@ -195,6 +187,82 @@ bool ParseVarianceMetric(const std::string& name, VarianceMetric* out) {
   return false;
 }
 
+// Optional request fields. An absent field keeps `*out`, its default; a
+// present one must have the field's JSON type (for an int field, an
+// integral number in int range), or the request is rejected naming the
+// field. One member lookup per field: explain runs these on every
+// request, cache hits included.
+bool FieldError(const char* key, const char* expected, std::string* error) {
+  *error = StrFormat("'%s' must be %s", key, expected);
+  return false;
+}
+
+bool ReadField(const JsonValue& request, const char* key, std::string* out,
+               std::string* error) {
+  const JsonValue* v = request.Find(key);
+  if (v == nullptr) return true;
+  if (!v->IsString()) return FieldError(key, "a string", error);
+  *out = v->AsString();
+  return true;
+}
+
+bool ReadField(const JsonValue& request, const char* key, bool* out,
+               std::string* error) {
+  const JsonValue* v = request.Find(key);
+  if (v == nullptr) return true;
+  if (!v->IsBool()) return FieldError(key, "a boolean", error);
+  *out = v->AsBool();
+  return true;
+}
+
+bool ReadField(const JsonValue& request, const char* key, double* out,
+               std::string* error) {
+  const JsonValue* v = request.Find(key);
+  if (v == nullptr) return true;
+  if (!v->IsNumber()) return FieldError(key, "a number", error);
+  *out = v->AsDouble();
+  return true;
+}
+
+bool ReadField(const JsonValue& request, const char* key, int* out,
+               std::string* error) {
+  const JsonValue* v = request.Find(key);
+  if (v == nullptr) return true;
+  const double d = v->AsDouble();
+  // Bounds exactly representable as doubles: -2^31 and 2^31 (excluded),
+  // so the cast below is always defined.
+  if (!v->IsNumber() || !(d >= -2147483648.0 && d < 2147483648.0) ||
+      d != std::floor(d)) {
+    return FieldError(key, "an integer in int range", error);
+  }
+  *out = static_cast<int>(d);
+  return true;
+}
+
+bool ReadField(const JsonValue& request, const char* key,
+               std::vector<std::string>* out, std::string* error) {
+  const JsonValue* v = request.Find(key);
+  if (v == nullptr) return true;
+  if (!v->IsArray()) return FieldError(key, "an array of strings", error);
+  std::vector<std::string> items;
+  items.reserve(v->array().size());
+  for (const JsonValue& item : v->array()) {
+    if (!item.IsString()) return FieldError(key, "an array of strings", error);
+    items.push_back(item.AsString());
+  }
+  *out = std::move(items);
+  return true;
+}
+
+// The fields explain and explain_session read beyond the query config.
+bool ParseServeFields(const JsonValue& request, ExplainRequest* out,
+                      std::string* error) {
+  return ReadField(request, "tenant", &out->tenant, error) &&
+         ReadField(request, "trendlines", &out->include_trendlines, error) &&
+         ReadField(request, "k_curve", &out->include_k_curve, error) &&
+         ReadField(request, "trace", &out->trace, error);
+}
+
 // Session id field: a positive integer (bounded so the double->uint64
 // cast below is always defined; fractional ids are rejected rather than
 // silently truncated onto someone else's session).
@@ -215,58 +283,49 @@ bool ParseSessionId(const JsonValue& request, uint64_t* out,
 
 bool ParseQueryConfig(const JsonValue& request, TSExplainConfig* config,
                       std::string* error) {
-  const std::string agg = request.GetString("agg", "sum");
-  if (!ParseAggregate(agg, &config->aggregate)) {
-    *error = "unknown aggregate: " + agg;
-    return false;
-  }
-  config->measure = request.GetString("measure");
-  if (request.Find("explain_by")) {
-    bool ok = false;
-    config->explain_by_names = request.GetStringArray("explain_by", &ok);
-    if (!ok) {
-      *error = "'explain_by' must be an array of strings";
-      return false;
-    }
-  }
-  config->max_order = request.GetInt("order", config->max_order);
-  config->m = request.GetInt("m", config->m);
-  config->fixed_k = request.GetInt("k", config->fixed_k);
-  config->max_k = request.GetInt("max_k", config->max_k);
-  config->smooth_window = request.GetInt("smooth", config->smooth_window);
-  config->threads = request.GetInt("threads", config->threads);
-  const std::string diff = request.GetString("diff_metric", "abs");
-  if (!ParseDiffMetric(diff, &config->diff_metric)) {
-    *error = "unknown diff_metric: " + diff;
-    return false;
-  }
-  const std::string variance = request.GetString("variance_metric", "tse");
-  if (!ParseVarianceMetric(variance, &config->variance_metric)) {
-    *error = "unknown variance_metric: " + variance;
-    return false;
-  }
-  if (request.GetBool("fast")) {
+  // "fast" switches O1-O3 on; the per-option fields below override it.
+  bool fast = false;
+  if (!ReadField(request, "fast", &fast, error)) return false;
+  if (fast) {
     config->use_filter = true;
     config->use_guess_verify = true;
     config->use_sketch = true;
   }
-  config->use_filter = request.GetBool("filter", config->use_filter);
-  config->filter_ratio =
-      request.GetDouble("filter_ratio", config->filter_ratio);
-  config->use_guess_verify =
-      request.GetBool("guess_verify", config->use_guess_verify);
-  config->initial_guess =
-      request.GetInt("initial_guess", config->initial_guess);
-  config->use_sketch = request.GetBool("sketch", config->use_sketch);
-  config->dedupe_redundant =
-      request.GetBool("dedupe", config->dedupe_redundant);
-  if (request.Find("exclude")) {
-    bool ok = false;
-    config->exclude = request.GetStringArray("exclude", &ok);
-    if (!ok) {
-      *error = "'exclude' must be an array of strings";
-      return false;
-    }
+  std::string agg = "sum";
+  std::string diff = "abs";
+  std::string variance = "tse";
+  if (!ReadField(request, "agg", &agg, error) ||
+      !ReadField(request, "measure", &config->measure, error) ||
+      !ReadField(request, "explain_by", &config->explain_by_names, error) ||
+      !ReadField(request, "order", &config->max_order, error) ||
+      !ReadField(request, "m", &config->m, error) ||
+      !ReadField(request, "k", &config->fixed_k, error) ||
+      !ReadField(request, "max_k", &config->max_k, error) ||
+      !ReadField(request, "smooth", &config->smooth_window, error) ||
+      !ReadField(request, "threads", &config->threads, error) ||
+      !ReadField(request, "diff_metric", &diff, error) ||
+      !ReadField(request, "variance_metric", &variance, error) ||
+      !ReadField(request, "filter", &config->use_filter, error) ||
+      !ReadField(request, "filter_ratio", &config->filter_ratio, error) ||
+      !ReadField(request, "guess_verify", &config->use_guess_verify,
+                 error) ||
+      !ReadField(request, "initial_guess", &config->initial_guess, error) ||
+      !ReadField(request, "sketch", &config->use_sketch, error) ||
+      !ReadField(request, "dedupe", &config->dedupe_redundant, error) ||
+      !ReadField(request, "exclude", &config->exclude, error)) {
+    return false;
+  }
+  if (!ParseAggregate(agg, &config->aggregate)) {
+    *error = "unknown aggregate: " + agg;
+    return false;
+  }
+  if (!ParseDiffMetric(diff, &config->diff_metric)) {
+    *error = "unknown diff_metric: " + diff;
+    return false;
+  }
+  if (!ParseVarianceMetric(variance, &config->variance_metric)) {
+    *error = "unknown variance_metric: " + variance;
+    return false;
   }
   return true;
 }
@@ -560,13 +619,10 @@ std::string ProtocolHandler::HandleExplain(
                      "missing 'dataset'");
   }
   std::string parse_error;
-  if (!ParseQueryConfig(request, &explain.config, &parse_error)) {
+  if (!ParseQueryConfig(request, &explain.config, &parse_error) ||
+      !ParseServeFields(request, &explain, &parse_error)) {
     return MakeError(&request, op, error_code::kBadRequest, parse_error);
   }
-  explain.tenant = request.GetString("tenant");
-  explain.include_trendlines = request.GetBool("trendlines", false);
-  explain.include_k_curve = request.GetBool("k_curve", true);
-  explain.trace = request.GetBool("trace", false);
   const ExplainResponse response = service_.Explain(explain);
   MaybeLogSlowQuery(op, request_id, explain.dataset, /*session=*/0,
                     explain.tenant, response);
@@ -723,13 +779,15 @@ std::string ProtocolHandler::HandleExplainSession(
   if (!ParseSessionId(request, &session, &error)) {
     return MakeError(&request, op, error_code::kBadRequest, error);
   }
-  const std::string tenant = request.GetString("tenant");
+  ExplainRequest fields;
+  if (!ParseServeFields(request, &fields, &error)) {
+    return MakeError(&request, op, error_code::kBadRequest, error);
+  }
   ExplainService::SessionState state;
   const ExplainResponse response = service_.ExplainSession(
-      session, request.GetBool("trendlines", false),
-      request.GetBool("k_curve", true), tenant,
-      request.GetBool("trace", false), &state);
-  MaybeLogSlowQuery(op, request_id, /*dataset=*/"", session, tenant,
+      session, fields.include_trendlines, fields.include_k_curve,
+      fields.tenant, fields.trace, &state);
+  MaybeLogSlowQuery(op, request_id, /*dataset=*/"", session, fields.tenant,
                     response);
   if (!response.ok) {
     return MakeError(&request, op, response.error_code, response.error,

@@ -139,8 +139,10 @@ class ProtocolHandler {
 };
 
 /// Parses the shared query fields of `explain` / `open_session` requests
-/// into a TSExplainConfig. Returns false + error on a malformed field
-/// (bad aggregate/metric names, wrong types). Exposed for tests.
+/// into a TSExplainConfig; an absent field keeps its value in `*config`.
+/// Returns false + an error naming the field on a malformed one: a wrong
+/// JSON type, a fractional or out-of-int-range number in an integer
+/// field, or an unknown aggregate/metric name. Exposed for tests.
 bool ParseQueryConfig(const JsonValue& request, TSExplainConfig* config,
                       std::string* error);
 

@@ -1,8 +1,13 @@
 #include "src/service/quota.h"
 
 namespace tsexplain {
+namespace {
 
-bool IsValidTenantId(const std::string& tenant) {
+constexpr std::string_view kTenantOpen = "tenant/";
+
+}  // namespace
+
+bool IsValidTenantId(std::string_view tenant) {
   if (tenant.empty() || tenant.size() > 64) return false;
   for (char c : tenant) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
@@ -15,36 +20,22 @@ bool IsValidTenantId(const std::string& tenant) {
 
 std::string TenantKeyPrefix(const std::string& tenant) {
   if (tenant.empty()) return std::string();
-  return "tenant/" + tenant + "/";
+  return std::string(kTenantOpen) + tenant + "/";
 }
 
-void TenantQuotaRegistry::EnsureTenant(const std::string& tenant) {
-  MutexLock lock(mu_);
-  if (!tenants_.insert(tenant).second) return;  // already installed
-  if (options_.cache_budget_bytes > 0) {
-    cache_.SetPrefixBudget(TenantKeyPrefix(tenant),
-                           options_.cache_budget_bytes);
-  }
-}
-
-std::vector<std::string> TenantQuotaRegistry::KnownTenantPrefixes() const {
-  MutexLock lock(mu_);
-  std::vector<std::string> prefixes;
-  prefixes.reserve(tenants_.size());
-  for (const std::string& tenant : tenants_) {
-    prefixes.push_back(TenantKeyPrefix(tenant));
-  }
-  return prefixes;
-}
-
-std::vector<std::string> TenantQuotaRegistry::KnownTenants() const {
-  MutexLock lock(mu_);
-  return std::vector<std::string>(tenants_.begin(), tenants_.end());
-}
-
-size_t TenantQuotaRegistry::NumTenants() const {
-  MutexLock lock(mu_);
-  return tenants_.size();
+bool ParseTenantKey(std::string_view key, std::string_view* tenant,
+                    std::string_view* rest) {
+  *tenant = {};
+  *rest = key;
+  if (key.substr(0, kTenantOpen.size()) != kTenantOpen) return true;
+  const size_t slash = key.find('/', kTenantOpen.size());
+  if (slash == std::string_view::npos) return false;
+  const std::string_view id =
+      key.substr(kTenantOpen.size(), slash - kTenantOpen.size());
+  if (!IsValidTenantId(id)) return false;
+  *tenant = id;
+  *rest = key.substr(slash + 1);
+  return true;
 }
 
 }  // namespace tsexplain

@@ -4,6 +4,7 @@
 
 #include "src/common/check.h"
 #include "src/common/metrics.h"
+#include "src/service/quota.h"
 
 namespace tsexplain {
 namespace {
@@ -67,11 +68,16 @@ size_t CachedResult::CostBytes() const {
   return cost;
 }
 
-ResultCache::ResultCache(size_t capacity_bytes, int num_shards) {
+ResultCache::ResultCache(size_t capacity_bytes, int num_shards,
+                         size_t tenant_budget_bytes) {
   TSE_CHECK_GE(num_shards, 1);
   const size_t shards = RoundUpPow2(static_cast<size_t>(num_shards));
   shard_mask_ = shards - 1;
   capacity_per_shard_ = std::max<size_t>(1, capacity_bytes / shards);
+  tenant_budget_per_shard_ =
+      tenant_budget_bytes == 0
+          ? 0
+          : std::max<size_t>(1, tenant_budget_bytes / shards);
   shards_.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
     shards_.push_back(std::make_unique<Shard>());
@@ -92,63 +98,22 @@ ResultCache::Shard& ResultCache::ShardFor(const std::string& key) {
   return *shards_[HashKey(key) & shard_mask_];
 }
 
-ResultCache::BudgetsPtr ResultCache::SnapshotBudgets() const {
-  MutexLock lock(budgets_mu_);
-  return budgets_;
-}
-
-int ResultCache::MatchBudget(const BudgetList& budgets,
-                             const std::string& key) {
-  for (size_t b = 0; b < budgets.size(); ++b) {
-    if (key.compare(0, budgets[b].prefix.size(), budgets[b].prefix) == 0) {
-      return static_cast<int>(b);
-    }
-  }
-  return -1;
-}
-
 void ResultCache::RemoveEntryLocked(
     Shard& shard, std::unordered_map<std::string, Entry>::iterator it) {
   CacheMetrics& metrics = CacheMetrics::Get();
   metrics.entries.Add(-1);
   metrics.bytes_used.Add(-static_cast<int64_t>(it->second.cost));
   shard.bytes_used -= it->second.cost;
-  if (it->second.budget >= 0) {
-    shard.budget_bytes[static_cast<size_t>(it->second.budget)] -=
-        it->second.cost;
+  const auto tenant = it->second.tenant;
+  if (tenant != shard.tenant_bytes.end()) {
+    tenant->second -= it->second.cost;
+    if (tenant->second == 0) shard.tenant_bytes.erase(tenant);
   }
   shard.lru.erase(it->second.lru_pos);
   shard.entries.erase(it);
 }
 
-void ResultCache::EvictOverBudgetLocked(Shard& shard,
-                                        const BudgetList& budgets,
-                                        int budget) {
-  // A back-to-front walk restricted to this budget preserves LRU order
-  // within the prefix. Other namespaces' entries are untouchable here —
-  // that is the isolation property.
-  const size_t b = static_cast<size_t>(budget);
-  while (shard.budget_bytes[b] > budgets[b].per_shard) {
-    bool evicted = false;
-    for (auto lit = shard.lru.rbegin(); lit != shard.lru.rend(); ++lit) {
-      auto vit = shard.entries.find(*lit);
-      TSE_CHECK(vit != shard.entries.end());
-      if (vit->second.budget == budget) {
-        RemoveEntryLocked(shard, vit);
-        ++shard.evictions;
-        ++shard.budget_evictions;
-        CacheMetrics::Get().evictions.Inc();
-        CacheMetrics::Get().budget_evictions.Inc();
-        evicted = true;
-        break;
-      }
-    }
-    if (!evicted) break;  // unreachable if accounting is exact
-  }
-}
-
-void ResultCache::InsertLocked(Shard& shard, const BudgetList& budgets,
-                               const std::string& key,
+void ResultCache::InsertLocked(Shard& shard, const std::string& key,
                                const ValuePtr& value) {
   // An existing entry under this key is stale by definition (the caller
   // brings a fresh value): its accounting is dropped FIRST so
@@ -160,26 +125,50 @@ void ResultCache::InsertLocked(Shard& shard, const BudgetList& budgets,
 
   const size_t cost = value->CostBytes();
   if (cost > capacity_per_shard_) return;  // would evict everything: skip
-  if (shard.budget_bytes.size() < budgets.size()) {
-    shard.budget_bytes.resize(budgets.size(), 0);
+  // A malformed tenant id (the service never builds one) leaves the key
+  // in the shared namespace.
+  std::string_view tenant_id;
+  std::string_view rest;
+  ParseTenantKey(key, &tenant_id, &rest);
+  const bool budgeted = !tenant_id.empty() && tenant_budget_per_shard_ > 0;
+  if (budgeted && cost > tenant_budget_per_shard_) {
+    return;  // would evict the tenant's whole shard share: skip
   }
-  const int budget = MatchBudget(budgets, key);
-  if (budget >= 0 && cost > budgets[static_cast<size_t>(budget)].per_shard) {
-    return;  // would evict the namespace's whole shard share: skip
-  }
-  shard.lru.push_front(key);
   Entry entry;
   entry.value = value;
   entry.cost = cost;
-  entry.budget = budget;
+  entry.namespace_len = key.size() - rest.size();
+  entry.tenant = shard.tenant_bytes.end();
+  if (!tenant_id.empty()) {
+    entry.tenant =
+        shard.tenant_bytes.try_emplace(std::string(tenant_id), 0).first;
+    entry.tenant->second += cost;
+  }
+  const auto tenant = entry.tenant;
+  shard.lru.push_front(key);
   entry.lru_pos = shard.lru.begin();
   shard.entries.emplace(key, std::move(entry));
   shard.bytes_used += cost;
   CacheMetrics::Get().entries.Add(1);
   CacheMetrics::Get().bytes_used.Add(static_cast<int64_t>(cost));
-  if (budget >= 0) {
-    shard.budget_bytes[static_cast<size_t>(budget)] += cost;
-    EvictOverBudgetLocked(shard, budgets, budget);
+  // Over its budget, the tenant loses its own LRU tail: a back-to-front
+  // walk restricted to the tenant. Other namespaces' entries are
+  // untouchable here — that is the isolation property. The new entry
+  // fits the share alone, so the tenant's count never reaches zero here.
+  while (budgeted && tenant->second > tenant_budget_per_shard_) {
+    auto lit = shard.lru.rbegin();
+    auto vit = shard.entries.end();
+    for (; lit != shard.lru.rend(); ++lit) {
+      vit = shard.entries.find(*lit);
+      TSE_CHECK(vit != shard.entries.end());
+      if (vit->second.tenant == tenant) break;
+    }
+    TSE_CHECK(lit != shard.lru.rend());  // the count covers resident entries
+    RemoveEntryLocked(shard, vit);
+    ++shard.evictions;
+    ++shard.budget_evictions;
+    CacheMetrics::Get().evictions.Inc();
+    CacheMetrics::Get().budget_evictions.Inc();
   }
   while (shard.bytes_used > capacity_per_shard_ && !shard.lru.empty()) {
     auto vit = shard.entries.find(shard.lru.back());
@@ -212,96 +201,22 @@ ResultCache::ValuePtr ResultCache::Lookup(const std::string& key,
 
 void ResultCache::Put(const std::string& key, const ValuePtr& value) {
   TSE_CHECK(value != nullptr);
-  const BudgetsPtr budgets = SnapshotBudgets();
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
-  InsertLocked(shard, *budgets, key, value);
+  InsertLocked(shard, key, value);
 }
 
-void ResultCache::SetPrefixBudget(const std::string& prefix,
-                                  size_t budget_bytes) {
-  TSE_CHECK(!prefix.empty());
-  const size_t per_shard =
-      std::max<size_t>(1, budget_bytes / shards_.size());
-  BudgetsPtr snapshot;
-  int index = -1;
-  {
-    MutexLock lock(budgets_mu_);
-    auto next = std::make_shared<BudgetList>(*budgets_);
-    for (size_t b = 0; b < next->size(); ++b) {
-      if ((*next)[b].prefix == prefix) index = static_cast<int>(b);
-    }
-    if (index < 0) {
-      next->push_back(Budget{prefix, per_shard});
-      index = static_cast<int>(next->size()) - 1;
-    } else {
-      (*next)[static_cast<size_t>(index)].per_shard = per_shard;
-    }
-    budgets_ = std::move(next);
-    snapshot = budgets_;
-  }
-  // Re-attribute resident entries and enforce the (new) bound. Budgets
-  // are installed before a namespace's first insert in the service, so
-  // this scan usually finds nothing; it exists for resizes.
-  const BudgetList& budgets = *snapshot;
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mu);
-    if (shard.budget_bytes.size() < budgets.size()) {
-      shard.budget_bytes.resize(budgets.size(), 0);
-    }
-    for (auto& [key, entry] : shard.entries) {
-      const int match = MatchBudget(budgets, key);
-      if (match == entry.budget) continue;
-      if (entry.budget >= 0) {
-        shard.budget_bytes[static_cast<size_t>(entry.budget)] -= entry.cost;
-      }
-      entry.budget = match;
-      if (match >= 0) {
-        shard.budget_bytes[static_cast<size_t>(match)] += entry.cost;
-      }
-    }
-    EvictOverBudgetLocked(shard, budgets, index);
-  }
-}
-
-std::vector<size_t> ResultCache::PrefixBytesMany(
-    const std::vector<std::string>& prefixes) const {
-  std::vector<size_t> totals(prefixes.size(), 0);
-  // Budgeted prefixes (the common case once tenant budgets are on) are
-  // answered from per-shard accounting; only the rest need the entry
-  // scan, and all of them share ONE pass.
-  const BudgetsPtr budgets = SnapshotBudgets();
-  std::vector<int> budget_index(prefixes.size(), -1);
-  std::vector<size_t> scanned;  // indices answered by the scan
-  for (size_t p = 0; p < prefixes.size(); ++p) {
-    for (size_t b = 0; b < budgets->size(); ++b) {
-      if ((*budgets)[b].prefix == prefixes[p]) {
-        budget_index[p] = static_cast<int>(b);
-      }
-    }
-    if (budget_index[p] < 0) scanned.push_back(p);
-  }
+std::vector<std::pair<std::string, size_t>> ResultCache::TenantBytes()
+    const {
+  std::map<std::string, size_t> merged;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
-    for (size_t p = 0; p < prefixes.size(); ++p) {
-      const int b = budget_index[p];
-      if (b >= 0 && static_cast<size_t>(b) < shard.budget_bytes.size()) {
-        totals[p] += shard.budget_bytes[static_cast<size_t>(b)];
-      }
-    }
-    if (scanned.empty()) continue;
-    for (const auto& [key, entry] : shard.entries) {
-      for (const size_t p : scanned) {
-        if (key.compare(0, prefixes[p].size(), prefixes[p]) == 0) {
-          totals[p] += entry.cost;
-          break;  // prefixes are disjoint: first match is the only match
-        }
-      }
+    for (const auto& [tenant, bytes] : shard.tenant_bytes) {
+      merged[tenant] += bytes;
     }
   }
-  return totals;
+  return {merged.begin(), merged.end()};
 }
 
 std::vector<std::pair<std::string, ResultCache::ValuePtr>>
@@ -330,24 +245,13 @@ void ResultCache::Invalidate(const std::string& key) {
 }
 
 size_t ResultCache::InvalidatePrefix(const std::string& prefix) {
-  return InvalidatePrefixes({prefix});
-}
-
-size_t ResultCache::InvalidatePrefixes(
-    const std::vector<std::string>& prefixes) {
   size_t removed = 0;
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock lock(shard.mu);
     for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-      bool matched = false;
-      for (const std::string& prefix : prefixes) {
-        if (it->first.compare(0, prefix.size(), prefix) == 0) {
-          matched = true;
-          break;
-        }
-      }
-      if (matched) {
+      if (it->first.compare(it->second.namespace_len, prefix.size(),
+                            prefix) == 0) {
         auto victim = it++;
         RemoveEntryLocked(shard, victim);
         ++shard.invalidations;

@@ -9,11 +9,18 @@
 // The cache never computes anything: the service looks a key up, and on a
 // miss computes the value under admission control and Puts it. Concurrent
 // identical misses are deduplicated there (admission.h), not here.
+//
+// Tenants (quota.h) are key namespaces, "tenant/<id>/...". Each shard
+// reads a key's namespace once, at insert, and counts each tenant's
+// resident bytes; a tenant's count exists only while it holds entries, so
+// the cache is the one record of which tenants hold state. An optional
+// per-tenant budget bounds every tenant's bytes (LRU within the tenant).
 
 #ifndef TSEXPLAIN_SERVICE_RESULT_CACHE_H_
 #define TSEXPLAIN_SERVICE_RESULT_CACHE_H_
 
 #include <list>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -46,7 +53,7 @@ class ResultCache {
     size_t misses = 0;       // counted lookups that did not
     size_t coalesced = 0;    // always 0: duplicates batch in admission.h
     size_t evictions = 0;    // entries removed to respect capacity
-    size_t budget_evictions = 0;  // subset of evictions: prefix budgets
+    size_t budget_evictions = 0;  // subset of evictions: tenant budget
     size_t invalidations = 0;
     size_t entries = 0;      // current resident entries
     size_t bytes_used = 0;   // current resident cost
@@ -54,8 +61,12 @@ class ResultCache {
   };
 
   /// `capacity_bytes` bounds the sum of entry costs; `num_shards` >= 1
-  /// (rounded up to a power of two).
-  explicit ResultCache(size_t capacity_bytes, int num_shards = 8);
+  /// (rounded up to a power of two). `tenant_budget_bytes` > 0 also bounds
+  /// each tenant namespace's entry costs; 0 leaves tenants to the global
+  /// LRU. Like the capacity, the budget is divided across shards, so it
+  /// should be a generous multiple of a typical entry cost.
+  explicit ResultCache(size_t capacity_bytes, int num_shards = 8,
+                       size_t tenant_budget_bytes = 0);
 
   /// Un-counts resident entries from the global cache.entries /
   /// cache.bytes_used gauges so short-lived caches (tests, restarts) do
@@ -69,28 +80,15 @@ class ResultCache {
 
   /// Insert/overwrite, evicting LRU entries until every bound holds:
   /// overwriting never double-charges `bytes_used`, and a value larger
-  /// than its shard (or its prefix budget's shard share) is not cached —
+  /// than its shard (or its tenant budget's shard share) is not cached —
   /// and drops any stale resident entry rather than leaving it to be
-  /// served.
+  /// served. Over the tenant budget, the tenant's own LRU entries go.
   void Put(const std::string& key, const ValuePtr& value);
 
-  /// Installs (or resizes) a byte budget for every key starting with
-  /// `prefix` — the per-tenant / per-dataset quota hook: entries under
-  /// the prefix are evicted (LRU within the prefix) once their summed
-  /// cost exceeds the budget, so one namespace can no longer evict the
-  /// world. Like the global capacity, the budget is divided across
-  /// shards, so budgets should be generous multiples of a typical entry
-  /// cost. The first matching registered prefix wins; resident entries
-  /// are re-attributed (and possibly evicted) immediately.
-  void SetPrefixBudget(const std::string& prefix, size_t budget_bytes);
-
-  /// Resident bytes under each of several disjoint prefixes (an entry is
-  /// charged to the first prefix that matches). A registered budget
-  /// prefix is answered from O(shards) accounting reads; all the others
-  /// share ONE full scan. The `state` op asks for every tenant namespace
-  /// at once, budgeted or not.
-  std::vector<size_t> PrefixBytesMany(
-      const std::vector<std::string>& prefixes) const;
+  /// Resident bytes per tenant namespace, sorted by tenant id. Only
+  /// tenants that hold entries appear. O(shards x resident tenants); the
+  /// `state` op reports it.
+  std::vector<std::pair<std::string, size_t>> TenantBytes() const;
 
   /// Copies every resident entry, least recently used FIRST (per shard),
   /// so re-Putting a snapshot in order reproduces each shard's LRU
@@ -104,24 +102,27 @@ class ResultCache {
   /// mutex provides exactly that ordering).
   void Invalidate(const std::string& key);
 
-  /// Drops every resident entry whose key starts with `prefix`; returns
-  /// the number removed. Used by streaming sessions ("session/<id>/...")
-  /// and dataset eviction ("...|ds=<name>|...") — rare operations, so the
-  /// full scan is acceptable.
+  /// Drops every resident entry whose key, after its tenant namespace,
+  /// starts with `prefix`; returns the number removed. So one dataset
+  /// prefix ("v1|ds=<name>|") reaches the shared entry and every tenant's
+  /// copy, while session keys ("session/<id>/...") have no namespace and
+  /// match from their start. One pass over the entries — rare operations
+  /// (dataset drops, session appends and closes).
   size_t InvalidatePrefix(const std::string& prefix);
-
-  /// Same, for several prefixes in ONE full scan (dataset drops must
-  /// clear the shared namespace plus every tenant namespace; one pass
-  /// visits each entry once instead of once per prefix).
-  size_t InvalidatePrefixes(const std::vector<std::string>& prefixes);
 
   Stats stats() const;
 
  private:
+  // Per shard: resident bytes per tenant id, erased at zero (CostBytes
+  // is never 0, so a tenant with entries always has a count).
+  using TenantBytesMap = std::map<std::string, size_t>;
   struct Entry {
     ValuePtr value;
     size_t cost = 0;
-    int budget = -1;  // index into the budget list; -1 = unbudgeted
+    // Length of the key's "tenant/<id>/" namespace (0 = none) and the
+    // tenant's count (the shard map's end() when there is no tenant).
+    size_t namespace_len = 0;
+    TenantBytesMap::iterator tenant;
     std::list<std::string>::iterator lru_pos;
   };
   struct Shard {
@@ -129,46 +130,29 @@ class ResultCache {
     std::unordered_map<std::string, Entry> entries TSE_GUARDED_BY(mu);
     std::list<std::string> lru TSE_GUARDED_BY(mu);  // front = most recent
     size_t bytes_used TSE_GUARDED_BY(mu) = 0;
-    // Parallel to the budget list.
-    std::vector<size_t> budget_bytes TSE_GUARDED_BY(mu);
+    TenantBytesMap tenant_bytes TSE_GUARDED_BY(mu);
     size_t hits TSE_GUARDED_BY(mu) = 0;
     size_t misses TSE_GUARDED_BY(mu) = 0;
     size_t evictions TSE_GUARDED_BY(mu) = 0;
     size_t budget_evictions TSE_GUARDED_BY(mu) = 0;
     size_t invalidations TSE_GUARDED_BY(mu) = 0;
   };
-  struct Budget {
-    std::string prefix;
-    size_t per_shard = 0;
-  };
-  using BudgetList = std::vector<Budget>;
-  using BudgetsPtr = std::shared_ptr<const BudgetList>;
 
   Shard& ShardFor(const std::string& key);
-  BudgetsPtr SnapshotBudgets() const TSE_EXCLUDES(budgets_mu_);
-  static int MatchBudget(const BudgetList& budgets, const std::string& key);
-  // Removes one entry with exact byte/budget accounting; `it` must be
+  // Removes one entry with exact byte/tenant accounting; `it` must be
   // valid. Does NOT bump eviction/invalidation counters (callers do).
   static void RemoveEntryLocked(
       Shard& shard, std::unordered_map<std::string, Entry>::iterator it)
       TSE_REQUIRES(shard.mu);
-  // Evicts `budget`'s own LRU tail in `shard` until the prefix fits its
-  // per-shard share again.
-  static void EvictOverBudgetLocked(Shard& shard, const BudgetList& budgets,
-                                    int budget) TSE_REQUIRES(shard.mu);
-  // Inserts under the shard lock, evicting (budget-scoped first, then
+  // Inserts under the shard lock, evicting (tenant-scoped first, then
   // global LRU) until all bounds hold again.
-  void InsertLocked(Shard& shard, const BudgetList& budgets,
-                    const std::string& key, const ValuePtr& value)
-      TSE_REQUIRES(shard.mu);
+  void InsertLocked(Shard& shard, const std::string& key,
+                    const ValuePtr& value) TSE_REQUIRES(shard.mu);
 
   size_t capacity_per_shard_;
+  size_t tenant_budget_per_shard_;  // 0 = tenants unbudgeted
   size_t shard_mask_;
   std::vector<std::unique_ptr<Shard>> shards_;
-
-  mutable Mutex budgets_mu_;  // guards the budgets_ pointer swap
-  BudgetsPtr budgets_ TSE_GUARDED_BY(budgets_mu_) =
-      std::make_shared<const BudgetList>();
 };
 
 }  // namespace tsexplain

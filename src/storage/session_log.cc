@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/strings.h"
-#include "src/storage/table_snapshot.h"
 
 namespace tsexplain {
 namespace storage {
@@ -202,20 +201,19 @@ StorageStatus ReadSessionLog(const std::string& path,
 }
 
 SessionRecoveryResult RecoverStreamingSession(
-    const Table& base, const std::string& log_path,
+    const Table& base, uint64_t base_fingerprint, const std::string& log_path,
     const TSExplainConfig* config_override) {
   SessionRecoveryResult result;
   result.status = ReadSessionLog(log_path, &result.contents);
   if (!result.status.ok()) return result;
-  const uint64_t fingerprint = TableFingerprint(base);
-  if (fingerprint != result.contents.base_fingerprint) {
+  if (base_fingerprint != result.contents.base_fingerprint) {
     result.status = StorageStatus::Error(
         StorageErrorCode::kFormatError,
         StrFormat("%s: base table fingerprint %016llx does not match the "
                   "log's %016llx — the dataset changed since the session "
                   "was opened",
                   log_path.c_str(),
-                  static_cast<unsigned long long>(fingerprint),
+                  static_cast<unsigned long long>(base_fingerprint),
                   static_cast<unsigned long long>(
                       result.contents.base_fingerprint)));
     return result;

@@ -81,9 +81,11 @@ struct SessionRecoveryResult {
 };
 
 /// Rebuilds a streaming session from `log_path` against `base` (the table
-/// currently registered under the log's dataset name). Fails when the
-/// base table's fingerprint does not match the header — a changed dataset
-/// must never silently absorb another table's appends — or when a
+/// currently registered under the log's dataset name), whose
+/// TableFingerprint the caller passes as `base_fingerprint` (the registry
+/// caches it at registration). Fails when that fingerprint does not match
+/// the header — a changed dataset must never silently absorb another
+/// table's appends — or when a
 /// replayed row's shape does not match the schema (the log is untrusted
 /// input; engine TSE_CHECKs must never see it). `config_override`, when
 /// non-null, replaces the logged config for the engine build: the service
@@ -91,7 +93,7 @@ struct SessionRecoveryResult {
 /// an invariant-violating config (e.g. duplicate explain-by attributes)
 /// past validation-of-a-copy.
 SessionRecoveryResult RecoverStreamingSession(
-    const Table& base, const std::string& log_path,
+    const Table& base, uint64_t base_fingerprint, const std::string& log_path,
     const TSExplainConfig* config_override = nullptr);
 
 }  // namespace storage

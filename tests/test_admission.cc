@@ -10,6 +10,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -237,19 +238,41 @@ TEST(QuotaTest, TenantIdValidation) {
 TEST(QuotaTest, TenantKeyPrefixShapes) {
   EXPECT_EQ(TenantKeyPrefix(""), "");
   EXPECT_EQ(TenantKeyPrefix("acme"), "tenant/acme/");
-}
 
-TEST(QuotaTest, RegistryInstallsBudgetsIdempotently) {
-  ResultCache cache(1 << 20, 1);
-  TenantQuotaRegistry registry(cache, TenantQuotaOptions{1 << 10});
-  registry.EnsureTenant("acme");
-  registry.EnsureTenant("acme");
-  registry.EnsureTenant("globex");
-  EXPECT_EQ(registry.NumTenants(), 2u);
-  const std::vector<std::string> prefixes = registry.KnownTenantPrefixes();
-  ASSERT_EQ(prefixes.size(), 2u);
-  EXPECT_EQ(prefixes[0], "tenant/acme/");
-  EXPECT_EQ(prefixes[1], "tenant/globex/");
+  // ParseTenantKey reads back exactly the namespace TenantKeyPrefix builds.
+  std::string_view tenant;
+  std::string_view rest;
+  const std::string key = TenantKeyPrefix("acme") + "v1|ds=x|k=3";
+  ASSERT_TRUE(ParseTenantKey(key, &tenant, &rest));
+  EXPECT_EQ(tenant, "acme");
+  EXPECT_EQ(rest, "v1|ds=x|k=3");
+  ASSERT_TRUE(ParseTenantKey("tenant/a/", &tenant, &rest));
+  EXPECT_EQ(tenant, "a");
+  EXPECT_EQ(rest, "");
+
+  // Shared and session keys have no namespace: the whole key is the rest.
+  for (const std::string_view plain :
+       {"v1|ds=x|k=3", "session/7/n12", "", "tenant", "tenants/acme/x"}) {
+    ASSERT_TRUE(ParseTenantKey(plain, &tenant, &rest)) << plain;
+    EXPECT_EQ(tenant, "") << plain;
+    EXPECT_EQ(rest, plain);
+  }
+
+  // A key that opens "tenant/" with a malformed id fails, and reads as
+  // outside every namespace.
+  for (const std::string& bad :
+       {std::string("tenant/"), std::string("tenant/acme"),
+        std::string("tenant//x"), std::string("tenant/has space/x"),
+        std::string("tenant/pipe|y/x"),
+        "tenant/" + std::string(65, 'a') + "/x"}) {
+    EXPECT_FALSE(ParseTenantKey(bad, &tenant, &rest)) << bad;
+    EXPECT_EQ(tenant, "") << bad;
+    EXPECT_EQ(rest, bad);
+  }
+  const std::string longest = "tenant/" + std::string(64, 'a') + "/x";
+  ASSERT_TRUE(ParseTenantKey(longest, &tenant, &rest));
+  EXPECT_EQ(tenant, std::string(64, 'a'));
+  EXPECT_EQ(rest, "x");
 }
 
 }  // namespace

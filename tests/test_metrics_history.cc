@@ -252,6 +252,30 @@ TEST(MetricsHistoryTest, RenderJsonParsesAndCarriesSeries) {
   EXPECT_EQ(a->Find("values")->array()[1].AsDouble(), 5.0);
 }
 
+TEST(MetricsHistoryTest, JsonRenderersEscapeMetricNames) {
+  // RenderMetricsJson and RenderHistoryJson escape names through the one
+  // JsonEscape: a quote, a backslash and a control byte come out escaped,
+  // and the name parses back to itself.
+  const std::string name = std::string("t.odd\"name\\") + '\x01';
+  const std::string escaped = "\"t.odd\\\"name\\\\\\u0001\"";
+  MetricRegistry registry;
+  registry.GetCounter(name).Inc(2);
+  MetricsHistory history(registry, SmallOptions(4));
+  history.SampleNow();
+  const std::string metrics = RenderMetricsJson(registry.Snapshot());
+  const std::string window = RenderHistoryJson(history.Window());
+  JsonValue parsed;
+  std::string error;
+  EXPECT_NE(metrics.find(escaped + ":2"), std::string::npos) << metrics;
+  ASSERT_TRUE(ParseJson(metrics, &parsed, &error)) << error;
+  ASSERT_NE(parsed.Find("counters"), nullptr);
+  EXPECT_EQ(parsed.Find("counters")->GetInt(name), 2);
+  EXPECT_NE(window.find(escaped + ":{"), std::string::npos) << window;
+  ASSERT_TRUE(ParseJson(window, &parsed, &error)) << error;
+  ASSERT_NE(parsed.Find("series"), nullptr);
+  EXPECT_NE(parsed.Find("series")->Find(name), nullptr);
+}
+
 TEST(MetricsHistoryTest, RenderCsvIsLongFormat) {
   MetricRegistry registry;
   registry.GetCounter("t.one").Inc();

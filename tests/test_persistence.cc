@@ -196,8 +196,8 @@ TEST(CachePersistence, TenantEntriesRestoreIntoTheirNamespace) {
   ASSERT_TRUE(restarted.LoadCache(path, &error, &restored)) << error;
   EXPECT_EQ(restored, 2u);
 
-  // The tenant was re-installed by the load (with its cache budget), and
-  // the stats surface shows whose bytes the warm cache holds.
+  // The warm entry lands in acme's namespace (budgeted at Put like a
+  // fresh one), and the stats surface shows whose bytes the cache holds.
   const ServiceStats stats = restarted.Stats();
   EXPECT_EQ(stats.tenants, 1u);
   ASSERT_EQ(stats.tenant_bytes.size(), 1u);
@@ -365,9 +365,16 @@ TEST(SessionRecovery, RecoveredSessionExplainsIdentically) {
   bool torn = true;
   int replayed = -1;
   ExplainService::SessionState state;
+  // Recovery fences on the fingerprint the registry cached at
+  // registration: it never re-serializes the table.
+  Counter& computes =
+      MetricRegistry::Global().GetCounter("storage.fingerprint_computes");
+  const uint64_t computes_before = computes.Value();
   const uint64_t recovered =
       restarted.RecoverSession(log_path, &error, &torn, &replayed, &state);
   ASSERT_NE(recovered, 0u) << error;
+  EXPECT_EQ(computes.Value(), computes_before)
+      << "recover_session must not re-hash the registered table";
   EXPECT_FALSE(torn);
   EXPECT_EQ(replayed, 2);
   EXPECT_EQ(state.n, 12);

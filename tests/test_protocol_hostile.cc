@@ -19,6 +19,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/json.h"
@@ -301,6 +302,68 @@ TEST_F(HostileProtocolTest, StructurallyWrongRequestsAnswerOnce) {
        }) {
     const std::string response = Roundtrip(line);
     EXPECT_NE(response.find("\"ok\":false"), std::string::npos)
+        << line << " -> " << response;
+  }
+
+  // A present field of the wrong JSON type, a fraction in an integer
+  // field, or an integer outside int range is a bad_request naming the
+  // field. Each request is otherwise valid: read with a default instead,
+  // it would run some other query (or escape its tenant's quota).
+  const std::string session_line = Roundtrip(
+      R"({"op":"open_session","id":5,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"]})");
+  JsonValue opened;
+  std::string error;
+  ASSERT_TRUE(ParseJson(session_line, &opened, &error)) << error;
+  const int session = opened.GetInt("session");
+  ASSERT_GT(session, 0) << session_line;
+  const std::string explain =
+      R"({"op":"explain","id":6,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"],)";
+  const std::string open =
+      R"({"op":"open_session","id":7,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"],)";
+  const std::string explain_session =
+      R"({"op":"explain_session","id":8,"session":)" +
+      std::to_string(session) + ",";
+  const std::vector<std::pair<std::string, std::string>> typed = {
+      {"k", explain + R"("k":"5"})"},
+      {"k", explain + R"("k":5.9})"},
+      {"k", explain + R"("k":3e9})"},
+      {"m", explain + R"("m":1e10})"},
+      {"m", explain + R"("m":-1e300})"},
+      {"max_k", explain + R"("max_k":2.5})"},
+      {"order", explain + R"("order":"2"})"},
+      {"smooth", explain + R"("smooth":1.5})"},
+      {"threads", explain + R"("threads":true})"},
+      {"initial_guess", explain + R"("initial_guess":[3]})"},
+      {"sketch", explain + R"("sketch":"yes"})"},
+      {"fast", explain + R"("fast":1})"},
+      {"filter", explain + R"("filter":"true"})"},
+      {"guess_verify", explain + R"("guess_verify":0})"},
+      {"dedupe", explain + R"("dedupe":null})"},
+      {"filter_ratio", explain + R"("filter_ratio":"0.1"})"},
+      {"agg", explain + R"("agg":1})"},
+      {"diff_metric", explain + R"("diff_metric":5})"},
+      {"variance_metric", explain + R"("variance_metric":null})"},
+      {"measure",
+       R"({"op":"explain","id":9,"dataset":"ds","measure":42,)"
+       R"("explain_by":["region"]})"},
+      {"tenant", explain + R"("tenant":7})"},
+      {"trendlines", explain + R"("trendlines":1})"},
+      {"k_curve", explain + R"("k_curve":"false"})"},
+      {"trace", explain + R"("trace":"yes"})"},
+      {"k", open + R"("k":"5"})"},
+      {"tenant", explain_session + R"("tenant":7})"},
+      {"trendlines", explain_session + R"("trendlines":"yes"})"},
+      {"k_curve", explain_session + R"("k_curve":0})"},
+      {"trace", explain_session + R"("trace":{}})"},
+  };
+  for (const auto& [field, line] : typed) {
+    const std::string response = Roundtrip(line);
+    EXPECT_NE(response.find("\"code\":\"bad_request\""), std::string::npos)
+        << line << " -> " << response;
+    EXPECT_NE(response.find("'" + field + "'"), std::string::npos)
         << line << " -> " << response;
   }
   ExpectStillServing();

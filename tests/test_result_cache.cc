@@ -1,9 +1,11 @@
 // ResultCache contract: hit/miss counting, LRU eviction + byte
-// accounting, prefix budgets, and invalidation scoping.
+// accounting, per-tenant accounting and budgets, and invalidation scoping.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/service/result_cache.h"
 
@@ -20,6 +22,8 @@ ResultCache::ValuePtr MakeValue(const std::string& payload) {
 size_t CostOf(const std::string& payload) {
   return MakeValue(payload)->CostBytes();
 }
+
+using TenantList = std::vector<std::pair<std::string, size_t>>;
 
 TEST(ResultCache, HitAfterMiss) {
   ResultCache cache(1 << 20, /*num_shards=*/1);
@@ -91,6 +95,21 @@ TEST(ResultCache, InvalidatePrefixScopes) {
     EXPECT_NE(cache.Lookup("session/8/q" + std::to_string(i)), nullptr);
     EXPECT_EQ(cache.Lookup("session/7/q" + std::to_string(i)), nullptr);
   }
+
+  // A dataset prefix matches after a key's tenant namespace: it reaches
+  // the shared entry and every tenant's copy, and nothing else.
+  cache.Put("v1|ds=a|k=3", MakeValue("p"));
+  cache.Put("tenant/acme/v1|ds=a|k=3", MakeValue("p"));
+  cache.Put("tenant/globex/v1|ds=a|k=4", MakeValue("p"));
+  cache.Put("tenant/acme/v1|ds=b|k=3", MakeValue("p"));
+  cache.Put("v1|ds=b|k=3", MakeValue("p"));
+  EXPECT_EQ(cache.InvalidatePrefix("v1|ds=a|"), 3u);
+  EXPECT_EQ(cache.Lookup("v1|ds=a|k=3"), nullptr);
+  EXPECT_EQ(cache.Lookup("tenant/acme/v1|ds=a|k=3"), nullptr);
+  EXPECT_EQ(cache.Lookup("tenant/globex/v1|ds=a|k=4"), nullptr);
+  EXPECT_NE(cache.Lookup("tenant/acme/v1|ds=b|k=3"), nullptr);
+  EXPECT_NE(cache.Lookup("v1|ds=b|k=3"), nullptr);
+  EXPECT_EQ(cache.TenantBytes(), (TenantList{{"acme", CostOf("p")}}));
 }
 
 // Regression: overwriting a resident key (a recomputation landing after
@@ -142,38 +161,43 @@ TEST(ResultCache, OversizedOverwriteDropsTheStaleEntry) {
   EXPECT_EQ(cache.stats().bytes_used, 0u);
 }
 
-TEST(ResultCache, PrefixBudgetEvictsWithinTheNamespaceOnly) {
+TEST(ResultCache, TenantBudgetEvictsWithinTheNamespaceOnly) {
   const std::string payload(1000, 'x');
   const size_t cost = CostOf(payload);
   // Global capacity fits everything; the tenant budget fits 3 entries.
-  ResultCache cache(100 * cost, /*num_shards=*/1);
-  cache.SetPrefixBudget("tenant/a/", 3 * cost);
+  ResultCache cache(100 * cost, /*num_shards=*/1,
+                    /*tenant_budget_bytes=*/3 * cost);
 
   cache.Put("global-1", MakeValue(payload));
   cache.Put("tenant/a/q1", MakeValue(payload));
   cache.Put("tenant/a/q2", MakeValue(payload));
   cache.Put("tenant/a/q3", MakeValue(payload));
   EXPECT_EQ(cache.stats().entries, 4u);
-  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 3 * cost);
+  EXPECT_EQ(cache.TenantBytes(), (TenantList{{"a", 3 * cost}}));
 
   // A fourth tenant entry evicts the tenant's own LRU tail (q1) — the
   // global entry is untouchable by this namespace's pressure.
   cache.Put("tenant/a/q4", MakeValue(payload));
   EXPECT_EQ(cache.stats().entries, 4u);
-  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 3 * cost);
+  EXPECT_EQ(cache.TenantBytes(), (TenantList{{"a", 3 * cost}}));
   EXPECT_EQ(cache.stats().budget_evictions, 1u);
   EXPECT_NE(cache.Lookup("global-1"), nullptr);
   EXPECT_EQ(cache.Lookup("tenant/a/q1"), nullptr);
   EXPECT_NE(cache.Lookup("tenant/a/q2"), nullptr);
   EXPECT_NE(cache.Lookup("tenant/a/q4"), nullptr);
   EXPECT_EQ(cache.stats().bytes_used, 4 * cost);  // 3 tenant + 1 global
+
+  // Every tenant has its own budget: b's entries leave a's alone.
+  cache.Put("tenant/b/q1", MakeValue(payload));
+  EXPECT_EQ(cache.TenantBytes(),
+            (TenantList{{"a", 3 * cost}, {"b", cost}}));
+  EXPECT_EQ(cache.stats().budget_evictions, 1u);
 }
 
-TEST(ResultCache, PrefixBudgetTouchKeepsHotEntriesResident) {
+TEST(ResultCache, TenantBudgetTouchKeepsHotEntriesResident) {
   const std::string payload(1000, 'x');
   const size_t cost = CostOf(payload);
-  ResultCache cache(100 * cost, 1);
-  cache.SetPrefixBudget("tenant/a/", 2 * cost);
+  ResultCache cache(100 * cost, 1, /*tenant_budget_bytes=*/2 * cost);
   cache.Put("tenant/a/hot", MakeValue(payload));
   cache.Put("tenant/a/cold", MakeValue(payload));
   EXPECT_NE(cache.Lookup("tenant/a/hot"), nullptr);  // touch
@@ -182,36 +206,48 @@ TEST(ResultCache, PrefixBudgetTouchKeepsHotEntriesResident) {
   EXPECT_EQ(cache.Lookup("tenant/a/cold"), nullptr);
 }
 
-TEST(ResultCache, ValueOverItsPrefixBudgetIsNotCached) {
+TEST(ResultCache, ValueOverItsTenantBudgetIsNotCached) {
   const std::string payload(1000, 'x');
-  ResultCache cache(1 << 20, 1);
-  cache.SetPrefixBudget("tenant/tiny/", 8);  // smaller than any entry
+  ResultCache cache(1 << 20, 1, /*tenant_budget_bytes=*/8);  // < any entry
   cache.Put("tenant/tiny/q", MakeValue(payload));
   EXPECT_EQ(cache.Lookup("tenant/tiny/q"), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.PrefixBytesMany({"tenant/tiny/"})[0], 0u);
+  EXPECT_TRUE(cache.TenantBytes().empty());
+  // The budget binds tenants only: shared keys cache as usual, and an
+  // oversized tenant value drops a stale copy under the same key.
+  cache.Put("shared/q", MakeValue(payload));
+  EXPECT_NE(cache.Lookup("shared/q"), nullptr);
+  ResultCache roomy(1 << 20, 1, /*tenant_budget_bytes=*/2 * CostOf("p"));
+  roomy.Put("tenant/a/q", MakeValue("p"));
+  roomy.Put("tenant/a/q", MakeValue(payload));
+  EXPECT_EQ(roomy.Lookup("tenant/a/q"), nullptr);
+  EXPECT_TRUE(roomy.TenantBytes().empty());
 }
 
-TEST(ResultCache, ShrinkingABudgetEvictsResidentEntriesImmediately) {
+TEST(ResultCache, TenantCountLastsOnlyWhileTheTenantHoldsEntries) {
   const std::string payload(1000, 'x');
   const size_t cost = CostOf(payload);
-  ResultCache cache(100 * cost, 1);
-  // Entries land before any budget exists (unbudgeted attribution).
-  cache.Put("tenant/a/q1", MakeValue(payload));
-  cache.Put("tenant/a/q2", MakeValue(payload));
-  cache.Put("tenant/a/q3", MakeValue(payload));
-  // No budget registered yet: PrefixBytesMany falls back to a full scan
-  // and reports the actual resident bytes (the `state` op's path).
-  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 3 * cost);
+  // Room for two entries: the global LRU evicts across tenants.
+  ResultCache cache(2 * cost, /*num_shards=*/1);
+  cache.Put("tenant/a/q", MakeValue(payload));
+  cache.Put("tenant/b/q", MakeValue(payload));
+  EXPECT_EQ(cache.TenantBytes(), (TenantList{{"a", cost}, {"b", cost}}));
 
-  // Installing the budget re-attributes resident entries and enforces
-  // the bound at once (LRU within the prefix: q1 goes first).
-  cache.SetPrefixBudget("tenant/a/", 2 * cost);
-  EXPECT_EQ(cache.PrefixBytesMany({"tenant/a/"})[0], 2 * cost);
-  EXPECT_EQ(cache.Lookup("tenant/a/q1"), nullptr);
-  EXPECT_NE(cache.Lookup("tenant/a/q2"), nullptr);
-  EXPECT_NE(cache.Lookup("tenant/a/q3"), nullptr);
-  EXPECT_EQ(cache.stats().bytes_used, 2 * cost);
+  // a's last entry is evicted: a is gone, not listed with 0 bytes.
+  cache.Put("shared/q", MakeValue(payload));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.TenantBytes(), (TenantList{{"b", cost}}));
+
+  // b's last entry is invalidated, by key and by prefix alike.
+  cache.Invalidate("tenant/b/q");
+  EXPECT_TRUE(cache.TenantBytes().empty());
+  cache.Put("tenant/c/q1", MakeValue("p"));
+  cache.Put("tenant/c/q2", MakeValue("p"));
+  EXPECT_EQ(cache.TenantBytes(), (TenantList{{"c", 2 * CostOf("p")}}));
+  // "q" matches c's keys after their namespace, not "shared/q".
+  EXPECT_EQ(cache.InvalidatePrefix("q"), 2u);
+  EXPECT_TRUE(cache.TenantBytes().empty());
+  EXPECT_NE(cache.Lookup("shared/q"), nullptr);
 }
 
 }  // namespace

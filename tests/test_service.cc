@@ -610,11 +610,52 @@ TEST(ExplainServiceTest, DropDatasetInvalidatesTenantNamespacesToo) {
   EXPECT_TRUE(service.Explain(request).cache_hit);
 
   EXPECT_TRUE(service.DropDataset("ds"));
+  // The tenant's entry went with the dataset, and so did the tenant.
+  const ServiceStats dropped = service.Stats();
+  EXPECT_EQ(dropped.cache.entries, 0u);
+  EXPECT_EQ(dropped.tenants, 0u);
+  EXPECT_TRUE(dropped.tenant_bytes.empty());
   ASSERT_TRUE(service.registry().RegisterTable("ds", MakeTable(59),
                                                "<table>", &error));
   const ExplainResponse fresh = service.Explain(request);
   ASSERT_TRUE(fresh.ok);
   EXPECT_FALSE(fresh.cache_hit);  // tenant-namespaced entry went too
+}
+
+TEST(ExplainServiceTest, TenantStormLeavesNoTenantBehind) {
+  // Far more tenant ids than the cache holds entries: the cache is the
+  // only record of a tenant, so tenant state stays bounded by it.
+  ServiceOptions options;
+  options.cache_capacity_bytes = 64 << 10;
+  options.tenant_cache_budget_bytes = 64 << 10;  // admits entries
+  ExplainService service(options);
+  std::string error;
+  ASSERT_TRUE(service.registry().RegisterTable("ds", MakeTable(67),
+                                               "<table>", &error));
+  ExplainRequest request;
+  request.dataset = "ds";
+  request.config = BaseConfig();
+  for (int t = 0; t < 1000; ++t) {
+    request.tenant = "storm-" + std::to_string(t);
+    const ExplainResponse response = service.Explain(request);
+    ASSERT_TRUE(response.ok) << response.error;
+  }
+
+  const ServiceStats stats = service.Stats();
+  EXPECT_GT(stats.tenants, 0u);  // the budget admitted tenant entries
+  EXPECT_EQ(stats.tenants, stats.tenant_bytes.size());
+  EXPECT_LE(stats.tenants, stats.cache.entries);
+  size_t tenant_total = 0;
+  for (const auto& [tenant, bytes] : stats.tenant_bytes) {
+    EXPECT_GT(bytes, 0u) << tenant;
+    tenant_total += bytes;
+  }
+  EXPECT_LE(tenant_total, stats.cache.bytes_used);
+
+  EXPECT_TRUE(service.DropDataset("ds"));
+  const ServiceStats dropped = service.Stats();
+  EXPECT_EQ(dropped.tenants, 0u);
+  EXPECT_TRUE(dropped.tenant_bytes.empty());
 }
 
 // ISSUE satellite: streaming-under-load determinism. A session receiving
@@ -851,18 +892,30 @@ TEST(ProtocolTest, ParseQueryConfigRoundTrip) {
   ASSERT_TRUE(ParseJson(R"({"explain_by":[1,2]})", &bad, &error));
   EXPECT_FALSE(ParseQueryConfig(bad, &config, &error));
 
-  // Hostile numeric fields must not UB-cast; out-of-range ints keep the
-  // config defaults (and thus pass or fail validation downstream, never
-  // crash the server).
-  JsonValue huge;
-  TSExplainConfig defaults;
-  ASSERT_TRUE(ParseJson(R"({"k":1e300,"m":-1e300,"order":1e999})", &huge,
+  // Hostile numeric fields must not UB-cast: an integer field outside
+  // int range, or fractional, is rejected naming the field (never read
+  // as the default, which would answer a different query).
+  for (const auto& [line, field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"k":1e300})", "'k'"},
+           {R"({"m":-1e300})", "'m'"},
+           {R"({"order":1e999})", "'order'"},
+           {R"({"k":2.5})", "'k'"}}) {
+    JsonValue huge;
+    ASSERT_TRUE(ParseJson(line, &huge, &error)) << line;
+    TSExplainConfig parsed;
+    EXPECT_FALSE(ParseQueryConfig(huge, &parsed, &error)) << line;
+    EXPECT_NE(error.find(field), std::string::npos) << error;
+  }
+  // An absent field keeps its default; a present in-range one is read.
+  JsonValue edge;
+  ASSERT_TRUE(ParseJson(R"({"k":-2147483648,"m":2147483647})", &edge,
                         &error));
   TSExplainConfig parsed;
-  ASSERT_TRUE(ParseQueryConfig(huge, &parsed, &error));
-  EXPECT_EQ(parsed.fixed_k, defaults.fixed_k);
-  EXPECT_EQ(parsed.m, defaults.m);
-  EXPECT_EQ(parsed.max_order, defaults.max_order);
+  ASSERT_TRUE(ParseQueryConfig(edge, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.fixed_k, -2147483647 - 1);
+  EXPECT_EQ(parsed.m, 2147483647);
+  EXPECT_EQ(parsed.max_order, TSExplainConfig().max_order);
 }
 
 // One counter from a `metrics` op response (-1 when absent).

@@ -624,7 +624,8 @@ TEST(SessionLog, RecoveryReplaysToBitIdenticalState) {
     ASSERT_TRUE(writer.LogAppend("t7", BucketRows(1)).ok());
   }
 
-  SessionRecoveryResult recovered = RecoverStreamingSession(*base, path);
+  SessionRecoveryResult recovered =
+      RecoverStreamingSession(*base, TableFingerprint(*base), path);
   ASSERT_TRUE(recovered.ok()) << recovered.status.message;
   EXPECT_EQ(recovered.contents.appends.size(), 2u);
   EXPECT_FALSE(recovered.contents.torn);
@@ -649,7 +650,7 @@ TEST(SessionLog, RecoveryFencesAChangedBaseTable) {
   std::unique_ptr<Table> changed = MakeSessionBase();
   changed->AppendRow(0, {"east"}, {999.0});
   const SessionRecoveryResult recovered =
-      RecoverStreamingSession(*changed, path);
+      RecoverStreamingSession(*changed, TableFingerprint(*changed), path);
   EXPECT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status.code, StorageErrorCode::kFormatError);
   EXPECT_NE(recovered.status.message.find("fingerprint"), std::string::npos);
@@ -670,7 +671,7 @@ TEST(SessionLog, TornTailLosesOnlyTheInFlightAppend) {
   WriteRawFile(path, full.substr(0, full.size() - 5));
 
   const SessionRecoveryResult recovered =
-      RecoverStreamingSession(*base, path);
+      RecoverStreamingSession(*base, TableFingerprint(*base), path);
   ASSERT_TRUE(recovered.ok()) << recovered.status.message;
   EXPECT_TRUE(recovered.contents.torn);
   ASSERT_EQ(recovered.contents.appends.size(), 1u);
@@ -693,7 +694,7 @@ TEST(SessionLog, ReplayRejectsWrongRowShapeStructurally) {
   writer.Close();
 
   const SessionRecoveryResult recovered =
-      RecoverStreamingSession(*base, path);
+      RecoverStreamingSession(*base, TableFingerprint(*base), path);
   EXPECT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status.code, StorageErrorCode::kFormatError);
   EXPECT_NE(recovered.status.message.find("shape"), std::string::npos);

@@ -47,9 +47,9 @@ ResultCache::ValuePtr MakeValue(const std::string& json) {
 
 TEST(TsanStressTest, ResultCacheConcurrentMix) {
   // Small capacity forces constant eviction; few shards force contention;
-  // a prefix budget keeps the budget-eviction path hot too.
-  ResultCache cache(/*capacity_bytes=*/64 << 10, /*num_shards=*/2);
-  cache.SetPrefixBudget("tenant/a/", 8 << 10);
+  // a tenant budget keeps the budget-eviction path hot too.
+  ResultCache cache(/*capacity_bytes=*/64 << 10, /*num_shards=*/2,
+                    /*tenant_budget_bytes=*/8 << 10);
 
   const auto deadline = std::chrono::steady_clock::now() + kBudget;
   std::atomic<size_t> lookups{0};
@@ -60,7 +60,7 @@ TEST(TsanStressTest, ResultCacheConcurrentMix) {
       size_t i = 0;
       while (!Expired(deadline)) {
         const std::string key =
-            (t % 4 == 0 ? "tenant/a/" : "ds/") + std::to_string(i % 37);
+            (t % 4 == 0 ? "tenant/a/ds/" : "ds/") + std::to_string(i % 37);
         switch ((i + static_cast<size_t>(t)) % 5) {
           case 0:
             cache.Lookup(key);
@@ -81,9 +81,11 @@ TEST(TsanStressTest, ResultCacheConcurrentMix) {
             break;
           default:
             if (i % 97 == 0) {
-              cache.InvalidatePrefixes({"ds/", "tenant/a/"});
-            } else {
+              cache.InvalidatePrefix("ds/");  // reaches tenant a's keys too
+            } else if (i % 2 == 0) {
               cache.stats();
+            } else {
+              cache.TenantBytes();
             }
             break;
         }

@@ -28,7 +28,8 @@
 // BEFORE they reach the thread pool, so the dispatch backlog is bounded
 // too — a flood degrades into fast shed responses, never into unbounded
 // queue growth. Requests may carry a "tenant" field for per-tenant cache
-// budgets and in-flight caps (docs/SERVICE.md, "Operating under load").
+// budgets and in-flight caps (docs/SERVICE.md, "Operating under load");
+// a tenant is its cache namespace, so the server keeps no tenant list.
 //
 // Options:
 //   --port N          TCP mode on 127.0.0.1:N (default: pipe mode)
@@ -37,8 +38,8 @@
 //                     (default 0 = one per pool worker)
 //   --queue-depth N   admitted-but-waiting bound before shedding
 //                     (default 16)
-//   --tenant-cache-budget N  per-tenant result-cache budget in MiB
-//                     (default 0 = tenants share the global LRU)
+//   --tenant-cache-budget N  result-cache budget in MiB for each tenant's
+//                     namespace (default 0 = tenants share the global LRU)
 //   --tenant-inflight N      per-tenant in-flight cap (default 0 = off)
 //   --preload NAME=PATH  register a CSV or binary table snapshot at
 //                     startup (repeatable; snapshots are auto-detected by
@@ -95,6 +96,7 @@
 #include "src/common/metrics_history.h"
 #include "src/common/mutex.h"
 #include "src/common/thread_pool.h"
+#include "src/common/timer.h"
 #include "src/service/explain_service.h"
 #include "src/service/protocol.h"
 #include "src/service/watchdog.h"
@@ -661,10 +663,7 @@ int main(int argc, char** argv) {
   // registry on a cadence. Both exist even when the sampler thread is
   // disabled, so healthz/state and explicit "sample":true ticks work in
   // every configuration.
-  const double start_wall_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count();
+  const double start_wall_ms = WallMs();
   QueryWatchdog::Options watchdog_options;
   watchdog_options.stuck_after_ms = options.stuck_after_ms;
   QueryWatchdog watchdog(watchdog_options);
@@ -683,12 +682,8 @@ int main(int argc, char** argv) {
       MetricRegistry::Global().GetGauge("server.uptime_seconds");
   MetricRegistry::Global().GetGauge("server.build_info").Set(1);
   history.SetSamplePrologue([&uptime_gauge, &watchdog, start_wall_ms] {
-    const double now_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count();
     uptime_gauge.Set(
-        static_cast<int64_t>((now_ms - start_wall_ms) / 1000.0));
+        static_cast<int64_t>((WallMs() - start_wall_ms) / 1000.0));
     watchdog.Scan();
   });
   if (options.history_interval_ms > 0) history.Start();

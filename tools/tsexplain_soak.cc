@@ -19,9 +19,14 @@
 //       cache byte-for-byte identical.
 //   I5  zero stuck queries at drain: once traffic stops, healthz must
 //       report status "ok" with an empty stuck set.
+//   I7  tenant state is the cache's (checked at drain, after I5): every
+//       `tenant_bytes` value in `state` is above 0 and `tenants` <=
+//       cache.entries; after a drop_dataset of the soak dataset, `tenants`
+//       is 0 and `tenant_bytes` is empty.
 //   I6  dogfood: the metrics_history window exports as a registered
 //       dataset and the engine explains it end-to-end (the server
-//       analyzes its own telemetry with its own query engine).
+//       analyzes its own telemetry with its own query engine). Runs after
+//       I7 on a dataset of its own.
 //
 // Traffic classes (thread counts via --mix):
 //   hot      repeated identical explain        -> cache-hit path
@@ -29,7 +34,8 @@
 //   stream   open_session / append / explain_session / close
 //   hostile  malformed JSON, unknown ops, bad types; the connection must
 //            survive and keep answering (decode-surface regression)
-//   quota    explains under rotating tenant ids -> per-tenant accounting
+//   quota    explains under rotating tenant ids, every fourth under a
+//            fresh one (tenant churn) -> per-tenant accounting
 //
 // Usage:
 //   tsexplain_soak --serve-bin PATH [--port N] [--duration SECONDS]
@@ -498,12 +504,18 @@ void RunQuotaClient(int port, std::atomic<bool>& stop, TrafficCounters& tc,
   Lcg rng(5000 + static_cast<uint64_t>(worker));
   uint64_t sequence = 0;
   while (!stop.load(std::memory_order_relaxed)) {
+    // Every fourth request comes from a tenant never seen before: tenant
+    // state must stay bounded by the cache however many ids arrive (I7).
+    const std::string id =
+        std::to_string(worker) + "-" + std::to_string(sequence);
+    const std::string tenant =
+        sequence % 4 == 3 ? "churn-" + id : kTenants[rng.Next(3)];
+    ++sequence;
     const std::string request =
-        R"({"op":"explain","id":"q)" + std::to_string(worker) + "-" +
-        std::to_string(sequence++) +
+        R"({"op":"explain","id":"q)" + id +
         R"(","dataset":"soak","measure":"sales","explain_by":["product"],"k":)" +
-        std::to_string(1 + rng.Next(4)) + R"(,"tenant":")" +
-        kTenants[rng.Next(3)] + R"("})";
+        std::to_string(1 + rng.Next(4)) + R"(,"tenant":")" + tenant +
+        R"("})";
     std::string response;
     if (!client.SendRecv(request, &response)) {
       if (!stop.load()) g_violations.Add("quota: connection dropped");
@@ -712,6 +724,58 @@ void CheckDrained(int port) {
   }
 }
 
+// I7: the cache is the only record of a tenant. `state` lists exactly
+// the tenants holding bytes — never more than the resident entries — and
+// dropping the soak dataset leaves none.
+void CheckTenantState(int port) {
+  Client client;
+  if (!client.Connect(port)) {
+    g_violations.Add("tenants: cannot connect");
+    return;
+  }
+  // Reads `state`; false (with a violation) on a failed request.
+  auto read_state = [&](const char* when, JsonValue* parsed) {
+    std::string response;
+    if (!client.SendRecv(R"({"op":"state","id":"tenants"})", &response) ||
+        !CheckResponseShape("tenants", response, parsed) ||
+        !parsed->GetBool("ok", false) || !parsed->Find("tenant_bytes") ||
+        !parsed->Find("cache")) {
+      g_violations.Add(std::string("tenants: state failed ") + when + ": " +
+                       response);
+      return false;
+    }
+    return true;
+  };
+  JsonValue state;
+  if (!read_state("at drain", &state)) return;
+  const int tenants = state.GetInt("tenants", -1);
+  const int entries = state.Find("cache")->GetInt("entries", -1);
+  for (const auto& [tenant, bytes] : state.Find("tenant_bytes")->members()) {
+    if (!(bytes.AsDouble() > 0.0)) {
+      g_violations.Add("tenants: " + tenant + " listed without bytes");
+    }
+  }
+  if (tenants < 0 || tenants > entries) {
+    g_violations.Add("tenants: " + std::to_string(tenants) +
+                     " tenants over " + std::to_string(entries) +
+                     " cache entries");
+  }
+  std::string response;
+  JsonValue dropped;
+  if (!client.SendRecv(R"({"op":"drop_dataset","id":"td","name":"soak"})",
+                       &response) ||
+      !CheckResponseShape("tenants", response, &dropped) ||
+      !dropped.GetBool("ok", false)) {
+    g_violations.Add("tenants: drop_dataset failed: " + response);
+    return;
+  }
+  if (!read_state("after the drop", &state)) return;
+  if (state.GetInt("tenants", -1) != 0 ||
+      !state.Find("tenant_bytes")->members().empty()) {
+    g_violations.Add("tenants: tenant state outlived the dataset drop");
+  }
+}
+
 // I6: the dogfood loop — export the server's own metrics history as a
 // dataset and explain it with the server's own engine.
 void CheckDogfood(int port, const std::string& export_name) {
@@ -911,6 +975,7 @@ int main(int argc, char** argv) {
   }
 
   CheckDrained(options.port);
+  CheckTenantState(options.port);
   CheckDogfood(options.port, "telemetry");
 
   // Clean shutdown so --cache-save-style teardown paths run too.
