@@ -18,6 +18,11 @@
 // serial wall clock of one solve at m = 3):
 //   micro.ca.guess_verify   GuessVerifyTopM at the default initial guess 30
 //   micro.ca.plain          CascadingAnalysts::TopM over the full lattice
+// and modules (a)+(b) together on the Liquor engine as the liquor-cold
+// benchmark configures it (O1, support filter, smooth 5, one exclude), so
+// the combined mask's id list is on the measured path:
+//   micro.explainer.top_for   one cold SegmentExplainer::TopFor, median
+//                             over fresh explainers
 // and module (c)'s fill on BM_VarianceTableSketched's n = 400 instance
 // (median serial wall clock, explainer pre-warmed so only the fill runs):
 //   micro.seg.variance_fill   VarianceTable::Compute over the sketch
@@ -41,6 +46,7 @@
 #include "src/datagen/liquor_sim.h"
 #include "src/datagen/synthetic.h"
 #include "src/diff/guess_verify.h"
+#include "src/pipeline/tsexplain.h"
 #include "src/seg/kseg_dp.h"
 #include "src/seg/sketch.h"
 
@@ -408,6 +414,39 @@ void EmitCascadingAnalystsMedians() {
   }));
 }
 
+// Modules (a)+(b) median: one cold TopFor on the Liquor engine configured
+// as liquor-cold configures it. Each pass builds a fresh SegmentExplainer
+// over the engine's cube, registry and masks and asks it every segment
+// between points of an 8-bucket grid, so every sample is a cache miss.
+void EmitTopForMedian() {
+  constexpr int kPasses = 5;
+  const auto table = MakeLiquorTable();
+  TSExplainConfig config;
+  config.measure = "bottles_sold";
+  config.explain_by_names = {"BV", "CN", "P", "VN"};
+  config.smooth_window = 5;
+  config.use_filter = true;
+  config.use_guess_verify = true;
+  config.use_sketch = true;
+  config.exclude = {
+      table->PredicateString(table->schema().DimensionIndex("CN"), 0)};
+  TSExplain engine(*table, config);
+  const int n = engine.explainer().n();
+  std::vector<double> samples;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    SegmentExplainer explainer(engine.cube(), engine.registry(),
+                               engine.explainer().options());
+    for (int a = 0; a < n; a += 8) {
+      for (int b = a + 8; b < n; b += 8) {
+        const Timer timer;
+        benchmark::DoNotOptimize(explainer.TopFor(a, b));
+        samples.push_back(timer.ElapsedMs());
+      }
+    }
+  }
+  bench::EmitResult("micro.explainer.top_for", MedianMs(std::move(samples)));
+}
+
 // Module (c) median: the serial variance fill over the n = 400 sketch.
 // One untimed fill first computes every list the fill reads, so each
 // sample times the distances alone, not modules (a) and (b).
@@ -493,6 +532,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
   tsexplain::EmitLiquorBuildMedians();
   tsexplain::EmitCascadingAnalystsMedians();
+  tsexplain::EmitTopForMedian();
   tsexplain::EmitVarianceFillMedian();
   return tsexplain::RunSimdGate();
 }

@@ -107,13 +107,12 @@ DiffScore ExplanationCube::Score(DiffMetricKind kind, ExplId e,
 
 void ExplanationCube::ScoreAll(DiffMetricKind kind, size_t t_control,
                                size_t t_test,
-                               const std::vector<bool>* active,
+                               const std::vector<ExplId>* active_ids,
                                std::vector<double>* gammas) const {
   TSE_CHECK_LT(t_control, n());
   TSE_CHECK_LT(t_test, n());
   const size_t epsilon = num_explanations_;
   TSE_CHECK_EQ(gammas->size(), epsilon);
-  if (active != nullptr) TSE_CHECK_EQ(active->size(), epsilon);
   ScoreAllInputs in;
   in.f = f_;
   in.kind = kind;
@@ -129,13 +128,19 @@ void ExplanationCube::ScoreAll(DiffMetricKind kind, size_t t_control,
   double* out = gammas->data();
   // Kernel dispatch (scalar reference or bit-identical AVX2 — see
   // src/cube/score_kernels.h for the policy). Every lane is computed,
-  // then masked-off candidates are zeroed: identical output to skipping
-  // them, and the kernel keeps its contiguous four-stream sweep.
+  // then the cells between listed ids are zeroed: identical output to
+  // skipping them, and the kernel keeps its contiguous four-stream sweep.
   ScoreAllAuto(in, out);
-  if (active != nullptr) {
-    for (size_t e = 0; e < epsilon; ++e) {
-      if (!(*active)[e]) out[e] = 0.0;
+  if (active_ids != nullptr) {
+    size_t next = 0;  // the first cell neither listed nor zeroed yet
+    for (ExplId id : *active_ids) {
+      const size_t e = static_cast<size_t>(id);
+      TSE_CHECK(e >= next && e < epsilon)
+          << "active ids must ascend within the cube";
+      std::fill(out + next, out + e, 0.0);
+      next = e + 1;
     }
+    std::fill(out + next, out + epsilon, 0.0);
   }
 }
 

@@ -65,14 +65,16 @@ class ExplanationCube {
                   size_t t_test) const;
 
   /// Batch module (a): gamma(E) for EVERY candidate on one segment, filling
-  /// `gammas` (must be sized num_explanations()). Cells where `active` is
-  /// false (nullptr = all active) score 0. Bit-identical to calling Score
-  /// per candidate, but hoists the overall finalization out of the loop and
+  /// `gammas` (must be sized num_explanations()). `active_ids` lists the
+  /// selectable cells in ascending id order (nullptr = all cells); every
+  /// cell it skips scores 0. Bit-identical to calling Score per listed
+  /// candidate, but hoists the overall finalization out of the loop and
   /// sweeps two contiguous SoA streams instead of chasing per-slice heap
-  /// vectors. This is the hottest loop in the system (every cache-miss
+  /// vectors: every cell is scored, then the gaps between listed ids are
+  /// zeroed. This is the hottest loop in the system (every cache-miss
   /// TopFor runs it).
   void ScoreAll(DiffMetricKind kind, size_t t_control, size_t t_test,
-                const std::vector<bool>* active,
+                const std::vector<ExplId>* active_ids,
                 std::vector<double>* gammas) const;
 
   /// Dense overall aggregated series (with time labels).

@@ -36,4 +36,13 @@ size_t CountActive(const std::vector<bool>& active) {
   return count;
 }
 
+std::vector<ExplId> ActiveIds(const std::vector<bool>& active) {
+  std::vector<ExplId> ids;
+  ids.reserve(CountActive(active));
+  for (size_t e = 0; e < active.size(); ++e) {
+    if (active[e]) ids.push_back(static_cast<ExplId>(e));
+  }
+  return ids;
+}
+
 }  // namespace tsexplain

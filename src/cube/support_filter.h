@@ -25,6 +25,10 @@ std::vector<bool> ComputeSupportFilter(const ExplanationCube& cube,
 /// Number of `true` entries (the paper's "filtered epsilon").
 size_t CountActive(const std::vector<bool>& active);
 
+/// The ids of the `true` entries, ascending: the list modules (a) and (b)
+/// walk instead of testing every entry.
+std::vector<ExplId> ActiveIds(const std::vector<bool>& active);
+
 }  // namespace tsexplain
 
 #endif  // TSEXPLAIN_CUBE_SUPPORT_FILTER_H_

@@ -96,153 +96,152 @@ TopExplanations CascadingAnalysts::Run(const DrillDownLattice& lattice,
                                        const double* score,
                                        const std::vector<bool>* selectable,
                                        int m) {
-  children_ = &lattice.children;
-  score_ = score;
-  selectable_ = selectable;
-  nodes_visited_ = 0;
-
-  // (Re)size the epoch-stamped memo table to the lattice being walked.
-  const int m_cap = std::max(m, m_cap_);
-  if (m_cap == std::numeric_limits<int>::max()) {
-    // Its m_cap + 1 quota levels per node overflow int.
+  if (m == std::numeric_limits<int>::max()) {
+    // Its m + 1 quota levels per node overflow int.
     throw std::length_error("Cascading Analysts: m is too large");
   }
-  const size_t slots =
-      lattice.children.size() * static_cast<size_t>(m_cap + 1);
-  if (m_cap != m_cap_ || memo_.size() < slots) {
-    m_cap_ = m_cap;
-    memo_.assign(slots, 0.0);
-    memo_epoch_.assign(slots, 0);
-    epoch_ = 0;
-  }
+  lattice_ = &lattice;
+  score_ = score;
+  selectable_ = selectable;
+  m_ = m;
+  nodes_visited_ = 0;
+
+  // Grow the buffers to this lattice and m; a new epoch invalidates every
+  // row of the previous call, whatever its m.
+  const size_t nodes = lattice.children.size();
+  const size_t width = static_cast<size_t>(m) + 1;
+  if (memo_.size() < nodes * width) memo_.resize(nodes * width);
+  if (stamp_.size() < nodes) stamp_.resize(nodes, 0u);
+  if (knapsack_.size() < width) knapsack_.resize(width);
   ++epoch_;
   if (epoch_ == 0) {  // wrapped: stamps are stale, reset
-    std::fill(memo_epoch_.begin(), memo_epoch_.end(), 0u);
+    std::fill(stamp_.begin(), stamp_.end(), 0u);
     epoch_ = 1;
   }
 
+  // The root cannot select itself; Best[q] is its optimal drill-down value.
   TopExplanations result;
-  result.best.resize(static_cast<size_t>(m) + 1, 0.0);
-  // The root cannot select itself; Best[q] is the optimal drill-down value.
-  // One knapsack pass per child group yields all quota levels at once, so we
-  // simply evaluate per q (m is tiny; clarity over micro-optimization).
-  for (int q = 1; q <= m; ++q) {
-    result.best[static_cast<size_t>(q)] = BestDrillDown(lattice.root, q);
-  }
-  ReconstructDrillDown(lattice.root, m, &result.ids);
+  result.best.resize(width);
+  FillChildren(nodes);
+  BestDrillDown(nodes, result.best.data());
+  Reconstruct(result.best[static_cast<size_t>(m)], &result.ids);
   return result;
 }
 
-double CascadingAnalysts::Solve(ExplId node, int q) {
-  if (q == 0) return 0.0;
-  const size_t slot =
-      static_cast<size_t>(node) * static_cast<size_t>(m_cap_ + 1) +
-      static_cast<size_t>(q);
-  if (memo_epoch_[slot] == epoch_) return memo_[slot];
-  ++nodes_visited_;
-
-  const bool can_select =
-      selectable_ == nullptr || (*selectable_)[static_cast<size_t>(node)];
-  double best = 0.0;
-  if (can_select) {
-    const double g = score_[static_cast<size_t>(node)];
-    if (g > kScoreEps) best = g;
-  }
-  const std::vector<ChildGroup>& groups =
-      (*children_)[static_cast<size_t>(node)];
-  if (!groups.empty()) {
-    best = std::max(best, BestDrillDown(groups, q));
-  }
-
-  memo_epoch_[slot] = epoch_;
-  memo_[slot] = best;
-  return best;
+double CascadingAnalysts::SelfScore(size_t node) const {
+  if (selectable_ != nullptr && !(*selectable_)[node]) return 0.0;
+  const double g = score_[node];
+  return g > kScoreEps ? g : 0.0;
 }
 
-double CascadingAnalysts::BestDrillDown(const std::vector<ChildGroup>& groups,
-                                        int q) {
-  double best = 0.0;
-  std::vector<double> dp(static_cast<size_t>(q) + 1);
-  for (const ChildGroup& group : groups) {
+void CascadingAnalysts::FillChildren(size_t node) {
+  for (const ChildGroup& group : Groups(node)) {
+    for (ExplId child : group.children) {
+      if (stamp_[static_cast<size_t>(child)] != epoch_) {
+        Fill(static_cast<size_t>(child));
+      }
+    }
+  }
+}
+
+void CascadingAnalysts::Fill(size_t node) {
+  FillChildren(node);
+  ++nodes_visited_;
+  double* row = Row(node);
+  BestDrillDown(node, row);
+  const double self = SelfScore(node);
+  for (int q = 1; q <= m_; ++q) row[q] = std::max(self, row[q]);
+  stamp_[node] = epoch_;
+}
+
+void CascadingAnalysts::BestDrillDown(size_t node, double* best) {
+  std::fill(best, best + m_ + 1, 0.0);
+  double* dp = knapsack_.data();
+  for (const ChildGroup& group : Groups(node)) {
     // Knapsack over this dimension's children: dp[x] = best total score
     // spending exactly <= x quota on the children seen so far.
-    std::fill(dp.begin(), dp.end(), 0.0);
+    std::fill(dp, dp + m_ + 1, 0.0);
     for (ExplId child : group.children) {
+      const double* f = Row(static_cast<size_t>(child));
       // Children are independent subtrees; descending x keeps each child
       // used at most once (bounded knapsack over quota).
-      for (int x = q; x >= 1; --x) {
-        double best_here = dp[static_cast<size_t>(x)];
+      for (int x = m_; x >= 1; --x) {
+        double best_here = dp[x];
         for (int y = 1; y <= x; ++y) {
-          const double candidate =
-              dp[static_cast<size_t>(x - y)] + Solve(child, y);
-          best_here = std::max(best_here, candidate);
+          best_here = std::max(best_here, dp[x - y] + f[y]);
         }
-        dp[static_cast<size_t>(x)] = best_here;
+        dp[x] = best_here;
       }
     }
-    best = std::max(best, dp[static_cast<size_t>(q)]);
+    for (int q = 1; q <= m_; ++q) best[q] = std::max(best[q], dp[q]);
   }
-  return best;
 }
 
-void CascadingAnalysts::Reconstruct(ExplId node, int q,
-                                    std::vector<ExplId>* out) {
-  if (q == 0) return;
-  const double value = Solve(node, q);
-  if (value <= kScoreEps) return;  // nothing selected in this subtree
-
-  const bool can_select =
-      selectable_ == nullptr || (*selectable_)[static_cast<size_t>(node)];
-  if (can_select) {
-    const double g = score_[static_cast<size_t>(node)];
-    if (g > kScoreEps && g >= value - kScoreEps) {
-      out->push_back(node);
-      return;
+void CascadingAnalysts::Reconstruct(double best, std::vector<ExplId>* out) {
+  pending_.clear();
+  PickDrillDown(lattice_->children.size(), m_, best);
+  while (!pending_.empty()) {
+    const auto [node, q] = pending_.back();
+    pending_.pop_back();
+    const double value = Row(node)[q];
+    if (value <= kScoreEps) continue;  // nothing selected in this subtree
+    const double self = SelfScore(node);
+    if (self > kScoreEps && self >= value - kScoreEps) {
+      out->push_back(static_cast<ExplId>(node));
+      continue;
     }
+    // Not selected, so its value is its drill-down's.
+    PickDrillDown(node, q, value);
   }
-  ReconstructDrillDown((*children_)[static_cast<size_t>(node)], q, out);
 }
 
-void CascadingAnalysts::ReconstructDrillDown(
-    const std::vector<ChildGroup>& groups, int q, std::vector<ExplId>* out) {
-  if (q == 0 || groups.empty()) return;
-  const double target = BestDrillDown(groups, q);
-  if (target <= kScoreEps) return;
+void CascadingAnalysts::PickDrillDown(size_t node, int q, double target) {
+  const std::vector<ChildGroup>& groups = Groups(node);
+  if (q == 0 || groups.empty() || target <= kScoreEps) return;
 
   // Find a group achieving the target, then re-run its knapsack while
-  // recording the quota granted to each child.
+  // recording every child's row: table[i * width + x] = best total for
+  // quota x over the group's first i children.
+  const size_t width = static_cast<size_t>(q) + 1;
   for (const ChildGroup& group : groups) {
-    const size_t num_children = group.children.size();
-    std::vector<std::vector<double>> dp(
-        num_children + 1, std::vector<double>(static_cast<size_t>(q) + 1));
+    const std::vector<ExplId>& children = group.children;
+    const size_t num_children = children.size();
+    if (knapsack_.size() < (num_children + 1) * width) {
+      knapsack_.resize((num_children + 1) * width);
+    }
+    double* table = knapsack_.data();
+    std::fill(table, table + width, 0.0);
     for (size_t i = 0; i < num_children; ++i) {
-      const ExplId child = group.children[i];
+      const double* f = Row(static_cast<size_t>(children[i]));
+      const double* prev = table + i * width;
+      double* next = table + (i + 1) * width;
       for (int x = 0; x <= q; ++x) {
-        double best_here = dp[i][static_cast<size_t>(x)];
+        double best_here = prev[x];
         for (int y = 1; y <= x; ++y) {
-          best_here = std::max(
-              best_here, dp[i][static_cast<size_t>(x - y)] + Solve(child, y));
+          best_here = std::max(best_here, prev[x - y] + f[y]);
         }
-        dp[i + 1][static_cast<size_t>(x)] = best_here;
+        next[x] = best_here;
       }
     }
-    if (dp[num_children][static_cast<size_t>(q)] < target - kScoreEps) {
+    if (table[num_children * width + static_cast<size_t>(q)] <
+        target - kScoreEps) {
       continue;  // this dimension does not achieve the optimum
     }
     // Walk back through the knapsack to recover per-child quotas.
     int x = q;
     for (size_t i = num_children; i > 0; --i) {
-      const ExplId child = group.children[i - 1];
+      const size_t child = static_cast<size_t>(children[i - 1]);
+      const double* f = Row(child);
+      const double* prev = table + (i - 1) * width;
+      const double value = table[i * width + static_cast<size_t>(x)];
       int chosen_y = 0;
       for (int y = 0; y <= x; ++y) {
-        const double candidate =
-            dp[i - 1][static_cast<size_t>(x - y)] + Solve(child, y);
-        if (candidate >= dp[i][static_cast<size_t>(x)] - kScoreEps) {
+        if (prev[x - y] + f[y] >= value - kScoreEps) {
           chosen_y = y;
           break;  // smallest quota achieving the value -> fewest selections
         }
       }
-      if (chosen_y > 0) Reconstruct(child, chosen_y, out);
+      if (chosen_y > 0) pending_.emplace_back(child, chosen_y);
       x -= chosen_y;
     }
     return;

@@ -15,6 +15,17 @@
 // where distribute is a small knapsack over children. Nodes are memoized,
 // so the cost is O(nodes * |A| * m^2) per segment, matching the paper.
 //
+// Every node gets f(node, q) for every q <= m: the root's q = m drills into
+// each child at every quota up to m, and so on down. The solver therefore
+// fills a node's whole row f(node, 1..m) in one pass: it first fills the
+// children it has not filled this call, then runs one knapsack per child
+// group with quota m, whose entry x is that group's best for quota x (the
+// sums and maxima for x never depend on the quota the pass was run for).
+// Best[1..m] is one such pass over the root's groups. The memo is stamped
+// per node and call, and the DP and its reconstruction run in solver-owned
+// buffers; a warmed solver allocates only the sub-lattice's child lists
+// and the result it returns.
+//
 // One DP, two lattices. The DP (node value, knapsack drill-down,
 // reconstruction) walks a node-indexed drill-down forest (DrillDownLattice)
 // through three views: children by node, score by node, and selectable by
@@ -34,7 +45,9 @@
 #ifndef TSEXPLAIN_DIFF_CASCADING_ANALYSTS_H_
 #define TSEXPLAIN_DIFF_CASCADING_ANALYSTS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/diff/explanation_registry.h"
@@ -59,9 +72,10 @@ struct TopExplanations {
   double TotalScore() const { return best.empty() ? 0.0 : best.back(); }
 };
 
-/// Reusable solver: owns scratch buffers (memo, sub-lattice) that grow to
-/// the largest lattice walked, so repeated per-segment invocations do not
-/// allocate the memo. Not thread-safe; create one per thread.
+/// Reusable solver: owns the memo, the knapsack buffers and the
+/// sub-lattice, which grow to the largest lattice and m walked, so repeated
+/// per-segment invocations do not allocate the DP. Not thread-safe; create
+/// one per thread.
 class CascadingAnalysts {
  public:
   explicit CascadingAnalysts(const ExplanationRegistry& registry);
@@ -82,8 +96,8 @@ class CascadingAnalysts {
   TopExplanations TopMRestricted(const std::vector<double>& gamma, int m,
                                  const std::vector<ExplId>& candidates);
 
-  /// Number of f(node, q) evaluations performed by the last call
-  /// (complexity instrumentation for the benches).
+  /// Number of lattice nodes whose row f(node, 1..m) the last call filled,
+  /// one knapsack pass each (complexity instrumentation for the benches).
   size_t last_nodes_visited() const { return nodes_visited_; }
 
  private:
@@ -91,33 +105,56 @@ class CascadingAnalysts {
   // selected nodes, unranked.
   TopExplanations Run(const DrillDownLattice& lattice, const double* score,
                       const std::vector<bool>* selectable, int m);
-  // Memoized f(node, q) for the current epoch; the root is not a node and
-  // is handled by Run.
-  double Solve(ExplId node, int q);
-  // Optimal distribution of quota q among `groups` children of a node.
-  double BestDrillDown(const std::vector<ChildGroup>& groups, int q);
-  // Walks the optimal solution, appending selected nodes to out.
-  void Reconstruct(ExplId node, int q, std::vector<ExplId>* out);
-  void ReconstructDrillDown(const std::vector<ChildGroup>& groups, int q,
-                            std::vector<ExplId>* out);
+  // The child groups of `node`; node = the lattice's node count stands for
+  // the root.
+  const std::vector<ChildGroup>& Groups(size_t node) const {
+    return node == lattice_->children.size() ? lattice_->root
+                                             : lattice_->children[node];
+  }
+  // Fills the row of every child of `node` (or of the root) that this call
+  // has not filled yet.
+  void FillChildren(size_t node);
+  // Fills f(node, 0..m), after the rows of its children.
+  void Fill(size_t node);
+  // best[q], q = 0..m: the optimal distribution of quota q among the
+  // children of one of `node`'s groups, maximized over its groups. Reads
+  // filled child rows only.
+  void BestDrillDown(size_t node, double* best);
+  // Appends the selected nodes of the optimum of quota m, whose value is
+  // `best`: walks the drill-down choices from the root.
+  void Reconstruct(double best, std::vector<ExplId>* out);
+  // Finds the first group of `node` whose knapsack reaches `target` at
+  // quota q and queues each of its children's quota shares on pending_.
+  void PickDrillDown(size_t node, int q, double target);
+  // The score `node` adds when it selects itself (0 = it cannot).
+  double SelfScore(size_t node) const;
+  // The memo row of `node`: f(node, q) at q = 0..m.
+  double* Row(size_t node) {
+    return memo_.data() + node * (static_cast<size_t>(m_) + 1);
+  }
 
   const ExplanationRegistry& registry_;
-  // Views of the lattice Run walks, by node.
-  const std::vector<std::vector<ChildGroup>>* children_ = nullptr;
+  // The lattice Run walks, its views by node, and the call's m.
+  const DrillDownLattice* lattice_ = nullptr;
   const double* score_ = nullptr;
   const std::vector<bool>* selectable_ = nullptr;
+  int m_ = 0;
 
   // TopMRestricted's sub-lattice: node i stands for cell sub_cells_[i].
   std::vector<ExplId> sub_cells_;
   DrillDownLattice sub_lattice_;
   std::vector<double> sub_score_;
 
-  // Epoch-stamped memo table sized to the walked lattice:
-  // memo_[node * (m_cap_+1) + q].
+  // memo_[node * (m_ + 1) + q] = f(node, q), valid for this call when
+  // stamp_[node] == epoch_.
   std::vector<double> memo_;
-  std::vector<uint32_t> memo_epoch_;
+  std::vector<uint32_t> stamp_;
   uint32_t epoch_ = 0;
-  int m_cap_ = 0;
+  // One group's knapsack: its quota row (the DP) or its full per-child
+  // table (the reconstruction); and the (node, quota) shares still to
+  // reconstruct.
+  std::vector<double> knapsack_;
+  std::vector<std::pair<size_t, int>> pending_;
   size_t nodes_visited_ = 0;
 };
 

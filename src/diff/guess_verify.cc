@@ -1,7 +1,7 @@
 #include "src/diff/guess_verify.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cstddef>
 
 #include "src/common/check.h"
 
@@ -14,34 +14,26 @@ constexpr double kScoreEps = 1e-9;
 
 TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
                                 const std::vector<double>& gamma, int m,
-                                const std::vector<bool>* selectable,
+                                const std::vector<ExplId>* selectable,
                                 int initial_guess, GuessVerifyStats* stats) {
   TSE_CHECK_GE(m, 1);
   TSE_CHECK_GE(initial_guess, 1);
-  const size_t epsilon = gamma.size();
 
-  // chi: candidate ids the caller allows with positive score. Kept
-  // UNSORTED; each guess round only needs the top (guess + m) elements, so
-  // nth_element + a prefix sort beats a full epsilon*log(epsilon) sort.
+  // chi: candidate ids the caller allows with positive score, ascending.
   std::vector<ExplId> chi;
-  chi.reserve(epsilon);
-  for (size_t e = 0; e < epsilon; ++e) {
-    if (selectable != nullptr && !(*selectable)[e]) continue;
-    if (gamma[e] > 0.0) chi.push_back(static_cast<ExplId>(e));
-  }
-
-  GuessVerifyStats local_stats;
-  int guess = std::min<int>(initial_guess, static_cast<int>(chi.size()));
-  if (guess == 0) {
-    // No scoring candidates at all: empty result with zero Best.
-    if (stats != nullptr) {
-      stats->iterations = 1;
-      stats->final_guess_size = 0;
-      stats->exact_fallback = true;
+  if (selectable != nullptr) {
+    if (!selectable->empty()) {
+      TSE_CHECK_LT(static_cast<size_t>(selectable->back()), gamma.size());
     }
-    TopExplanations empty;
-    empty.best.assign(static_cast<size_t>(m) + 1, 0.0);
-    return empty;
+    chi.reserve(selectable->size());
+    for (ExplId e : *selectable) {
+      if (gamma[static_cast<size_t>(e)] > 0.0) chi.push_back(e);
+    }
+  } else {
+    chi.reserve(gamma.size());
+    for (size_t e = 0; e < gamma.size(); ++e) {
+      if (gamma[e] > 0.0) chi.push_back(static_cast<ExplId>(e));
+    }
   }
 
   auto by_gamma_desc = [&gamma](ExplId a, ExplId b) {
@@ -50,52 +42,55 @@ TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
     if (ga != gb) return ga > gb;
     return a < b;
   };
-  int sorted_prefix = 0;
+  // Sizes are size_t: guess + m must not overflow for any int m.
+  const size_t quota = static_cast<size_t>(m);
+  size_t guess = std::min(static_cast<size_t>(initial_guess), chi.size());
+  // The first top.size() entries of chi in (gamma desc, id asc) order.
+  std::vector<ExplId> top;
   std::vector<ExplId> candidates;
+  GuessVerifyStats local_stats;
   for (;;) {
     ++local_stats.iterations;
-    // Ensure the first (guess + m) entries of chi are the largest, sorted.
-    const int need =
-        std::min<int>(guess + m, static_cast<int>(chi.size()));
-    if (need > sorted_prefix) {
-      std::nth_element(chi.begin(), chi.begin() + need - 1, chi.end(),
-                       by_gamma_desc);
-      std::sort(chi.begin(), chi.begin() + need, by_gamma_desc);
-      sorted_prefix = need;
+    // A round reads its guess plus the next m ranks (Eq. 12's bound), taken
+    // in one bounded pass over chi: O(|chi| log (guess + m)).
+    const size_t need = std::min(guess + quota, chi.size());
+    if (need > top.size()) {
+      top.resize(need);
+      std::partial_sort_copy(chi.begin(), chi.end(), top.begin(), top.end(),
+                             by_gamma_desc);
     }
 
-    candidates.assign(chi.begin(), chi.begin() + std::min<int>(
-                                                     guess,
-                                                     static_cast<int>(
-                                                         chi.size())));
+    candidates.assign(top.begin(),
+                      top.begin() + static_cast<std::ptrdiff_t>(guess));
     TopExplanations result = solver.TopMRestricted(gamma, m, candidates);
 
-    const bool covered_all = guess >= static_cast<int>(chi.size());
+    const bool covered_all = guess >= chi.size();
     bool verified = true;
     if (!covered_all) {
       // Eq. 12: for every split m' in-prefix / (m - m') out-of-prefix, the
-      // out-of-prefix part is upper-bounded by the next (m - m') raw gammas.
+      // out-of-prefix part is upper-bounded by the next (m - m') raw gammas
+      // (those that exist: ranks guess .. guess + m - m' - 1). The prefix
+      // must beat every such bound, not tie it: a solution outside the
+      // prefix that ties the optimum may be the one the full lattice's
+      // drill-down order picks.
       for (int m_prime = 0; m_prime < m && verified; ++m_prime) {
         double upper = result.best[static_cast<size_t>(m_prime)];
-        for (int j = 1; j <= m - m_prime; ++j) {
-          const size_t idx = static_cast<size_t>(guess + j - 1);
-          if (idx < chi.size()) {
-            upper += gamma[static_cast<size_t>(chi[idx])];
-          }
+        const size_t end = std::min(
+            guess + static_cast<size_t>(m - m_prime), chi.size());
+        for (size_t idx = guess; idx < end; ++idx) {
+          upper += gamma[static_cast<size_t>(top[idx])];
         }
-        if (result.best[static_cast<size_t>(m)] < upper - kScoreEps) {
-          verified = false;
-        }
+        if (!(result.best[quota] > upper + kScoreEps)) verified = false;
       }
     }
 
     if (verified || covered_all) {
-      local_stats.final_guess_size = guess;
+      local_stats.final_guess_size = static_cast<int>(guess);
       local_stats.exact_fallback = covered_all;
       if (stats != nullptr) *stats = local_stats;
       return result;
     }
-    guess = std::min<int>(guess * 2, static_cast<int>(chi.size()));
+    guess = std::min(guess * 2, chi.size());
   }
 }
 

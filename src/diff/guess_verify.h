@@ -3,15 +3,18 @@
 // Instead of handing all epsilon candidate explanations to the Cascading
 // Analysts algorithm, sort them by gamma descending, run CA restricted to
 // the top m-bar candidates, and verify optimality with the sufficient
-// condition of Eq. 12:
+// condition of Eq. 12, held strictly:
 //
-//   Best[m] >= Best[m'] + sum_{j=1..m-m'} gamma(E_{r_{m-bar+j}})
+//   Best[m] > Best[m'] + sum_{j=1..m-m'} gamma(E_{r_{m-bar+j}})
 //                                         for all 0 <= m' < m
 //
 // i.e. any solution using m' explanations from the prefix plus (m - m')
-// from outside is upper-bounded by the right-hand side. On failure the
-// prefix doubles (m-bar <- 2 m-bar) and the process repeats; when m-bar
-// reaches epsilon the run is exact by construction.
+// from outside is upper-bounded by the right-hand side. The paper writes
+// >=; under a tie a solution outside the prefix may match the optimum, and
+// the full lattice's drill-down order may pick it, so a tie does not
+// verify. On failure the prefix doubles (m-bar <- 2 m-bar) and the
+// process repeats; when m-bar reaches epsilon the run is exact by
+// construction. Candidates rank by (gamma descending, id ascending).
 
 #ifndef TSEXPLAIN_DIFF_GUESS_VERIFY_H_
 #define TSEXPLAIN_DIFF_GUESS_VERIFY_H_
@@ -34,13 +37,15 @@ struct GuessVerifyStats {
 };
 
 /// Computes the same TopExplanations as CascadingAnalysts::TopM but via
-/// guess-and-verify. `selectable` narrows the candidate pool (support
-/// filter); nullptr means all candidates. Results are guaranteed identical
-/// to the unoptimized run (the verification condition is sufficient for
-/// optimality).
+/// guess-and-verify. `selectable` lists the candidate ids the caller
+/// allows, ascending (e.g. the engine's combined mask as an id list);
+/// nullptr means all candidates. Results are guaranteed identical to the
+/// unoptimized run (the verification condition is sufficient for
+/// optimality). With no positive candidate the result is empty with a zero
+/// Best, from one round.
 TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
                                 const std::vector<double>& gamma, int m,
-                                const std::vector<bool>* selectable = nullptr,
+                                const std::vector<ExplId>* selectable = nullptr,
                                 int initial_guess = kDefaultInitialGuess,
                                 GuessVerifyStats* stats = nullptr);
 

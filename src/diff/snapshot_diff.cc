@@ -76,9 +76,10 @@ SnapshotDiffResult SnapshotDiffAt(const Table& table, int control_time,
 
   // Module (a) for the single segment (batched SoA sweep), then CA.
   std::vector<double> gamma(registry.num_explanations(), 0.0);
+  const std::vector<ExplId> active_ids = ActiveIds(mask);
   cube.ScoreAll(options.metric, static_cast<size_t>(control_time),
                 static_cast<size_t>(test_time),
-                mask.empty() ? nullptr : &mask, &gamma);
+                mask.empty() ? nullptr : &active_ids, &gamma);
   CascadingAnalysts solver(registry);
   const TopExplanations top =
       solver.TopM(gamma, options.m, mask.empty() ? nullptr : &mask);

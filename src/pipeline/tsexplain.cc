@@ -218,7 +218,7 @@ bool TSExplain::AppendBucket() {
   // Gamma depends only on a segment's endpoint partials, which never
   // change, so cached explanations stay valid -- unless a cell's status
   // flipped (support gained, equal slices diverged).
-  if (UpdateMask()) explainer_->ClearCache();
+  if (UpdateMask()) explainer_->MaskChanged();
   return true;
 }
 

@@ -7,6 +7,7 @@
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
+#include "src/cube/support_filter.h"
 
 namespace tsexplain {
 namespace {
@@ -31,6 +32,7 @@ SegmentExplainer::SegmentExplainer(const ExplanationCube& cube,
   TSE_CHECK_GE(options_.m, 1);
   if (options_.active != nullptr) {
     TSE_CHECK_EQ(options_.active->size(), registry.num_explanations());
+    active_ids_ = ActiveIds(*options_.active);
   }
 }
 
@@ -41,11 +43,13 @@ TopExplanations SegmentExplainer::ComputeTop(CascadingAnalysts& solver,
   TSE_CHECK_GE(a, 0);
   TSE_CHECK_LT(a, b);
   TSE_CHECK_LT(b, n());
+  const std::vector<ExplId>* active_ids =
+      options_.active != nullptr ? &active_ids_ : nullptr;
   {
     // Module (a): batch-fill gamma for every (active) candidate cell.
     ScopedTimer t(&timing.precompute_ms);
     cube_.ScoreAll(options_.metric, static_cast<size_t>(a),
-                   static_cast<size_t>(b), options_.active, &gamma);
+                   static_cast<size_t>(b), active_ids, &gamma);
   }
 
   TopExplanations result;
@@ -53,7 +57,7 @@ TopExplanations SegmentExplainer::ComputeTop(CascadingAnalysts& solver,
     // Module (b): Cascading Analysts (optionally guess-and-verify).
     ScopedTimer t(&timing.cascading_ms);
     if (options_.use_guess_verify) {
-      result = GuessVerifyTopM(solver, gamma, options_.m, options_.active,
+      result = GuessVerifyTopM(solver, gamma, options_.m, active_ids,
                                options_.initial_guess);
     } else {
       result = solver.TopM(gamma, options_.m, options_.active);
@@ -127,6 +131,9 @@ DiffScore SegmentExplainer::Score(ExplId e, int a, int b) const {
                      static_cast<size_t>(b));
 }
 
-void SegmentExplainer::ClearCache() { cache_.clear(); }
+void SegmentExplainer::MaskChanged() {
+  if (options_.active != nullptr) active_ids_ = ActiveIds(*options_.active);
+  cache_.clear();
+}
 
 }  // namespace tsexplain

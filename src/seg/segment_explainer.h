@@ -4,17 +4,20 @@
 // fills the per-cell gamma vector from the cube (module (a), batched via
 // ExplanationCube::ScoreAll) and runs the Cascading Analysts algorithm
 // (module (b)), caching the result so every segment is explained at most
-// once per query. The K-Segmentation module asks for the same segments
-// repeatedly while computing distances and variances, so this cache is what
-// makes the n^3 phase feasible.
+// once per query. Both modules walk the ascending ids the mask keeps, a
+// list the explainer derives at construction and on every MaskChanged(),
+// rather than testing the mask cell by cell on every call. The
+// K-Segmentation module asks for the same segments repeatedly while
+// computing distances and variances, so this cache is what makes the n^3
+// phase feasible.
 //
 // Ownership: a SegmentExplainer belongs to one engine and, like it, is
 // used by one thread at a time (the service serializes each engine's Run
-// and each session's ops). TopFor and ClearCache are therefore plain
+// and each session's ops). TopFor and MaskChanged are therefore plain
 // single-owner code. Prewarm is the one fan-out: it computes the missing
 // segments on worker threads, each chunk with its own solver and scratch,
 // and inserts the results on the calling thread. Returned references stay
-// valid until ClearCache().
+// valid until MaskChanged().
 
 #ifndef TSEXPLAIN_SEG_SEGMENT_EXPLAINER_H_
 #define TSEXPLAIN_SEG_SEGMENT_EXPLAINER_H_
@@ -47,9 +50,10 @@ class SegmentExplainer {
     DiffMetricKind metric = DiffMetricKind::kAbsoluteChange;
     bool use_guess_verify = false;   // O1
     int initial_guess = kDefaultInitialGuess;
-    /// Support-filter mask (nullptr = no filter). Inactive cells score 0
-    /// and are never selected. The pointed-to mask must outlive this
-    /// object.
+    /// The engine's combined selectable mask: canonical dedupe, support
+    /// filter and exclude list (nullptr = every cell). Inactive cells score
+    /// 0 and are never selected. Must outlive this object; an owner that
+    /// changes it in place calls MaskChanged().
     const std::vector<bool>* active = nullptr;
   };
 
@@ -57,7 +61,7 @@ class SegmentExplainer {
                    const ExplanationRegistry& registry, Options options);
 
   /// Top-m non-overlapping explanations of segment [a, b] (0 <= a < b < n).
-  /// The reference stays valid until ClearCache().
+  /// The reference stays valid until MaskChanged().
   const TopExplanations& TopFor(int a, int b);
 
   /// Computes (and caches) TopFor for every listed segment. The distinct
@@ -72,9 +76,11 @@ class SegmentExplainer {
   /// not cached). Respects the support filter.
   DiffScore Score(ExplId e, int a, int b) const;
 
-  /// Resets the cache (used by the streaming pipeline when data changes);
-  /// references returned by TopFor become dangling.
-  void ClearCache();
+  /// Re-reads the mask Options::active points at, which its owner changed
+  /// in place (the streaming pipeline, when an appended bucket flips a
+  /// cell's status), and resets the cache; references returned by TopFor
+  /// become dangling.
+  void MaskChanged();
 
   int n() const { return static_cast<int>(cube_.n()); }
   int m() const { return options_.m; }
@@ -100,6 +106,9 @@ class SegmentExplainer {
   // Keyed by SegmentKey(a, b). unordered_map never moves its elements, so
   // references handed out by TopFor survive later inserts.
   std::unordered_map<uint64_t, TopExplanations> cache_;
+  // The ids *options_.active keeps, ascending; what modules (a) and (b)
+  // walk. Unused when options_.active is nullptr.
+  std::vector<ExplId> active_ids_;
   CascadingAnalysts solver_;
   std::vector<double> gamma_;
   ExplainerTiming timing_;

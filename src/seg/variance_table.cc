@@ -162,7 +162,7 @@ VarianceTable VarianceTable::Compute(VarianceCalculator& calc,
   // Pre-resolve every unit object's explanation list once, scored on its
   // own unit: that side of each NDCG never changes along the inner loops
   // below, which then never touch the explainer's cache for objects.
-  // (Pointers into the cache stay valid until ClearCache.)
+  // (Pointers into the cache stay valid until MaskChanged.)
   std::vector<std::vector<int>> unit_taus(static_cast<size_t>(n - 1));
   std::vector<ScoredTop> units(static_cast<size_t>(n - 1));
   size_t longest = 0;

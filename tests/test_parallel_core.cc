@@ -101,6 +101,7 @@ TEST(ParallelCore, ScoreAllMatchesScalarScore) {
   // Alternating mask exercises the inactive-cell zeroing.
   std::vector<bool> mask(epsilon);
   for (size_t e = 0; e < epsilon; ++e) mask[e] = (e % 2 == 0);
+  const std::vector<ExplId> active_ids = ActiveIds(mask);
 
   std::vector<double> gammas(epsilon, -1.0);
   for (const DiffMetricKind kind :
@@ -114,7 +115,7 @@ TEST(ParallelCore, ScoreAllMatchesScalarScore) {
                   cube.Score(kind, static_cast<ExplId>(e), a, b).gamma)
             << "kind=" << static_cast<int>(kind) << " e=" << e;
       }
-      cube.ScoreAll(kind, a, b, &mask, &gammas);
+      cube.ScoreAll(kind, a, b, &active_ids, &gammas);
       for (size_t e = 0; e < epsilon; ++e) {
         const double expected =
             mask[e] ? cube.Score(kind, static_cast<ExplId>(e), a, b).gamma

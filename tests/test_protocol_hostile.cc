@@ -254,10 +254,11 @@ TEST_F(HostileProtocolTest, RegisterFromCraftedCsvPathIsStructured) {
 }
 
 TEST_F(HostileProtocolTest, ThrowingRequestAnswersOnceAndLeavesNoStuckQuery) {
-  // m = INT_MAX makes the engine throw std::length_error mid-run. The
-  // handler catches it at its one boundary: the request gets exactly one
-  // structured `internal` answer, its watchdog entry is released, and a
-  // counter records it.
+  // m = INT_MAX makes the engine throw std::length_error mid-run, with
+  // guess-and-verify off and on (its prefix bound guess + m must not
+  // overflow on the way there). The handler catches it at its one
+  // boundary: each request gets exactly one structured `internal` answer,
+  // its watchdog entry is released, and a counter records it.
   QueryWatchdog::Options watchdog_options;
   watchdog_options.stuck_after_ms = 50.0;
   QueryWatchdog watchdog(watchdog_options);
@@ -279,10 +280,19 @@ TEST_F(HostileProtocolTest, ThrowingRequestAnswersOnceAndLeavesNoStuckQuery) {
       << response;
   EXPECT_EQ(internal_errors(), errors_before + 1);
 
+  const std::string guess_verify = Roundtrip(
+      R"({"op":"explain","id":8,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"],"guess_verify":true,"m":2147483647})");
+  EXPECT_EQ(guess_verify.find("{\"id\":8,\"ok\":false"), 0u)
+      << guess_verify;
+  EXPECT_NE(guess_verify.find("\"code\":\"internal\""), std::string::npos)
+      << guess_verify;
+  EXPECT_EQ(internal_errors(), errors_before + 2);
+
   ExpectStillServing();
   // Past the stuck deadline, only healthz itself is in flight.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  const std::string health = Roundtrip(R"({"op":"healthz","id":8})");
+  const std::string health = Roundtrip(R"({"op":"healthz","id":9})");
   EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
   EXPECT_NE(health.find("\"inflight\":1,"), std::string::npos) << health;
   EXPECT_NE(health.find("\"stuck\":0"), std::string::npos) << health;

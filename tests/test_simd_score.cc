@@ -217,7 +217,10 @@ TEST(SimdScore, CubeScoreAllEqualsPerCandidateScoreUnderMasks) {
     for (DiffMetricKind kind : kKinds) {
       for (const std::vector<bool>* active : masks) {
         std::vector<double> batch(epsilon, -1.0);
-        cube.ScoreAll(kind, /*t_control=*/0, /*t_test=*/4, active, &batch);
+        const std::vector<ExplId> ids =
+            active == nullptr ? std::vector<ExplId>{} : ActiveIds(*active);
+        cube.ScoreAll(kind, /*t_control=*/0, /*t_test=*/4,
+                      active == nullptr ? nullptr : &ids, &batch);
         for (size_t e = 0; e < epsilon; ++e) {
           if (active != nullptr && !(*active)[e]) {
             EXPECT_EQ(batch[e], 0.0);
