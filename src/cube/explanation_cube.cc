@@ -1,6 +1,7 @@
 #include "src/cube/explanation_cube.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "src/common/check.h"
 #include "src/common/thread_pool.h"
@@ -13,7 +14,9 @@ ExplanationCube::ExplanationCube(const Table& table,
                                  AggregateFunction f, int measure_idx,
                                  int threads)
     : f_(f),
+      measure_idx_(measure_idx),
       num_explanations_(registry.num_explanations()),
+      num_rows_(table.num_rows()),
       time_labels_(table.time_labels()) {
   if (measure_idx >= 0) {
     TSE_CHECK_LT(static_cast<size_t>(measure_idx),
@@ -40,9 +43,9 @@ ExplanationCube::ExplanationCube(const Table& table,
   for (size_t row = 0; row < num_rows; ++row) {
     rows_by_time[cursor[static_cast<size_t>(table.time(row))]++] = row;
   }
-  const std::optional<RowCells> rows =
+  const std::optional<RowCells> cells =
       registry.ResolveRows(table, 0, num_rows);
-  TSE_CHECK(rows.has_value()) << "a row needs a cell the registry lacks";
+  TSE_CHECK(cells.has_value()) << "a row needs a cell the registry lacks";
 
   // Pass 2: accumulate. Workers own DISJOINT time ranges, so every
   // (cell, t) partial accumulates its rows in the exact same ascending row
@@ -50,18 +53,9 @@ ExplanationCube::ExplanationCube(const Table& table,
   // the serial one, with no merge step and no per-worker cube copies.
   auto accumulate_buckets = [&](size_t t_lo, size_t t_hi) {
     for (size_t t = t_lo; t < t_hi; ++t) {
-      double* sums = slice_sums_.data() + t * epsilon;
-      double* counts = slice_counts_.data() + t * epsilon;
-      for (size_t pos = bucket_start[t]; pos < bucket_start[t + 1]; ++pos) {
-        const size_t row = rows_by_time[pos];
-        const double value =
-            measure_idx < 0 ? 1.0 : table.measure(row, measure_idx);
-        overall_[t].Add(value);
-        for (ExplId id : rows->tuple_cells[rows->row_tuple[row]]) {
-          sums[static_cast<size_t>(id)] += value;
-          counts[static_cast<size_t>(id)] += 1.0;
-        }
-      }
+      AccumulateBucket(table, *cells, /*first_row=*/0,
+                       rows_by_time.data() + bucket_start[t],
+                       rows_by_time.data() + bucket_start[t + 1], t);
     }
   };
 
@@ -78,6 +72,56 @@ ExplanationCube::ExplanationCube(const Table& table,
     });
   }
   RefreshOverallCache();
+}
+
+void ExplanationCube::AccumulateBucket(const Table& table,
+                                       const RowCells& cells,
+                                       size_t first_row, const size_t* row,
+                                       const size_t* row_end, size_t t) {
+  double* sums = slice_sums_.data() + t * num_explanations_;
+  double* counts = slice_counts_.data() + t * num_explanations_;
+  AggState& overall = overall_[t];
+  for (; row != row_end; ++row) {
+    const double value =
+        measure_idx_ < 0 ? 1.0 : table.measure(*row, measure_idx_);
+    overall.Add(value);
+    for (ExplId id : cells.tuple_cells[cells.row_tuple[*row - first_row]]) {
+      sums[static_cast<size_t>(id)] += value;
+      counts[static_cast<size_t>(id)] += 1.0;
+    }
+  }
+}
+
+bool ExplanationCube::AppendBucket(const Table& table,
+                                   const ExplanationRegistry& registry) {
+  // Smoothing mixes past raw partials into the new bucket, and the cube
+  // only keeps smoothed values.
+  const size_t t = n();
+  if (smoothed_ || table.num_time_buckets() != t + 1) return false;
+  TSE_CHECK_GE(table.num_rows(), num_rows_) << "the table lost rows";
+  std::vector<size_t> rows(table.num_rows() - num_rows_);
+  std::iota(rows.begin(), rows.end(), num_rows_);
+  for (size_t row : rows) {
+    if (static_cast<size_t>(table.time(row)) != t) return false;
+  }
+  // A tuple the registry never saw is fine as long as each of its cells
+  // exists; a never-seen cell needs a fresh registry.
+  const std::optional<RowCells> cells =
+      registry.ResolveRows(table, num_rows_, table.num_rows());
+  if (!cells) return false;
+
+  // No reserve: resize's geometric growth keeps repeated streaming
+  // appends amortized O(1); an exact-size reserve here would force a full
+  // SoA copy on every bucket.
+  overall_.emplace_back();
+  slice_sums_.resize((t + 1) * num_explanations_, 0.0);
+  slice_counts_.resize((t + 1) * num_explanations_, 0.0);
+  AccumulateBucket(table, *cells, num_rows_, rows.data(),
+                   rows.data() + rows.size(), t);
+  overall_fin_.push_back(overall_[t].Finalize(f_));
+  time_labels_.push_back(table.time_labels()[t]);
+  num_rows_ = table.num_rows();
+  return true;
 }
 
 void ExplanationCube::RefreshOverallCache() {
@@ -186,6 +230,7 @@ void SmoothPartials(std::vector<AggState>* series, int w) {
 void ExplanationCube::SmoothInPlace(int w) {
   TSE_CHECK_GE(w, 1);
   if (w == 1) return;
+  smoothed_ = true;
   SmoothPartials(&overall_, w);
   // Slice smoothing sweeps time-major: one epsilon-wide window accumulator
   // advances over contiguous rows, performing the exact same per-slice
@@ -229,22 +274,6 @@ void ExplanationCube::SmoothInPlace(int w) {
   slice_sums_ = std::move(out_sums);
   slice_counts_ = std::move(out_counts);
   RefreshOverallCache();
-}
-
-void ExplanationCube::AppendBucket(const AggState& overall,
-                                   const std::vector<AggState>& slice_partials,
-                                   const std::string& label) {
-  TSE_CHECK_EQ(slice_partials.size(), num_explanations_);
-  overall_.push_back(overall);
-  overall_fin_.push_back(overall.Finalize(f_));
-  // No reserve: push_back's geometric growth keeps repeated streaming
-  // appends amortized O(1); an exact-size reserve here would force a full
-  // SoA copy on every bucket.
-  for (const AggState& partial : slice_partials) {
-    slice_sums_.push_back(partial.sum);
-    slice_counts_.push_back(partial.count);
-  }
-  time_labels_.push_back(label);
 }
 
 }  // namespace tsexplain

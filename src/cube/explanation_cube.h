@@ -14,9 +14,12 @@
 // finalized overall series is cached (`overall_fin_`) so no scoring path
 // ever re-finalizes the overall aggregate per candidate.
 //
-// Rows reach the constructor through ExplanationRegistry::ResolveRows, whose
-// tuple pass (`TuplePass` in explanation_registry.cc) owns tuple dedupe and
-// subset order.
+// The cube is the only code that turns table rows into partials. The
+// constructor and AppendBucket resolve rows to cells through
+// ExplanationRegistry::ResolveRows, whose tuple pass (`TuplePass` in
+// explanation_registry.cc) owns tuple dedupe and subset order, and both
+// accumulate a bucket's rows with one routine (AccumulateBucket), so a
+// grown cube equals a fresh one over the grown table bit for bit.
 
 #ifndef TSEXPLAIN_CUBE_EXPLANATION_CUBE_H_
 #define TSEXPLAIN_CUBE_EXPLANATION_CUBE_H_
@@ -53,10 +56,15 @@ class ExplanationCube {
   /// Finalized overall aggregate at time t: f(M, R at t). Cached.
   double Overall(size_t t) const { return overall_fin_[t]; }
 
+  /// Slice partial at time t: the (sum, count) of sigma_E R at t.
+  AggState SlicePartial(ExplId e, size_t t) const {
+    const size_t idx = t * num_explanations_ + static_cast<size_t>(e);
+    return AggState{slice_sums_[idx], slice_counts_[idx]};
+  }
+
   /// Finalized slice aggregate at time t: f(M, sigma_E R at t).
   double SliceValue(ExplId e, size_t t) const {
-    const size_t idx = t * num_explanations_ + static_cast<size_t>(e);
-    return AggState{slice_sums_[idx], slice_counts_[idx]}.Finalize(f_);
+    return SlicePartial(e, t).Finalize(f_);
   }
 
   /// gamma(E) and tau(E) for the segment with control endpoint `t_control`
@@ -83,13 +91,13 @@ class ExplanationCube {
   /// Dense slice series for one explanation.
   TimeSeries SliceSeries(ExplId e) const;
 
-  /// Appends one new time bucket of partials (streaming extension,
-  /// section 8). `slice_partials` must be aligned with the registry ids,
-  /// `overall` must equal the sum over disjoint order-1 slices, and
-  /// `label` is the table's label for the bucket.
-  void AppendBucket(const AggState& overall,
-                    const std::vector<AggState>& slice_partials,
-                    const std::string& label);
+  /// Absorbs the rows `table` (the table the cube was built from, grown
+  /// since) gained after the cube's last build or append, as one new time
+  /// bucket (streaming extension, section 8). Returns false, leaving the
+  /// cube untouched, when those rows are not exactly one new bucket, need
+  /// a cell `registry` (the registry the cube was built from) lacks, or
+  /// arrive after SmoothInPlace, which mixes past partials into new ones.
+  bool AppendBucket(const Table& table, const ExplanationRegistry& registry);
 
   /// Smooths every partial series with a trailing moving average of window
   /// `w` (paper section 7.4: fuzzy datasets are smoothed before being
@@ -98,10 +106,18 @@ class ExplanationCube {
   void SmoothInPlace(int w);
 
  private:
+  /// Adds table rows [row, row_end) (ascending, all in bucket t) to bucket
+  /// t's partials. `cells` resolved the table's rows from `first_row` on.
+  void AccumulateBucket(const Table& table, const RowCells& cells,
+                        size_t first_row, const size_t* row,
+                        const size_t* row_end, size_t t);
   void RefreshOverallCache();
 
   AggregateFunction f_;
+  int measure_idx_;  // -1 = COUNT(*)
   size_t num_explanations_ = 0;
+  size_t num_rows_ = 0;    // table rows accumulated so far
+  bool smoothed_ = false;  // SmoothInPlace ran with w > 1
   std::vector<AggState> overall_;    // [t]
   std::vector<double> overall_fin_;  // [t], Finalize(f_) of overall_
   // Time-major SoA slice partials: index [t * num_explanations_ + e].

@@ -15,8 +15,9 @@
 // One tuple pass (`TuplePass` in explanation_registry.cc) owns tuple dedupe
 // and subset order: it dedupes each row's explain-by value tuple exactly and
 // enumerates subsets only for a tuple's first occurrence. Build assigns ids
-// in that order (row, then subset); ResolveRows serves the cube constructor
-// and TSExplain::AppendBucket. Nothing of the pass is retained.
+// in that order (row, then subset); ResolveRows serves the explanation cube
+// (its constructor and AppendBucket), the only code that turns rows into
+// partials. Nothing of the pass is retained.
 
 #ifndef TSEXPLAIN_DIFF_EXPLANATION_REGISTRY_H_
 #define TSEXPLAIN_DIFF_EXPLANATION_REGISTRY_H_

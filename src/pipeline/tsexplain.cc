@@ -51,21 +51,17 @@ std::string ExplanationItem::ToString() const {
 
 TSExplain::TSExplain(const Table& table, TSExplainConfig config)
     : table_(table), config_(std::move(config)) {
-  TSE_CHECK_GE(table.num_time_buckets(), 3u)
-      << "need at least three time buckets to segment";
   Timer build_timer;
-  measure_idx_ = ResolveMeasure(table, config_.measure);
   registry_ = ExplanationRegistry::Build(
       table, ResolveExplainBy(table, config_.explain_by_names),
       config_.max_order);
   cube_ = std::make_unique<ExplanationCube>(
-      table, registry_, config_.aggregate, measure_idx_,
+      table, registry_, config_.aggregate,
+      ResolveMeasure(table, config_.measure),
       ResolveThreadCount(config_.threads));
   if (config_.smooth_window > 1) {
     cube_->SmoothInPlace(config_.smooth_window);
   }
-
-  rows_absorbed_ = table.num_rows();
   UpdateMask();
 
   SegmentExplainer::Options options;
@@ -85,6 +81,8 @@ TSExplainResult TSExplain::Run() {
 
 TSExplainResult TSExplain::Run(const SegmentationSpec& spec,
                                std::vector<int> candidates) {
+  TSE_CHECK_GE(cube_->n(), 3u)
+      << "need at least three time buckets to segment";
   // Each phase is a lap of one clock: it ends where the next one starts.
   const Timer timer;
   double lap_end_ms = 0.0;
@@ -185,35 +183,7 @@ TSExplainResult TSExplain::Run(const SegmentationSpec& spec,
 }
 
 bool TSExplain::AppendBucket() {
-  // Smoothing mixes past raw partials into the new bucket, and the cube
-  // only keeps smoothed values.
-  if (config_.smooth_window > 1) return false;
-  const size_t t = cube_->n();
-  if (table_.num_time_buckets() != t + 1) return false;
-
-  // A tuple the registry never saw is fine as long as each of its cells
-  // exists; a never-seen cell needs a fresh registry.
-  const std::optional<RowCells> rows =
-      registry_.ResolveRows(table_, rows_absorbed_, table_.num_rows());
-  if (!rows) return false;
-
-  // The new bucket's per-cell partials, accumulated in row order exactly
-  // as the cube constructor does, so a grown cube equals a fresh one.
-  std::vector<AggState> slice_partials(registry_.num_explanations());
-  AggState overall{};
-  for (size_t i = 0; i < rows->row_tuple.size(); ++i) {
-    const size_t row = rows_absorbed_ + i;
-    if (static_cast<size_t>(table_.time(row)) != t) return false;
-    const double value =
-        measure_idx_ < 0 ? 1.0 : table_.measure(row, measure_idx_);
-    overall.Add(value);
-    for (ExplId id : rows->tuple_cells[rows->row_tuple[i]]) {
-      slice_partials[static_cast<size_t>(id)].Add(value);
-    }
-  }
-
-  cube_->AppendBucket(overall, slice_partials, table_.time_labels().back());
-  rows_absorbed_ = table_.num_rows();
+  if (!cube_->AppendBucket(table_, registry_)) return false;
   module_c_.reset();
   // Gamma depends only on a segment's endpoint partials, which never
   // change, so cached explanations stay valid -- unless a cell's status

@@ -14,6 +14,11 @@
 //   TSExplain engine(table, config);
 //   TSExplainResult result = engine.Run();
 //   for (const SegmentExplanation& seg : result.segments) { ... }
+//
+// The same engine is the two-relations diff (section 3.1) for any two time
+// buckets: engine.ExplainSegment(control, test), with the endpoint values
+// in engine.cube().Overall(t) and SliceValue(id, t). ExplainSegment works
+// on a table of any length; Run segments, so it needs three buckets.
 
 #ifndef TSEXPLAIN_PIPELINE_TSEXPLAIN_H_
 #define TSEXPLAIN_PIPELINE_TSEXPLAIN_H_
@@ -189,17 +194,21 @@ struct TSExplainResult {
 
 /// The TSExplain engine. Owns the registry, cube, and caches; one instance
 /// answers repeated Run() calls (e.g. with different fixed_k) without
-/// re-scanning the relation, and absorbs appended time buckets (the
-/// streaming extension, section 8). It keeps its last run's variance
-/// table, so a K variant costs the DP and the final explain, as the
-/// elbow method reads D(n, K) for every K off one DP (section 6).
+/// re-scanning the relation, explains the difference between any two of
+/// its time buckets (ExplainSegment, the two-relations diff of section
+/// 3.1), and absorbs appended time buckets (the streaming extension,
+/// section 8). It keeps its last run's variance table, so a K variant
+/// costs the DP and the final explain, as the elbow method reads D(n, K)
+/// for every K off one DP (section 6).
 class TSExplain {
  public:
   /// Builds the registry and cube from `table` (module (a) precomputation).
-  /// The engine keeps a reference: `table` must outlive it.
+  /// The engine keeps a reference: `table` must outlive it. Any number of
+  /// time buckets builds; Run needs at least three.
   TSExplain(const Table& table, TSExplainConfig config);
 
   /// Runs segmentation + per-segment explanation per the configuration.
+  /// Aborts when the table has fewer than three time buckets.
   TSExplainResult Run();
 
   /// Same, but with the segmentation knobs overridden: the engine state
@@ -216,12 +225,12 @@ class TSExplain {
 
   /// Absorbs the time bucket the table has just taken (its rows must be
   /// the table's rows appended since construction or the last call): the
-  /// cube grows by one bucket, the mask is refreshed, and cached segment
-  /// explanations survive unless the mask changed. Returns false, leaving
-  /// the engine untouched, when the table did not gain exactly one bucket,
-  /// a row needs a cell the registry lacks, or smoothing is on (it mixes
-  /// past partials into the new bucket); the caller must then build a
-  /// fresh engine over the table.
+  /// cube grows by one bucket (ExplanationCube::AppendBucket), the mask is
+  /// refreshed, and cached segment explanations survive unless the mask
+  /// changed. Returns false, leaving the engine untouched, when the cube
+  /// refuses the rows (not exactly one new bucket, a cell the registry
+  /// lacks, or smoothing on); the caller must then build a fresh engine
+  /// over the table.
   bool AppendBucket();
 
   /// Recomputes the total variance of an arbitrary scheme under this
@@ -239,8 +248,10 @@ class TSExplain {
   /// of any Run's timing.
   double build_ms() const { return build_ms_; }
 
-  /// Renders the top explanations of an arbitrary segment (two-relations
-  /// diff on its endpoints, paper section 3.1).
+  /// The two-relations diff (paper section 3.1): the top-m explanations of
+  /// the change from time bucket `begin` (control) to `end` (test), any two
+  /// in-range buckets, reversed or equal included. Cached per pair, like
+  /// every segment module (c) asks for.
   std::vector<ExplanationItem> ExplainSegment(int begin, int end);
 
  private:
@@ -252,11 +263,8 @@ class TSExplain {
 
   const Table& table_;
   TSExplainConfig config_;
-  int measure_idx_ = -1;
   ExplanationRegistry registry_;
   std::unique_ptr<ExplanationCube> cube_;
-  /// Table rows the cube covers (AppendBucket absorbs the rest).
-  size_t rows_absorbed_ = 0;
   /// Combined selectable mask: canonical (dedupe) AND support filter AND
   /// exclude list. Empty when none is enabled.
   std::vector<bool> active_mask_;

@@ -40,9 +40,8 @@ TopExplanations SegmentExplainer::ComputeTop(CascadingAnalysts& solver,
                                              std::vector<double>& gamma,
                                              int a, int b,
                                              ExplainerTiming& timing) const {
-  TSE_CHECK_GE(a, 0);
-  TSE_CHECK_LT(a, b);
-  TSE_CHECK_LT(b, n());
+  TSE_CHECK(a >= 0 && a < n() && b >= 0 && b < n())
+      << "segment [" << a << ", " << b << "] outside the cube";
   const std::vector<ExplId>* active_ids =
       options_.active != nullptr ? &active_ids_ : nullptr;
   {

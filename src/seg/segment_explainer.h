@@ -60,8 +60,10 @@ class SegmentExplainer {
   SegmentExplainer(const ExplanationCube& cube,
                    const ExplanationRegistry& registry, Options options);
 
-  /// Top-m non-overlapping explanations of segment [a, b] (0 <= a < b < n).
-  /// The reference stays valid until MaskChanged().
+  /// Top-m non-overlapping explanations of the change from bucket a
+  /// (control) to bucket b (test): any two buckets in [0, n), reversed
+  /// (a > b) or equal included; module (c) asks for a < b. The reference
+  /// stays valid until MaskChanged().
   const TopExplanations& TopFor(int a, int b);
 
   /// Computes (and caches) TopFor for every listed segment. The distinct

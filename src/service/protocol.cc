@@ -536,7 +536,9 @@ std::string ProtocolHandler::HandleRegister(
       return MakeError(&request, op, error_code::kBadRequest,
                        "'measures' must be an array of strings");
     }
-    options.sort_time = request.GetBool("sort_time", true);
+    if (!ReadField(request, "sort_time", &options.sort_time, &error)) {
+      return MakeError(&request, op, error_code::kBadRequest, error);
+    }
     ok = path.empty()
              ? service_.registry().RegisterCsvText(name, inline_csv,
                                                    options, &error, &info)
@@ -645,15 +647,22 @@ std::string ProtocolHandler::HandleRecommend(
     return MakeError(&request, op, error_code::kBadRequest,
                      "missing 'dataset'");
   }
+  std::string agg = "sum";
+  std::string measure;
+  int m = 3;
+  std::string error;
+  if (!ReadField(request, "agg", &agg, &error) ||
+      !ReadField(request, "measure", &measure, &error) ||
+      !ReadField(request, "m", &m, &error)) {
+    return MakeError(&request, op, error_code::kBadRequest, error);
+  }
   AggregateFunction aggregate = AggregateFunction::kSum;
-  const std::string agg = request.GetString("agg", "sum");
   if (!ParseAggregate(agg, &aggregate)) {
     return MakeError(&request, op, error_code::kBadRequest,
                      "unknown aggregate: " + agg);
   }
-  const ExplainService::RecommendResponse response = service_.Recommend(
-      dataset, aggregate, request.GetString("measure"),
-      request.GetInt("m", 3));
+  const ExplainService::RecommendResponse response =
+      service_.Recommend(dataset, aggregate, measure, m);
   if (!response.ok) {
     return MakeError(&request, op, response.error_code, response.error);
   }
@@ -1041,7 +1050,11 @@ std::string ProtocolHandler::HandleMetrics(
   // (default) or as a Prometheus text exposition embedded in the
   // envelope's "text" field (docs/OBSERVABILITY.md has the scrape
   // recipe).
-  const std::string format = request.GetString("format", "json");
+  std::string format = "json";
+  std::string error;
+  if (!ReadField(request, "format", &format, &error)) {
+    return MakeError(&request, op, error_code::kBadRequest, error);
+  }
   if (format != "json" && format != "prometheus") {
     return MakeError(&request, op, error_code::kBadRequest,
                      "unknown format: " + format +
@@ -1075,26 +1088,35 @@ std::string ProtocolHandler::HandleMetricsHistory(
   // the soak harness get deterministic ticks without a live sampler),
   // and "export_as" (materialize the window as a registered dataset so
   // explain can run over the server's own telemetry).
+  std::string format = "json";
+  int last_n_raw = 0;
+  std::string prefix;
+  bool sample = false;
+  std::string export_as;
+  std::string error;
+  if (!ReadField(request, "format", &format, &error) ||
+      !ReadField(request, "last_n", &last_n_raw, &error) ||
+      !ReadField(request, "prefix", &prefix, &error) ||
+      !ReadField(request, "sample", &sample, &error) ||
+      !ReadField(request, "export_as", &export_as, &error)) {
+    return MakeError(&request, op, error_code::kBadRequest, error);
+  }
   MetricsHistory* history = introspection_.history;
   if (history == nullptr) {
     return MakeError(&request, op, error_code::kBadRequest,
                      "metrics history is not enabled on this server");
   }
-  const std::string format = request.GetString("format", "json");
   if (format != "json" && format != "csv") {
     return MakeError(&request, op, error_code::kBadRequest,
                      "unknown format: " + format +
                          " (expected 'json' or 'csv')");
   }
-  const int last_n_raw = request.GetInt("last_n", 0);
   if (last_n_raw < 0) {
     return MakeError(&request, op, error_code::kBadRequest,
                      "last_n must be >= 0");
   }
   const size_t last_n = static_cast<size_t>(last_n_raw);
-  const std::string prefix = request.GetString("prefix");
-  if (request.GetBool("sample", false)) history->SampleNow();
-  const std::string export_as = request.GetString("export_as");
+  if (sample) history->SampleNow();
   if (!export_as.empty()) {
     std::shared_ptr<const Table> table =
         history->ExportAsTable(last_n, prefix);
@@ -1103,7 +1125,6 @@ std::string ProtocolHandler::HandleMetricsHistory(
                        "metrics history has fewer than two ticks; "
                        "nothing to export");
     }
-    std::string error;
     DatasetInfo info;
     if (!service_.registry().RegisterTable(export_as, std::move(table),
                                            "<metrics_history>", &error,

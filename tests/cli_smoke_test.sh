@@ -6,8 +6,13 @@
 #   - missing required args-> usage on stderr, non-zero exit
 #   - missing input file   -> error + usage on stderr, non-zero exit
 #   - malformed int flags  -> diagnostic on stderr, non-zero exit
+#   - unknown or repeated explain-by, no dimension at all, unknown --diff
+#     label, or a relation too short to segment
+#                          -> diagnostic + usage on stderr, exit 2
+#   - no input ever kills the CLI by a signal (an abort is a failure)
 #   - --help               -> usage on stdout, exit 0
 #   - a well-formed run    -> exit 0 and a report on stdout
+#   - --diff               -> the same bytes as the recorded golden
 #
 # Usage: cli_smoke_test.sh /path/to/tsexplain
 set -u
@@ -18,18 +23,44 @@ trap 'rm -rf "$TMPDIR_SMOKE"' EXIT
 
 failures=0
 
-# expect_fail NAME -- ARGS...: run, require non-zero exit + usage on stderr.
+# expect_fail NAME -- ARGS...: run, require a non-zero exit that is not a
+# death by signal (exit >= 128), with usage on stderr. Sets $status.
 expect_fail() {
   local name=$1; shift; shift  # drop NAME and "--"
   local stderr_file="$TMPDIR_SMOKE/$name.err"
-  if "$CLI" "$@" >/dev/null 2>"$stderr_file"; then
+  "$CLI" "$@" >/dev/null 2>"$stderr_file"
+  status=$?
+  if [ "$status" -eq 0 ]; then
     echo "FAIL [$name]: expected non-zero exit for: $*" >&2
+    failures=$((failures + 1))
+    return
+  fi
+  if [ "$status" -ge 128 ]; then
+    echo "FAIL [$name]: died with exit $status (a signal) for: $*" >&2
+    cat "$stderr_file" >&2
     failures=$((failures + 1))
     return
   fi
   if ! grep -q "usage:" "$stderr_file"; then
     echo "FAIL [$name]: expected usage text on stderr for: $*" >&2
     cat "$stderr_file" >&2
+    failures=$((failures + 1))
+  fi
+}
+
+# expect_usage_error NAME PATTERN -- ARGS...: expect_fail, plus exit 2 and
+# a diagnostic matching PATTERN on stderr.
+expect_usage_error() {
+  local name=$1 pattern=$2; shift; shift
+  local before=$failures
+  expect_fail "$name" "$@"
+  [ "$failures" -ne "$before" ] && return
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL [$name]: expected exit 2, got $status for: $*" >&2
+    failures=$((failures + 1))
+  elif ! grep -q "$pattern" "$TMPDIR_SMOKE/$name.err"; then
+    echo "FAIL [$name]: expected '$pattern' on stderr for: $*" >&2
+    cat "$TMPDIR_SMOKE/$name.err" >&2
     failures=$((failures + 1))
   fi
 }
@@ -63,6 +94,63 @@ CSV="$TMPDIR_SMOKE/ok.csv"
     echo "$t,west,$((20 - t))"
   done
 } >"$CSV"
+# Two buckets: a diff, but too short to segment.
+TWO="$TMPDIR_SMOKE/two.csv"
+printf '%s\n' date,region,product,sales 0,east,a,10 0,east,b,5 0,west,a,20 \
+    0,west,b,7 1,east,a,30 1,east,b,4 1,west,a,18 1,west,b,9 >"$TWO"
+# Two buckets where region=east and product=a select the same rows: the
+# equal-slice dedupe keeps the one listed first, so the answer depends on
+# the explain-by order (schema order by default).
+ALIGNED="$TMPDIR_SMOKE/aligned.csv"
+printf '%s\n' date,region,product,sales 0,east,a,10 0,west,b,20 0,west,c,7 \
+    1,east,a,30 1,west,b,18 1,west,c,9 >"$ALIGNED"
+
+expect_usage_error diff_unknown_label "unknown time bucket: nope" -- \
+    --csv "$CSV" --time date --measure sales --diff 0,nope
+expect_usage_error unknown_explain_by "unknown explain-by dimension: nope" -- \
+    --csv "$CSV" --time date --measure sales --explain-by nope
+expect_usage_error diff_unknown_explain_by \
+    "unknown explain-by dimension: nope" -- \
+    --csv "$CSV" --time date --measure sales --explain-by nope --diff 0,9
+expect_usage_error repeated_explain_by \
+    "repeated explain-by dimension: region" -- \
+    --csv "$CSV" --time date --measure sales --explain-by region,region
+printf '%s\n' date,sales 0,1 1,2 2,3 >"$TMPDIR_SMOKE/no_dimension.csv"
+expect_usage_error no_dimension "no dimension to explain by" -- \
+    --csv "$TMPDIR_SMOKE/no_dimension.csv" --time date --measure sales
+expect_usage_error two_bucket_segmentation "at least three time buckets" -- \
+    --csv "$TWO" --time date --measure sales
+
+# --diff golden: the two-relations diff prints these exact bytes (forward
+# over every bucket; reversed on the two-bucket relation, where the last
+# two items tie on gamma; and on the aligned one).
+expect_stdout() {
+  local name=$1 want=$2; shift; shift
+  if ! "$CLI" "$@" >"$TMPDIR_SMOKE/$name.out" 2>"$TMPDIR_SMOKE/$name.err"; then
+    echo "FAIL [$name]: expected exit 0 for: $*" >&2
+    cat "$TMPDIR_SMOKE/$name.err" >&2
+    failures=$((failures + 1))
+  elif ! printf '%s' "$want" | cmp -s - "$TMPDIR_SMOKE/$name.out"; then
+    echo "FAIL [$name]: stdout differs from the golden for: $*" >&2
+    diff <(printf '%s' "$want") "$TMPDIR_SMOKE/$name.out" >&2
+    failures=$((failures + 1))
+  fi
+}
+expect_stdout diff_golden "\
+0: 30 -> 9: 30 (delta 0)
+  top-1  region=east                              gamma=9          (+)  10 -> 19
+  top-2  region=west                              gamma=9          (-)  20 -> 11
+" --csv "$CSV" --time date --measure sales --diff 0,9
+expect_stdout diff_golden_reversed "\
+1: 61 -> 0: 42 (delta -19)
+  top-1  region=east & product=a                  gamma=20         (-)  30 -> 10
+  top-2  region=west & product=a                  gamma=2          (+)  18 -> 20
+  top-3  region=west & product=b                  gamma=2          (-)  9 -> 7
+" --csv "$TWO" --time date --measure sales --diff 1,0
+expect_stdout diff_golden_schema_order "\
+1: 57 -> 0: 37 (delta -20)
+  top-1  region=east                              gamma=20         (-)  30 -> 10
+" --csv "$ALIGNED" --time date --measure sales --diff 1,0
 if ! "$CLI" --csv "$CSV" --time date --measure sales --explain-by region \
     --k 2 >"$TMPDIR_SMOKE/ok.out" 2>"$TMPDIR_SMOKE/ok.err"; then
   echo "FAIL [happy_path]: well-formed invocation must exit 0" >&2

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "src/datagen/synthetic.h"
-#include "src/diff/snapshot_diff.h"
 #include "src/pipeline/report.h"
 #include "src/pipeline/streaming.h"
 #include "src/pipeline/tsexplain.h"
@@ -43,10 +42,11 @@ TEST_F(CrossModuleTest, CubeSmoothingEqualsSeriesSmoothing) {
   }
 }
 
-TEST_F(CrossModuleTest, PipelineSegmentExplanationsMatchSnapshotDiff) {
-  // The per-segment explanations of the pipeline must agree with the
-  // stand-alone two-snapshot diff on the same endpoints (same building
-  // block; this pins the facade wiring).
+TEST_F(CrossModuleTest, PipelineSegmentExplanationsMatchFreshEngineDiff) {
+  // The per-segment explanations of a run (read from the cache module (c)
+  // filled) must equal the two-relations diff a fresh engine computes cold
+  // on the same endpoints (same building block; this pins the facade
+  // wiring).
   TSExplainConfig config;
   config.measure = "value";
   config.explain_by_names = {"category"};
@@ -55,18 +55,16 @@ TEST_F(CrossModuleTest, PipelineSegmentExplanationsMatchSnapshotDiff) {
   TSExplain engine(*ds_.table, config);
   const TSExplainResult result = engine.Run();
 
-  SnapshotDiffOptions diff_options;
-  diff_options.measure = "value";
-  diff_options.explain_by = {"category"};
-  diff_options.max_order = 1;
+  TSExplain fresh(*ds_.table, config);
   for (const SegmentExplanation& seg : result.segments) {
-    const SnapshotDiffResult diff =
-        SnapshotDiffAt(*ds_.table, seg.begin, seg.end, diff_options);
-    ASSERT_EQ(diff.top.size(), seg.top.size());
+    const std::vector<ExplanationItem> diff =
+        fresh.ExplainSegment(seg.begin, seg.end);
+    ASSERT_EQ(diff.size(), seg.top.size());
     for (size_t r = 0; r < seg.top.size(); ++r) {
-      EXPECT_EQ(diff.top[r].description, seg.top[r].description);
-      EXPECT_NEAR(diff.top[r].gamma, seg.top[r].gamma, 1e-9);
-      EXPECT_EQ(diff.top[r].tau, seg.top[r].tau);
+      EXPECT_EQ(diff[r].id, seg.top[r].id);
+      EXPECT_EQ(diff[r].description, seg.top[r].description);
+      EXPECT_EQ(diff[r].gamma, seg.top[r].gamma);
+      EXPECT_EQ(diff[r].tau, seg.top[r].tau);
     }
   }
 }

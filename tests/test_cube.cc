@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cube/canonical_mask.h"
@@ -162,19 +165,122 @@ TEST(Cube, SmoothInPlacePreservesDecomposability) {
   EXPECT_NEAR(cube.Overall(1), 29.0, 1e-9);
 }
 
-TEST(Cube, AppendBucketExtendsSeries) {
-  const Table t = MakeTable();
-  const auto reg = ExplanationRegistry::Build(t, {0}, 1);
-  ExplanationCube cube(t, reg, AggregateFunction::kSum, 0);
-  const size_t n_before = cube.n();
-  std::vector<AggState> slices(reg.num_explanations());
-  slices[0] = AggState{100.0, 2.0};
-  slices[1] = AggState{50.0, 2.0};
-  cube.AppendBucket(AggState{150.0, 4.0}, slices, "d4");
-  EXPECT_EQ(cube.n(), n_before + 1);
-  EXPECT_DOUBLE_EQ(cube.Overall(n_before), 150.0);
-  EXPECT_DOUBLE_EQ(cube.SliceValue(0, n_before), 100.0);
-  EXPECT_EQ(cube.OverallSeries().LabelAt(n_before), "d4");
+// A base table whose buckets' rows are interleaved, with values whose
+// sums depend on the order they are added in. Tuples (NY, young) and
+// (CA, old) never occur, so at order 2 their cells are absent.
+Table MakeInterleavedTable() {
+  Table table(Schema("date", {"state", "age"}, {"cases"}));
+  for (const char* d : {"d0", "d1", "d2"}) table.AddTimeBucket(d);
+  table.AppendRow(1, {"NY", "old"}, {20.1});
+  table.AppendRow(2, {"CA", "young"}, {3.3});
+  table.AppendRow(0, {"NY", "old"}, {0.7});
+  table.AppendRow(1, {"CA", "young"}, {1e16});
+  table.AppendRow(0, {"CA", "young"}, {1.1});
+  table.AppendRow(2, {"NY", "old"}, {6.6});
+  table.AppendRow(1, {"CA", "young"}, {-1e16});
+  table.AppendRow(0, {"NY", "old"}, {0.2});
+  table.AppendRow(2, {"CA", "young"}, {0.1});
+  return table;
+}
+
+// Adds bucket t with a few rows; odd buckets bring the tuple (NY, young),
+// whose order-1 cells exist.
+void AppendBucketRows(Table& table, int t) {
+  const TimeId time = table.AddTimeBucket("d" + std::to_string(t));
+  table.AppendRow(time, {"CA", "young"}, {0.1 * t});
+  table.AppendRow(time, {"NY", "old"}, {1e16});
+  table.AppendRow(time, {"CA", "young"}, {0.3});
+  table.AppendRow(time, {"NY", "old"}, {-1e16 + t});
+  if (t % 2 == 1) table.AppendRow(time, {"NY", "young"}, {2.5 * t});
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+// Bit-for-bit equality of two cubes over the same registry: labels, the
+// overall series and every slice partial.
+void ExpectSameCube(const ExplanationCube& got, const ExplanationCube& want) {
+  ASSERT_EQ(got.n(), want.n());
+  ASSERT_EQ(got.num_explanations(), want.num_explanations());
+  const TimeSeries got_overall = got.OverallSeries();
+  const TimeSeries want_overall = want.OverallSeries();
+  EXPECT_EQ(got_overall.labels, want_overall.labels);
+  for (size_t t = 0; t < got.n(); ++t) {
+    EXPECT_EQ(Bits(got_overall.values[t]), Bits(want_overall.values[t]))
+        << "overall at " << t;
+    for (ExplId e = 0; e < static_cast<ExplId>(got.num_explanations());
+         ++e) {
+      const AggState a = got.SlicePartial(e, t);
+      const AggState b = want.SlicePartial(e, t);
+      EXPECT_EQ(Bits(a.sum), Bits(b.sum)) << "cell " << e << " at " << t;
+      EXPECT_EQ(Bits(a.count), Bits(b.count)) << "cell " << e << " at " << t;
+    }
+  }
+}
+
+TEST(Cube, AppendBucketFromTableRowsMatchesFreshBuild) {
+  for (AggregateFunction f : {AggregateFunction::kSum,
+                              AggregateFunction::kCount,
+                              AggregateFunction::kAvg}) {
+    const int measure = f == AggregateFunction::kCount ? -1 : 0;
+    Table table = MakeInterleavedTable();
+    const auto reg = ExplanationRegistry::Build(table, {0, 1}, 1);
+    ExplanationCube cube(table, reg, f, measure);
+    for (int t = 3; t < 7; ++t) {
+      AppendBucketRows(table, t);
+      ASSERT_TRUE(cube.AppendBucket(table, reg)) << "bucket " << t;
+      ExpectSameCube(cube, ExplanationCube(table, reg, f, measure));
+    }
+  }
+}
+
+TEST(Cube, AppendBucketRefusalsLeaveTheCubeUntouched) {
+  // Each case grows the table in a way the cube must refuse.
+  const std::vector<std::pair<const char*, void (*)(Table&)>> cases = {
+      {"no new bucket",
+       [](Table& t) { t.AppendRow(2, {"NY", "old"}, {1.0}); }},
+      {"two new buckets",
+       [](Table& t) {
+         AppendBucketRows(t, 4);
+         AppendBucketRows(t, 6);
+       }},
+      {"a row in an old bucket",
+       [](Table& t) {
+         AppendBucketRows(t, 4);
+         t.AppendRow(1, {"NY", "old"}, {1.0});
+       }},
+      {"a cell the registry lacks",
+       [](Table& t) { AppendBucketRows(t, 3); }},  // (NY & young)
+      {"a never-seen value",
+       [](Table& t) {
+         const TimeId time = t.AddTimeBucket("d3");
+         t.AppendRow(time, {"TX", "old"}, {1.0});
+       }},
+  };
+  for (const auto& [name, grow] : cases) {
+    Table table = MakeInterleavedTable();
+    const auto reg = ExplanationRegistry::Build(table, {0, 1}, 2);
+    ExplanationCube cube(table, reg, AggregateFunction::kSum, 0);
+    const ExplanationCube before = cube;
+    grow(table);
+    EXPECT_FALSE(cube.AppendBucket(table, reg)) << name;
+    ExpectSameCube(cube, before);
+  }
+
+  // The same cube takes a well-formed bucket, but not after smoothing.
+  Table table = MakeInterleavedTable();
+  const auto reg = ExplanationRegistry::Build(table, {0, 1}, 2);
+  ExplanationCube cube(table, reg, AggregateFunction::kSum, 0);
+  ExplanationCube smoothed = cube;
+  smoothed.SmoothInPlace(2);
+  const ExplanationCube before = smoothed;
+  AppendBucketRows(table, 4);
+  EXPECT_TRUE(cube.AppendBucket(table, reg));
+  EXPECT_FALSE(smoothed.AppendBucket(table, reg));
+  ExpectSameCube(smoothed, before);
 }
 
 TEST(CanonicalMask, DetectsHierarchicalRedundancy) {

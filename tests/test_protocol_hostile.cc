@@ -336,6 +336,12 @@ TEST_F(HostileProtocolTest, StructurallyWrongRequestsAnswerOnce) {
   const std::string explain_session =
       R"({"op":"explain_session","id":8,"session":)" +
       std::to_string(session) + ",";
+  const std::string recommend =
+      R"({"op":"recommend","id":10,"dataset":"ds",)";
+  const std::string history = R"({"op":"metrics_history","id":11,)";
+  const std::string register_csv =
+      R"({"op":"register","id":12,"name":"typed","time_column":"time",)"
+      R"("csv":"time,region,value\nd0,east,1\n",)";
   const std::vector<std::pair<std::string, std::string>> typed = {
       {"k", explain + R"("k":"5"})"},
       {"k", explain + R"("k":5.9})"},
@@ -368,6 +374,17 @@ TEST_F(HostileProtocolTest, StructurallyWrongRequestsAnswerOnce) {
       {"trendlines", explain_session + R"("trendlines":"yes"})"},
       {"k_curve", explain_session + R"("k_curve":0})"},
       {"trace", explain_session + R"("trace":{}})"},
+      {"m", recommend + R"("m":2.5})"},
+      {"m", recommend + R"("m":"x"})"},
+      {"agg", recommend + R"("agg":7})"},
+      {"measure", recommend + R"("measure":1})"},
+      {"format", history + R"("format":1})"},
+      {"last_n", history + R"("last_n":2.5})"},
+      {"prefix", history + R"("prefix":["a"]})"},
+      {"sample", history + R"("sample":"yes"})"},
+      {"export_as", history + R"("export_as":5})"},
+      {"sort_time", register_csv + R"("sort_time":"no"})"},
+      {"format", R"({"op":"metrics","id":13,"format":2})"},
   };
   for (const auto& [field, line] : typed) {
     const std::string response = Roundtrip(line);

@@ -1,19 +1,23 @@
-// Tests for the stand-alone two-relations diff API, plus an exhaustive
-// differential test of the Cascading Analysts algorithm against a
-// brute-force enumeration of ALL cascades on small instances.
+// Tests for the two-relations diff between two snapshots (paper section
+// 3.1), which TSExplain::ExplainSegment answers for any two time buckets,
+// plus an exhaustive differential test of the Cascading Analysts
+// algorithm against a brute-force enumeration of ALL cascades on small
+// instances.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 
 #include "src/common/rng.h"
 #include "src/datagen/covid_sim.h"
-#include "src/diff/snapshot_diff.h"
 #include "src/diff/cascading_analysts.h"
+#include "src/pipeline/tsexplain.h"
 
 namespace tsexplain {
 namespace {
 
+// Two buckets: a diff, but too short to segment.
 Table MakeSalesTable() {
   Table table(Schema("day", {"region", "product"}, {"units"}));
   table.AddTimeBucket("mon");
@@ -30,33 +34,38 @@ Table MakeSalesTable() {
   return table;
 }
 
-TEST(SnapshotDiff, ExplainsTheDifference) {
-  const Table table = MakeSalesTable();
-  SnapshotDiffOptions options;
-  options.measure = "units";
-  options.max_order = 2;
-  const SnapshotDiffResult result = SnapshotDiff(table, "mon", "tue",
-                                                 options);
-  EXPECT_DOUBLE_EQ(result.control_total, 200.0);
-  EXPECT_DOUBLE_EQ(result.test_total, 235.0);
-  ASSERT_FALSE(result.top.empty());
-  // The dominant contributor is NA widgets (+40).
-  EXPECT_EQ(result.top[0].description, "region=NA & product=widget");
-  EXPECT_DOUBLE_EQ(result.top[0].gamma, 40.0);
-  EXPECT_EQ(result.top[0].tau, 1);
-  EXPECT_DOUBLE_EQ(result.top[0].control_value, 100.0);
-  EXPECT_DOUBLE_EQ(result.top[0].test_value, 140.0);
+// Every dimension, in schema order.
+TSExplainConfig SalesConfig(const std::string& measure) {
+  TSExplainConfig config;
+  config.measure = measure;
+  config.explain_by_names = {"region", "product"};
+  return config;
 }
 
-TEST(SnapshotDiff, NegativeContributorSurfaces) {
+TEST(TwoRelationsDiff, ExplainsTheDifference) {
   const Table table = MakeSalesTable();
-  SnapshotDiffOptions options;
-  options.measure = "units";
-  options.max_order = 2;
-  const SnapshotDiffResult result = SnapshotDiff(table, "mon", "tue",
-                                                 options);
+  TSExplainConfig config = SalesConfig("units");
+  config.max_order = 2;
+  TSExplain engine(table, config);
+  EXPECT_DOUBLE_EQ(engine.cube().Overall(0), 200.0);
+  EXPECT_DOUBLE_EQ(engine.cube().Overall(1), 235.0);
+  const std::vector<ExplanationItem> top = engine.ExplainSegment(0, 1);
+  ASSERT_FALSE(top.empty());
+  // The dominant contributor is NA widgets (+40).
+  EXPECT_EQ(top[0].description, "region=NA & product=widget");
+  EXPECT_DOUBLE_EQ(top[0].gamma, 40.0);
+  EXPECT_EQ(top[0].tau, 1);
+  EXPECT_DOUBLE_EQ(engine.cube().SliceValue(top[0].id, 0), 100.0);
+  EXPECT_DOUBLE_EQ(engine.cube().SliceValue(top[0].id, 1), 140.0);
+}
+
+TEST(TwoRelationsDiff, NegativeContributorSurfaces) {
+  const Table table = MakeSalesTable();
+  TSExplainConfig config = SalesConfig("units");
+  config.max_order = 2;
+  TSExplain engine(table, config);
   bool gadget_decline = false;
-  for (const SnapshotDiffItem& item : result.top) {
+  for (const ExplanationItem& item : engine.ExplainSegment(0, 1)) {
     if (item.description == "region=NA & product=gadget" && item.tau < 0) {
       gadget_decline = true;
     }
@@ -64,48 +73,71 @@ TEST(SnapshotDiff, NegativeContributorSurfaces) {
   EXPECT_TRUE(gadget_decline);
 }
 
-TEST(SnapshotDiff, IndexVariantAndReversedDirection) {
+TEST(TwoRelationsDiff, ReversedDirection) {
   const Table table = MakeSalesTable();
-  SnapshotDiffOptions options;
-  options.measure = "units";
-  const SnapshotDiffResult forward = SnapshotDiffAt(table, 0, 1, options);
-  const SnapshotDiffResult backward = SnapshotDiffAt(table, 1, 0, options);
-  ASSERT_FALSE(forward.top.empty());
-  ASSERT_FALSE(backward.top.empty());
+  TSExplain engine(table, SalesConfig("units"));
+  const std::vector<ExplanationItem> forward = engine.ExplainSegment(0, 1);
+  const std::vector<ExplanationItem> backward = engine.ExplainSegment(1, 0);
+  ASSERT_FALSE(forward.empty());
+  ASSERT_FALSE(backward.empty());
   // Reversing control/test flips every change effect.
-  EXPECT_EQ(forward.top[0].tau, -backward.top[0].tau);
-  EXPECT_DOUBLE_EQ(forward.top[0].gamma, backward.top[0].gamma);
+  EXPECT_EQ(forward[0].tau, -backward[0].tau);
+  EXPECT_DOUBLE_EQ(forward[0].gamma, backward[0].gamma);
+
+  // The risk ratio, unlike the absolute change, depends on the direction:
+  // each reversed item scores as the cube scores it from bucket 1 to 0.
+  TSExplainConfig risk = SalesConfig("units");
+  risk.diff_metric = DiffMetricKind::kRiskRatio;
+  TSExplain risk_engine(table, risk);
+  const std::vector<ExplanationItem> reversed =
+      risk_engine.ExplainSegment(1, 0);
+  ASSERT_FALSE(reversed.empty());
+  for (const ExplanationItem& item : reversed) {
+    EXPECT_EQ(item.gamma,
+              risk_engine.cube().Score(risk.diff_metric, item.id, 1, 0).gamma)
+        << item.description;
+  }
 }
 
-TEST(SnapshotDiff, DefaultsToAllDimensionsAndCount) {
+TEST(TwoRelationsDiff, EqualEndpointsExplainNothing) {
   const Table table = MakeSalesTable();
-  SnapshotDiffOptions options;  // COUNT(*), all dimensions
-  const SnapshotDiffResult result = SnapshotDiff(table, "mon", "tue",
-                                                 options);
-  // Row counts are equal on both days: nothing to explain.
-  EXPECT_DOUBLE_EQ(result.control_total, 4.0);
-  EXPECT_DOUBLE_EQ(result.test_total, 4.0);
-  EXPECT_TRUE(result.top.empty());
+  TSExplain engine(table, SalesConfig("units"));
+  EXPECT_TRUE(engine.ExplainSegment(1, 1).empty());
 }
 
-TEST(SnapshotDiff, CovidEndpointsMatchPaperExample) {
+TEST(TwoRelationsDiff, CountOverAllDimensions) {
+  const Table table = MakeSalesTable();
+  TSExplain engine(table, SalesConfig(""));  // COUNT(*)
+  // Row counts are equal on both days: nothing to explain.
+  EXPECT_DOUBLE_EQ(engine.cube().Overall(0), 4.0);
+  EXPECT_DOUBLE_EQ(engine.cube().Overall(1), 4.0);
+  EXPECT_TRUE(engine.ExplainSegment(0, 1).empty());
+}
+
+TEST(TwoRelationsDiff, CovidEndpointsMatchPaperExample) {
   // Example 3.1: diffing the year's endpoints yields the big cumulative
   // states (CA/TX/FL in the paper's narrative).
   const auto table = MakeCovidTable();
-  SnapshotDiffOptions options;
-  options.measure = "total_confirmed_cases";
-  options.explain_by = {"state"};
-  const SnapshotDiffResult result =
-      SnapshotDiff(*table, "1-22", "12-31", options);
-  ASSERT_EQ(result.top.size(), 3u);
-  EXPECT_EQ(result.top[0].description, "state=CA");
-  for (const auto& item : result.top) EXPECT_EQ(item.tau, 1);
+  TSExplainConfig config;
+  config.measure = "total_confirmed_cases";
+  config.explain_by_names = {"state"};
+  TSExplain engine(*table, config);
+  const std::vector<std::string>& labels = table->time_labels();
+  const auto bucket = [&labels](const std::string& label) {
+    return static_cast<int>(std::find(labels.begin(), labels.end(), label) -
+                            labels.begin());
+  };
+  const std::vector<ExplanationItem> top =
+      engine.ExplainSegment(bucket("1-22"), bucket("12-31"));
+  ASSERT_EQ(top.size(), 3u);
+  EXPECT_EQ(top[0].description, "state=CA");
+  for (const ExplanationItem& item : top) EXPECT_EQ(item.tau, 1);
 }
 
-TEST(SnapshotDiffDeathTest, UnknownLabelRejected) {
+TEST(TwoRelationsDiffDeathTest, RunNeedsThreeBuckets) {
   const Table table = MakeSalesTable();
-  EXPECT_DEATH(SnapshotDiff(table, "mon", "nope", {}),
-               "unknown time bucket");
+  TSExplain engine(table, SalesConfig("units"));
+  EXPECT_DEATH(engine.Run(), "at least three time buckets");
 }
 
 // ---------------------------------------------------------------------

@@ -28,6 +28,7 @@
 //                         `tsexplain --csv in.csv --time date --save-snapshot
 //                         out.tsx` is the csv->snapshot converter
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstdio>
@@ -38,7 +39,6 @@
 
 #include "src/common/strings.h"
 #include "src/common/thread_pool.h"
-#include "src/diff/snapshot_diff.h"
 #include "src/pipeline/recommend.h"
 #include "src/pipeline/report.h"
 #include "src/pipeline/tsexplain.h"
@@ -277,34 +277,76 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (!options.diff.empty()) {
-    const std::vector<std::string> endpoints = Split(options.diff, ',');
-    if (endpoints.size() != 2) {
-      std::fprintf(stderr, "--diff expects FROM,TO\n");
-      return 2;
+  // Usage errors the library would abort on: an unknown or repeated
+  // explain-by dimension, a relation with none, an unknown --diff label,
+  // and a segmentation run over fewer than three buckets.
+  const auto usage_error = [&argv](const std::string& message) {
+    std::fprintf(stderr, "error: %s\n", message.c_str());
+    return Usage(argv[0]);
+  };
+  const std::vector<std::string>& by = options.explain_by;
+  for (auto it = by.begin(); it != by.end(); ++it) {
+    if (table->schema().DimensionIndex(*it) == kInvalidAttrId) {
+      return usage_error("unknown explain-by dimension: " + *it);
     }
-    SnapshotDiffOptions diff_options;
-    diff_options.aggregate = aggregate;
-    diff_options.measure = options.measure;
-    diff_options.explain_by = options.explain_by;
-    diff_options.max_order = options.order;
-    diff_options.m = options.m;
-    const SnapshotDiffResult diff =
-        SnapshotDiff(*table, endpoints[0], endpoints[1],
-                     diff_options);
+    if (std::find(by.begin(), it, *it) != it) {
+      return usage_error("repeated explain-by dimension: " + *it);
+    }
+  }
+  if (!options.recommend_only && table->schema().num_dimensions() == 0) {
+    return usage_error("the relation has no dimension to explain by");
+  }
+
+  TSExplainConfig config;
+  config.aggregate = aggregate;
+  config.measure = options.measure;
+  config.explain_by_names = options.explain_by;
+  config.max_order = options.order;
+  config.m = options.m;
+
+  if (!options.diff.empty()) {
+    // Two-snapshot mode: the engine's two-relations diff between the
+    // FROM and TO buckets, by default over every dimension in schema
+    // order.
+    const std::vector<std::string> endpoints = Split(options.diff, ',');
+    if (endpoints.size() != 2) return usage_error("--diff expects FROM,TO");
+    const std::vector<std::string>& labels = table->time_labels();
+    std::vector<int> ends;
+    for (const std::string& label : endpoints) {
+      const auto it = std::find(labels.begin(), labels.end(), label);
+      if (it == labels.end()) {
+        return usage_error("unknown time bucket: " + label);
+      }
+      ends.push_back(static_cast<int>(it - labels.begin()));
+    }
+    if (config.explain_by_names.empty()) {
+      config.explain_by_names = table->schema().dimension_names();
+    }
+    TSExplain engine(*table, config);
+    const ExplanationCube& cube = engine.cube();
+    const size_t from = static_cast<size_t>(ends[0]);
+    const size_t to = static_cast<size_t>(ends[1]);
     std::printf("%s: %.6g -> %s: %.6g (delta %.6g)\n", endpoints[0].c_str(),
-                diff.control_total, endpoints[1].c_str(), diff.test_total,
-                diff.test_total - diff.control_total);
-    for (size_t r = 0; r < diff.top.size(); ++r) {
-      const auto& item = diff.top[r];
+                cube.Overall(from), endpoints[1].c_str(), cube.Overall(to),
+                cube.Overall(to) - cube.Overall(from));
+    const std::vector<ExplanationItem> top =
+        engine.ExplainSegment(ends[0], ends[1]);
+    for (size_t r = 0; r < top.size(); ++r) {
+      const ExplanationItem& item = top[r];
       std::printf("  top-%zu  %-40s gamma=%-10.6g (%s)  %.6g -> %.6g\n",
                   r + 1, item.description.c_str(), item.gamma,
                   item.tau > 0 ? "+" : (item.tau < 0 ? "-" : "="),
-                  item.control_value, item.test_value);
+                  cube.SliceValue(item.id, from),
+                  cube.SliceValue(item.id, to));
     }
     return 0;
   }
 
+  if (!options.recommend_only && table->num_time_buckets() < 3) {
+    return usage_error(StrFormat(
+        "segmentation needs at least three time buckets, got %zu",
+        table->num_time_buckets()));
+  }
   const auto recommendations = RecommendExplainBy(
       *table, aggregate, options.measure, options.m);
   if (options.recommend_only || options.explain_by.empty()) {
@@ -317,18 +359,12 @@ int main(int argc, char** argv) {
     if (options.recommend_only) return 0;
   }
 
-  TSExplainConfig config;
-  config.aggregate = aggregate;
-  config.measure = options.measure;
-  config.explain_by_names = options.explain_by;
   if (config.explain_by_names.empty()) {
     // Default: every dimension, best-recommended first.
     for (const auto& rec : recommendations) {
       config.explain_by_names.push_back(rec.dimension);
     }
   }
-  config.max_order = options.order;
-  config.m = options.m;
   config.fixed_k = options.k;
   config.smooth_window = options.smooth;
   config.threads = ResolveThreadCount(options.threads);
