@@ -18,6 +18,10 @@
 // serial wall clock of one solve at m = 3):
 //   micro.ca.guess_verify   GuessVerifyTopM at the default initial guess 30
 //   micro.ca.plain          CascadingAnalysts::TopM over the full lattice
+// and on a one-attribute lattice shaped like covid total's (58 cells, 54
+// selectable; one m = 3 solve under that mask):
+//   micro.ca.flat.guess_verify   GuessVerifyTopM over the selectable ids
+//   micro.ca.flat.plain          CascadingAnalysts::TopM under the mask
 // and modules (a)+(b) together on the Liquor engine as the liquor-cold
 // benchmark configures it (O1, support filter, smooth 5, one exclude), so
 // the combined mask's id list is on the measured path:
@@ -74,6 +78,35 @@ struct CaFixture {
     Rng rng(7);
     gamma.resize(registry.num_explanations());
     for (auto& g : gamma) g = rng.Uniform(0.0, 100.0);
+  }
+};
+
+// A one-attribute (flat) lattice shaped like covid total's: 58 cells, of
+// which 54 are selectable (the mask leaves out every 15th), as the support
+// filter leaves them.
+struct FlatCaFixture {
+  static constexpr int kCells = 58;
+  std::unique_ptr<Table> table;
+  ExplanationRegistry registry;
+  std::vector<double> gamma;
+  std::vector<bool> selectable;
+  std::vector<ExplId> selectable_ids;
+
+  FlatCaFixture() {
+    table = std::make_unique<Table>(Schema("t", {"state"}, {"m"}));
+    table->AddTimeBucket("0");
+    for (int cell = 0; cell < kCells; ++cell) {
+      table->AppendRow(0, {"s" + std::to_string(cell)}, {1.0});
+    }
+    registry = ExplanationRegistry::Build(*table, {0}, 1);
+    Rng rng(7);
+    gamma.resize(registry.num_explanations());
+    for (auto& g : gamma) g = rng.Uniform(0.0, 100.0);
+    selectable.assign(gamma.size(), true);
+    for (size_t e = 0; e < gamma.size(); e += 15) selectable[e] = false;
+    for (size_t e = 0; e < gamma.size(); ++e) {
+      if (selectable[e]) selectable_ids.push_back(static_cast<ExplId>(e));
+    }
   }
 };
 
@@ -399,7 +432,7 @@ void EmitLiquorBuildMedians() {
 
 // Module (b) medians on BM_GuessVerify's instance, one serial solve per
 // sample: guess-and-verify's sub-lattice solves, then the plain full-lattice
-// solve they must agree with.
+// solve they must agree with; then the same two on the flat fixture.
 void EmitCascadingAnalystsMedians() {
   constexpr int kReps = 101;
   const CaFixture fixture(40);
@@ -411,6 +444,21 @@ void EmitCascadingAnalystsMedians() {
   CascadingAnalysts plain_solver(fixture.registry);
   bench::EmitResult("micro.ca.plain", MedianSerialMs(kReps, [&] {
     benchmark::DoNotOptimize(plain_solver.TopM(fixture.gamma, 3));
+  }));
+
+  // A flat solve takes microseconds or less: more samples.
+  constexpr int kFlatReps = 1001;
+  const FlatCaFixture flat;
+  CascadingAnalysts flat_guess_verify_solver(flat.registry);
+  bench::EmitResult(
+      "micro.ca.flat.guess_verify", MedianSerialMs(kFlatReps, [&] {
+        benchmark::DoNotOptimize(GuessVerifyTopM(
+            flat_guess_verify_solver, flat.gamma, 3, &flat.selectable_ids));
+      }));
+  CascadingAnalysts flat_plain_solver(flat.registry);
+  bench::EmitResult("micro.ca.flat.plain", MedianSerialMs(kFlatReps, [&] {
+    benchmark::DoNotOptimize(
+        flat_plain_solver.TopM(flat.gamma, 3, &flat.selectable));
   }));
 }
 

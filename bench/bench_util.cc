@@ -127,7 +127,8 @@ std::string ResultSlug(const std::string& text) {
 }
 
 void EmitResult(const std::string& name, double ms) {
-  std::printf("BENCH_RESULT %s %.3f\n", name.c_str(), ms);
+  // Six decimals: module (b) medians on small lattices are microseconds.
+  std::printf("BENCH_RESULT %s %.6f\n", name.c_str(), ms);
 }
 
 void EmitMetricsSnapshot() {

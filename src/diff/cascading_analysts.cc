@@ -12,6 +12,22 @@ namespace {
 
 constexpr double kScoreEps = 1e-12;
 
+// m + 1 quota levels overflow int at m = INT_MAX.
+void CheckQuota(int m) {
+  if (m == std::numeric_limits<int>::max()) {
+    throw std::length_error("Cascading Analysts: m is too large");
+  }
+}
+
+// One attribute deep: one root group and no node with children.
+bool IsFlat(const DrillDownLattice& lattice) {
+  return lattice.root.size() == 1 &&
+         std::all_of(lattice.children.begin(), lattice.children.end(),
+                     [](const std::vector<ChildGroup>& groups) {
+                       return groups.empty();
+                     });
+}
+
 // Ranks the selected cells of `result` (E*_m) and fills their gammas.
 void RankByGamma(const std::vector<double>& gamma, TopExplanations* result) {
   SortByGammaDesc(gamma, &result->ids);
@@ -24,7 +40,7 @@ void RankByGamma(const std::vector<double>& gamma, TopExplanations* result) {
 }  // namespace
 
 CascadingAnalysts::CascadingAnalysts(const ExplanationRegistry& registry)
-    : registry_(registry) {}
+    : registry_(registry), flat_(IsFlat(registry.lattice())) {}
 
 TopExplanations CascadingAnalysts::TopM(const std::vector<double>& gamma,
                                         int m,
@@ -33,6 +49,16 @@ TopExplanations CascadingAnalysts::TopM(const std::vector<double>& gamma,
   TSE_CHECK_EQ(gamma.size(), registry_.num_explanations());
   if (selectable != nullptr) {
     TSE_CHECK_EQ(selectable->size(), registry_.num_explanations());
+  }
+  if (flat()) {
+    flat_cells_.clear();
+    for (size_t e = 0; e < gamma.size(); ++e) {
+      if ((selectable == nullptr || (*selectable)[e]) &&
+          gamma[e] > kScoreEps) {
+        flat_cells_.push_back(static_cast<ExplId>(e));
+      }
+    }
+    return FlatTopM(gamma, m);
   }
   TopExplanations result =
       Run(registry_.lattice(), gamma.data(), selectable, m);
@@ -45,6 +71,23 @@ TopExplanations CascadingAnalysts::TopMRestricted(
     const std::vector<ExplId>& candidates) {
   TSE_CHECK_GE(m, 1);
   TSE_CHECK_EQ(gamma.size(), registry_.num_explanations());
+  if (flat()) {
+    // Candidates have no ancestor cells: the sub-lattice is the candidates.
+    flat_cells_.clear();
+    for (ExplId candidate : candidates) {
+      TSE_CHECK(candidate >= 0 &&
+                static_cast<size_t>(candidate) < gamma.size());
+      if (gamma[static_cast<size_t>(candidate)] > kScoreEps) {
+        flat_cells_.push_back(candidate);
+      }
+    }
+    if (!std::is_sorted(flat_cells_.begin(), flat_cells_.end())) {
+      std::sort(flat_cells_.begin(), flat_cells_.end());
+    }
+    flat_cells_.erase(std::unique(flat_cells_.begin(), flat_cells_.end()),
+                      flat_cells_.end());
+    return FlatTopM(gamma, m);
+  }
 
   // Sub-lattice nodes: the candidates plus, transitively, their parents,
   // numbered in ascending cell id so groups and child lists keep the full
@@ -96,10 +139,7 @@ TopExplanations CascadingAnalysts::Run(const DrillDownLattice& lattice,
                                        const double* score,
                                        const std::vector<bool>* selectable,
                                        int m) {
-  if (m == std::numeric_limits<int>::max()) {
-    // Its m + 1 quota levels per node overflow int.
-    throw std::length_error("Cascading Analysts: m is too large");
-  }
+  CheckQuota(m);
   lattice_ = &lattice;
   score_ = score;
   selectable_ = selectable;
@@ -125,6 +165,51 @@ TopExplanations CascadingAnalysts::Run(const DrillDownLattice& lattice,
   FillChildren(nodes);
   BestDrillDown(nodes, result.best.data());
   Reconstruct(result.best[static_cast<size_t>(m)], &result.ids);
+  return result;
+}
+
+TopExplanations CascadingAnalysts::FlatTopM(const std::vector<double>& gamma,
+                                            int m) {
+  CheckQuota(m);
+  const size_t k = flat_cells_.size();
+  nodes_visited_ = k;
+  // table[i * width + x]: the root knapsack's best for quota x over the
+  // first i cells. Past quota k no entry grows, so the table stops at
+  // top = min(k, m) and Best repeats its entry at top.
+  const size_t quota = static_cast<size_t>(m);
+  const size_t top = std::min(k, quota);
+  const size_t width = top + 1;
+  if (knapsack_.size() < (k + 1) * width) knapsack_.resize((k + 1) * width);
+  double* table = knapsack_.data();
+  std::fill(table, table + width, 0.0);
+  for (size_t i = 0; i < k; ++i) {
+    const double g = gamma[static_cast<size_t>(flat_cells_[i])];
+    const double* prev = table + i * width;
+    double* next = table + (i + 1) * width;
+    next[0] = 0.0;
+    for (size_t x = 1; x < width; ++x) {
+      next[x] = std::max(prev[x], prev[x - 1] + g);
+    }
+  }
+  TopExplanations result;
+  result.best.resize(quota + 1);
+  const double* last = table + k * width;
+  for (size_t q = 0; q <= quota; ++q) result.best[q] = last[std::min(q, top)];
+
+  // Walk back from the last cell: a cell is selected when skipping it falls
+  // short of its row's value by more than the DP's tolerance.
+  if (result.best[quota] > kScoreEps) {
+    result.ids.reserve(top);
+    size_t x = top;
+    for (size_t i = k; i > 0 && x > 0; --i) {
+      if (table[(i - 1) * width + x] >= table[i * width + x] - kScoreEps) {
+        continue;
+      }
+      result.ids.push_back(flat_cells_[i - 1]);
+      --x;
+    }
+  }
+  RankByGamma(gamma, &result);
   return result;
 }
 

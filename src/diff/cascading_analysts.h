@@ -41,6 +41,23 @@
 //
 // The solver also exposes Best[q] = f(root, q) for every q <= m, which the
 // guess-and-verify optimization needs for its termination test (Eq. 12).
+//
+// The flat pass. With one explain-by attribute the lattice is flat (one
+// root group and no node with children, read once when the solver is
+// built): every cell is a sibling of every other, and the optimum is the m
+// best positive cells. TopM and TopMRestricted then skip the memo and run
+// the root's one knapsack directly over the k positive selectable cells in
+// ascending id. A leaf's row is its score at every
+// quota, and the knapsack row is non-decreasing, so the DP's inner maximum
+// over a child's quota is always reached at quota 1: the pass's
+// dp[x] = max(dp[x], dp[x - 1] + gamma) is the DP's value bit for bit, and
+// a cell with no positive score leaves the row unchanged, so skipping it
+// changes nothing. The reconstruction walks from the last cell back with
+// the DP's kScoreEps tolerance, so a near-tie keeps the cell the DP keeps
+// even where Best holds the larger sum. No more than k cells can be
+// selected, so entries past quota k repeat entry k and the table stops at
+// quota min(k, m): a solve costs O(k * min(k, m)) plus O(m) for Best, with
+// no sub-lattice and no memo.
 
 #ifndef TSEXPLAIN_DIFF_CASCADING_ANALYSTS_H_
 #define TSEXPLAIN_DIFF_CASCADING_ANALYSTS_H_
@@ -97,10 +114,21 @@ class CascadingAnalysts {
                                  const std::vector<ExplId>& candidates);
 
   /// Number of lattice nodes whose row f(node, 1..m) the last call filled,
-  /// one knapsack pass each (complexity instrumentation for the benches).
+  /// one knapsack pass each (complexity instrumentation for the benches);
+  /// on a flat lattice, the positive selectable cells the flat pass walked.
   size_t last_nodes_visited() const { return nodes_visited_; }
 
+  /// True when the registry's lattice is one attribute deep (one root
+  /// group, no node with children): TopM and TopMRestricted then take the
+  /// flat pass.
+  bool flat() const { return flat_; }
+
  private:
+  friend class CascadingAnalystsTestPeer;  // the general DP, as reference
+
+  // The flat pass over flat_cells_ (the positive selectable cells of a flat
+  // lattice, ascending): Best[0..m] and the selected cells, ranked.
+  TopExplanations FlatTopM(const std::vector<double>& gamma, int m);
   // The DP over `lattice` with the given views: Best[0..m] plus the
   // selected nodes, unranked.
   TopExplanations Run(const DrillDownLattice& lattice, const double* score,
@@ -134,6 +162,7 @@ class CascadingAnalysts {
   }
 
   const ExplanationRegistry& registry_;
+  const bool flat_;  // fixed at construction from registry_.lattice()
   // The lattice Run walks, its views by node, and the call's m.
   const DrillDownLattice* lattice_ = nullptr;
   const double* score_ = nullptr;
@@ -150,9 +179,12 @@ class CascadingAnalysts {
   std::vector<double> memo_;
   std::vector<uint32_t> stamp_;
   uint32_t epoch_ = 0;
+  // The flat pass's cells: the positive selectable ones, ascending.
+  std::vector<ExplId> flat_cells_;
+
   // One group's knapsack: its quota row (the DP) or its full per-child
-  // table (the reconstruction); and the (node, quota) shares still to
-  // reconstruct.
+  // table (the reconstruction and the flat pass); and the (node, quota)
+  // shares still to reconstruct.
   std::vector<double> knapsack_;
   std::vector<std::pair<size_t, int>> pending_;
   size_t nodes_visited_ = 0;

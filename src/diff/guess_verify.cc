@@ -18,6 +18,19 @@ TopExplanations GuessVerifyTopM(CascadingAnalysts& solver,
                                 int initial_guess, GuessVerifyStats* stats) {
   TSE_CHECK_GE(m, 1);
   TSE_CHECK_GE(initial_guess, 1);
+  if (solver.flat()) {
+    // Every cell is a sibling of every other: the flat pass over all the
+    // selectable cells is exact, and cheaper than a first guess.
+    TopExplanations result = selectable != nullptr
+                                 ? solver.TopMRestricted(gamma, m, *selectable)
+                                 : solver.TopM(gamma, m);
+    if (stats != nullptr) {
+      stats->iterations = 1;
+      stats->final_guess_size = static_cast<int>(solver.last_nodes_visited());
+      stats->exact_fallback = true;
+    }
+    return result;
+  }
 
   // chi: candidate ids the caller allows with positive score, ascending.
   std::vector<ExplId> chi;

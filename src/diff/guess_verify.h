@@ -15,6 +15,14 @@
 // verify. On failure the prefix doubles (m-bar <- 2 m-bar) and the
 // process repeats; when m-bar reaches epsilon the run is exact by
 // construction. Candidates rank by (gamma descending, id ascending).
+//
+// On a flat lattice (one explain-by attribute; CascadingAnalysts::flat())
+// there are no rounds: the solver's flat pass over every selectable cell
+// is the exact answer in O(k * min(k, m)) for k positive cells, where a
+// first guess of 30 + m cells would already cover most of a small lattice.
+// It returns the masked TopM's ids, gammas and Best bit for bit, as every
+// round's answer does. Its stats read one iteration, an exact fallback, and
+// a final guess of the k positive selectable cells the pass walked.
 
 #ifndef TSEXPLAIN_DIFF_GUESS_VERIFY_H_
 #define TSEXPLAIN_DIFF_GUESS_VERIFY_H_

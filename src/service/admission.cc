@@ -6,6 +6,7 @@
 #include "src/common/metrics.h"
 #include "src/common/thread_pool.h"
 #include "src/common/timer.h"
+#include "src/service/result_cache.h"
 
 namespace tsexplain {
 namespace {
@@ -48,7 +49,9 @@ struct AdmissionMetrics {
 
 }  // namespace
 
-AdmissionController::AdmissionController(AdmissionOptions options) {
+AdmissionController::AdmissionController(AdmissionOptions options,
+                                         ResultCache& cache)
+    : cache_(cache) {
   pool_size_ = options.pool_size >= 1 ? options.pool_size
                                       : ThreadPool::Shared().size();
   max_concurrent_ = options.max_concurrent >= 1 ? options.max_concurrent
@@ -131,6 +134,17 @@ AdmissionController::Ticket AdmissionController::Admit(
       ticket.outcome_ = Outcome::kCoalesced;
       ticket.tenant = tenant_counted ? tenant : std::string();
       ticket.answer_ = flight->answer;
+      return ticket;
+    }
+
+    // No flight: a leader for this key may have Put its value and
+    // released since the caller's miss. Serve that value as a hit.
+    if (ResultCache::ValuePtr cached = cache_.Recheck(key)) {
+      Ticket ticket;
+      ticket.controller_ = this;  // releases the tenant count
+      ticket.outcome_ = Outcome::kCacheHit;
+      ticket.tenant = tenant_counted ? tenant : std::string();
+      ticket.answer_.value = std::move(cached);
       return ticket;
     }
 

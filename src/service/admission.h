@@ -19,6 +19,11 @@
 //    service's one single-flight: N concurrent identical cold queries
 //    compute once, and followers never depend on the value still being
 //    in the ResultCache;
+//  * a request that finds no flight re-checks the ResultCache before it
+//    takes a slot: a leader that finished after the request's own cache
+//    miss Put its value before its ticket released the flight under this
+//    controller's mutex, so the request is served that value as a cache
+//    hit instead of computing it again;
 //  * per-tenant in-flight caps: a tenant at its cap is shed with
 //    `quota_exceeded` BEFORE it can occupy queue slots, so one tenant
 //    cannot monopolize admission;
@@ -51,6 +56,7 @@
 namespace tsexplain {
 
 struct CachedResult;  // result_cache.h
+class ResultCache;
 
 struct AdmissionOptions {
   /// Queries allowed to run concurrently. 0 = auto: the shared
@@ -73,6 +79,7 @@ class AdmissionController {
   enum class Outcome {
     kAdmitted,       // run it and Publish; `granted_threads` is the allocation
     kCoalesced,      // a leader for this key finished; `answer` is its outcome
+    kCacheHit,       // no flight, but the key is cached; `answer` holds it
     kShedOverload,   // queue full: reply `overloaded` + retry-after
     kShedTenant,     // tenant at cap: reply `quota_exceeded` + retry-after
   };
@@ -118,7 +125,8 @@ class AdmissionController {
     /// onto this key receive once the ticket is released. A leader
     /// released without publishing hands its followers an error.
     void Publish(Answer answer);
-    /// Follower (kCoalesced) only: the leader's published outcome.
+    /// kCoalesced: the leader's published outcome. kCacheHit: the cached
+    /// value.
     const Answer& answer() const { return answer_; }
 
    private:
@@ -133,14 +141,18 @@ class AdmissionController {
     std::string tenant;
     double start_ms_ = 0.0;
     std::shared_ptr<Flight> flight_;  // leader: where Publish writes
-    Answer answer_;                   // follower: the leader's outcome
+    Answer answer_;                   // follower or cache hit: the value
   };
 
-  explicit AdmissionController(AdmissionOptions options);
+  /// Admission keys are `cache`'s keys: a request that finds no flight is
+  /// served a cached value (kCacheHit) before it takes a slot. Lock order:
+  /// this controller's mutex, then a cache shard's.
+  AdmissionController(AdmissionOptions options, ResultCache& cache);
 
-  /// Admits, batches, queues, or sheds one request. Blocks only in the
-  /// bounded-queue case; shed decisions return immediately.
-  /// `requested_threads` must be resolved (>= 1, see ResolveThreadCount).
+  /// Admits, batches, serves from the cache, queues, or sheds one request.
+  /// Blocks only in the bounded-queue case; shed decisions return
+  /// immediately. `requested_threads` must be resolved (>= 1, see
+  /// ResolveThreadCount).
   Ticket Admit(const std::string& key, const std::string& tenant,
                int requested_threads) TSE_EXCLUDES(mu_);
 
@@ -177,6 +189,7 @@ class AdmissionController {
   int per_tenant_inflight_ = 0;
   int pool_size_ = 1;
   int backlog_capacity_ = 1;
+  ResultCache& cache_;
 
   mutable Mutex mu_;
   CondVar cv_;

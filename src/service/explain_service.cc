@@ -22,7 +22,8 @@ namespace tsexplain {
 namespace {
 
 // Schema-level validation: everything that would otherwise trip a
-// TSE_CHECK inside the engine must be rejected here with an error string.
+// TSE_CHECK inside the engine must be rejected here with an error string,
+// and so must `m` above kMaxTopM, whose module (b) cost grows steeply.
 // Also fills an empty explain-by list with the recommended ordering
 // (mirrors the CLI's default).
 //
@@ -84,6 +85,10 @@ bool ValidateAndNormalize(const Table& table, TSExplainConfig* config,
       return false;
     }
   }
+  if (config->m > kMaxTopM) {
+    *error = StrFormat("m must be <= %d, got %d", kMaxTopM, config->m);
+    return false;
+  }
   if (config->use_filter &&
       (config->filter_ratio <= 0.0 || config->filter_ratio > 1.0)) {
     *error = "filter_ratio must be in (0, 1]";
@@ -127,8 +132,8 @@ ExplainResponse ServedResponse(const std::string& cache_key,
 
 // End-to-end service latency (docs/OBSERVABILITY.md). hot = served from
 // a direct cache Lookup without touching admission; cold = everything
-// that went through AdmitAndCompute and succeeded (coalesced requests
-// included — they paid the admission wait).
+// that went through AdmitAndCompute and succeeded (coalesced requests and
+// hits found at admission included — they paid the admission wait).
 struct ServiceMetrics {
   Histogram& hot_ms = MetricRegistry::Global().GetHistogram("query.hot_ms");
   Histogram& cold_ms =
@@ -216,7 +221,7 @@ uint64_t NextServiceInstanceTag() {
 ExplainService::ExplainService(ServiceOptions options)
     : cache_(options.cache_capacity_bytes, options.cache_shards,
              options.tenant_cache_budget_bytes),
-      admission_(options.admission),
+      admission_(options.admission, cache_),
       session_log_dir_(std::move(options.session_log_dir)),
       instance_tag_(NextServiceInstanceTag()) {}
 
@@ -242,7 +247,7 @@ ExplainResponse ExplainService::AdmitAndCompute(
       admission_.Admit(cache_key, tenant, requested_threads);
   if (trace) trace->EndSpan(wait_span);
   AdmissionController::Answer answer;
-  bool cache_hit = true;
+  const char* outcome = "coalesced";
   switch (ticket.outcome()) {
     case AdmissionController::Outcome::kShedOverload: {
       ExplainResponse response = ErrorResponse(
@@ -260,33 +265,32 @@ ExplainResponse ExplainService::AdmitAndCompute(
       response.admission_outcome = "shed_tenant";
       return response;
     }
+    case AdmissionController::Outcome::kCacheHit:
+      outcome = "cache_hit";
+      [[fallthrough]];
     case AdmissionController::Outcome::kCoalesced:
       answer = ticket.answer();
       break;
     case AdmissionController::Outcome::kAdmitted: {
-      // A leader that finished between the caller's Lookup and this
-      // admission has already Put the value (the caller counted its miss).
-      answer.value = cache_.Lookup(cache_key, /*count=*/false);
-      if (!answer.value) {
-        cache_hit = false;
-        const int compute_span = trace ? trace->BeginSpan("compute") : -1;
-        answer.value = compute(ticket.granted_threads(), trace, compute_span,
-                               &answer.error);
-        if (trace) trace->EndSpan(compute_span);
-        if (answer.value) cache_.Put(cache_key, answer.value);
-      }
+      outcome = "admitted";
+      const int compute_span = trace ? trace->BeginSpan("compute") : -1;
+      answer.value = compute(ticket.granted_threads(), trace, compute_span,
+                             &answer.error);
+      if (trace) trace->EndSpan(compute_span);
+      if (answer.value) cache_.Put(cache_key, answer.value);
       ticket.Publish(answer);
       break;
     }
   }
   ExplainResponse response =
       answer.value
-          ? ServedResponse(cache_key, answer.value, cache_hit,
+          ? ServedResponse(cache_key, answer.value,
+                           /*cache_hit=*/!ticket.admitted(),
                            timer.ElapsedMs())
           : ErrorResponse(error_code::kInternal,
                           answer.error.empty() ? "computation failed"
                                                : answer.error);
-  response.admission_outcome = ticket.admitted() ? "admitted" : "coalesced";
+  response.admission_outcome = outcome;
   if (response.ok) ServiceMetrics::Get().cold_ms.Observe(response.latency_ms);
   return response;
 }

@@ -179,23 +179,21 @@ void ResultCache::InsertLocked(Shard& shard, const std::string& key,
   }
 }
 
-ResultCache::ValuePtr ResultCache::Lookup(const std::string& key,
-                                          bool count) {
+ResultCache::ValuePtr ResultCache::Find(const std::string& key,
+                                        bool count_miss) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.entries.find(key);
   if (it == shard.entries.end()) {
-    if (count) {
+    if (count_miss) {
       ++shard.misses;
       CacheMetrics::Get().misses.Inc();
     }
     return nullptr;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-  if (count) {
-    ++shard.hits;
-    CacheMetrics::Get().hits.Inc();
-  }
+  ++shard.hits;
+  CacheMetrics::Get().hits.Inc();
   return it->second.value;
 }
 

@@ -74,9 +74,17 @@ class ResultCache {
   ~ResultCache();
 
   /// The resident value for `key` (LRU-touched) or nullptr. Counts one
-  /// hit or one miss unless `count` is false, which the service uses to
-  /// re-check a key its request already missed on.
-  ValuePtr Lookup(const std::string& key, bool count = true);
+  /// hit or one miss.
+  ValuePtr Lookup(const std::string& key) {
+    return Find(key, /*count_miss=*/true);
+  }
+
+  /// Admission's re-check of a key its request already missed on: the
+  /// resident value (LRU-touched), counted as one hit, or nullptr, counted
+  /// as nothing, since the request's miss is counted already.
+  ValuePtr Recheck(const std::string& key) {
+    return Find(key, /*count_miss=*/false);
+  }
 
   /// Insert/overwrite, evicting LRU entries until every bound holds:
   /// overwriting never double-charges `bytes_used`, and a value larger
@@ -139,6 +147,8 @@ class ResultCache {
   };
 
   Shard& ShardFor(const std::string& key);
+  // Lookup's body: a hit always counts, a miss when `count_miss`.
+  ValuePtr Find(const std::string& key, bool count_miss);
   // Removes one entry with exact byte/tenant accounting; `it` must be
   // valid. Does NOT bump eviction/invalidation counters (callers do).
   static void RemoveEntryLocked(

@@ -9,7 +9,8 @@
 #   - unknown or repeated explain-by, no dimension at all, unknown --diff
 #     label, or a relation too short to segment
 #                          -> diagnostic + usage on stderr, exit 2
-#   - no input ever kills the CLI by a signal (an abort is a failure)
+#   - no input ever kills the CLI by a signal (an abort is a failure); a
+#     run that throws (m = INT_MAX) prints an error and exits 1
 #   - --help               -> usage on stdout, exit 0
 #   - a well-formed run    -> exit 0 and a report on stdout
 #   - --diff               -> the same bytes as the recorded golden
@@ -120,6 +121,12 @@ expect_usage_error no_dimension "no dimension to explain by" -- \
     --csv "$TMPDIR_SMOKE/no_dimension.csv" --time date --measure sales
 expect_usage_error two_bucket_segmentation "at least three time buckets" -- \
     --csv "$TWO" --time date --measure sales
+# m = INT_MAX throws inside Cascading Analysts: an error and exit 1, in
+# --diff mode and in segmentation mode, never an abort.
+expect_fail diff_int_max_m -- \
+    --csv "$CSV" --time date --measure sales --m 2147483647 --diff 0,9
+expect_fail segment_int_max_m -- \
+    --csv "$CSV" --time date --measure sales --m 2147483647
 
 # --diff golden: the two-relations diff prints these exact bytes (forward
 # over every bucket; reversed on the two-bucket relation, where the last

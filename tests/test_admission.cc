@@ -1,6 +1,7 @@
 // AdmissionController contract: bounded concurrency, bounded queue with
 // shedding, duplicate batching (followers receive the leader's published
-// value or error), per-tenant in-flight caps, adaptive thread grants,
+// value or error), a cached value served at admission as a hit, per-tenant
+// in-flight caps, adaptive thread grants,
 // transport backlog bounding — plus the tenant identity/quota helpers
 // from quota.h.
 
@@ -43,7 +44,8 @@ bool WaitFor(const AdmissionController& admission, Pred pred,
 }
 
 TEST(AdmissionControllerTest, AdmitsUpToCapacityAndGrantsFairThreads) {
-  AdmissionController admission(SmallOptions());
+  ResultCache cache(1 << 20);  // empty: every re-check misses
+  AdmissionController admission(SmallOptions(), cache);
   auto first = admission.Admit("q1", "", /*requested_threads=*/8);
   EXPECT_TRUE(first.admitted());
   EXPECT_EQ(first.granted_threads(), 8);  // pool 8 / 1 active
@@ -58,14 +60,16 @@ TEST(AdmissionControllerTest, AdmitsUpToCapacityAndGrantsFairThreads) {
 }
 
 TEST(AdmissionControllerTest, RequestedThreadsIsACeiling) {
-  AdmissionController admission(SmallOptions());
+  ResultCache cache(1 << 20);  // empty: every re-check misses
+  AdmissionController admission(SmallOptions(), cache);
   auto ticket = admission.Admit("q", "", /*requested_threads=*/2);
   EXPECT_TRUE(ticket.admitted());
   EXPECT_EQ(ticket.granted_threads(), 2);  // fair share 8, requested 2
 }
 
 TEST(AdmissionControllerTest, ReleasingATicketFreesItsSlot) {
-  AdmissionController admission(SmallOptions());
+  ResultCache cache(1 << 20);  // empty: every re-check misses
+  AdmissionController admission(SmallOptions(), cache);
   {
     auto a = admission.Admit("a", "", 1);
     auto b = admission.Admit("b", "", 1);
@@ -76,7 +80,9 @@ TEST(AdmissionControllerTest, ReleasingATicketFreesItsSlot) {
 }
 
 TEST(AdmissionControllerTest, QueuesThenShedsWithRetryAfter) {
-  AdmissionController admission(SmallOptions());  // 2 running + 1 queued
+  ResultCache cache(1 << 20);  // empty: every re-check misses
+  // 2 running + 1 queued.
+  AdmissionController admission(SmallOptions(), cache);
   auto a = admission.Admit("a", "", 1);
   auto b = admission.Admit("b", "", 1);
 
@@ -110,7 +116,8 @@ TEST(AdmissionControllerTest, DuplicateKeysBatchWithoutConsumingSlots) {
   AdmissionOptions options = SmallOptions();
   options.max_concurrent = 1;
   options.queue_depth = 0;  // any queued duplicate would be shed instead
-  AdmissionController admission(options);
+  ResultCache cache(1 << 20);  // empty: every re-check misses
+  AdmissionController admission(options, cache);
   constexpr int kFollowers = 3;
 
   // Parks kFollowers duplicates of `key` on `leader`, lets the leader
@@ -173,10 +180,46 @@ TEST(AdmissionControllerTest, DuplicateKeysBatchWithoutConsumingSlots) {
   EXPECT_EQ(admission.stats().coalesced, 2u * kFollowers);
 }
 
+TEST(AdmissionControllerTest, AFinishedLeadersCachedValueIsAHit) {
+  // With a cache, a request that finds no flight re-checks it before it
+  // takes a slot. Here the leader Put its value and released its flight
+  // after the request's own miss: the request is served that value and
+  // counted as one cache hit, neither admitted nor coalesced. The re-check
+  // of a key nobody cached counts no second miss.
+  ResultCache cache(1 << 20, /*num_shards=*/1);
+  AdmissionOptions options = SmallOptions();
+  options.per_tenant_inflight = 1;
+  AdmissionController admission(options, cache);
+  EXPECT_EQ(cache.Lookup("q"), nullptr);  // the late request's miss
+  auto value = std::make_shared<CachedResult>();
+  value->json = "{}";
+  {
+    auto leader = admission.Admit("q", "", 1);
+    ASSERT_TRUE(leader.admitted());
+    cache.Put("q", value);
+    leader.Publish({value, ""});
+  }
+  {
+    auto late = admission.Admit("q", "acme", 1);
+    EXPECT_EQ(late.outcome(), AdmissionController::Outcome::kCacheHit);
+    EXPECT_EQ(late.answer().value.get(), value.get());
+    // Until released, the hit holds its tenant's in-flight count.
+    EXPECT_EQ(admission.Admit("q2", "acme", 1).outcome(),
+              AdmissionController::Outcome::kShedTenant);
+  }
+  EXPECT_TRUE(admission.Admit("q2", "acme", 1).admitted());
+  const AdmissionController::Stats stats = admission.stats();
+  EXPECT_EQ(stats.admitted, 2u);
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
 TEST(AdmissionControllerTest, TenantInflightCapShedsOnlyThatTenant) {
   AdmissionOptions options = SmallOptions();
   options.per_tenant_inflight = 1;
-  AdmissionController admission(options);
+  ResultCache cache(1 << 20);  // empty: every re-check misses
+  AdmissionController admission(options, cache);
 
   auto held = admission.Admit("q1", "acme", 1);
   EXPECT_TRUE(held.admitted());
@@ -198,7 +241,9 @@ TEST(AdmissionControllerTest, TenantInflightCapShedsOnlyThatTenant) {
 }
 
 TEST(AdmissionControllerTest, BacklogSlotsBoundTheDispatchPipeline) {
-  AdmissionController admission(SmallOptions());  // capacity 2 + 1 = 3
+  ResultCache cache(1 << 20);  // empty: every re-check misses
+  // Capacity 2 + 1 = 3.
+  AdmissionController admission(SmallOptions(), cache);
   EXPECT_TRUE(admission.TryAcquireBacklogSlot());
   EXPECT_TRUE(admission.TryAcquireBacklogSlot());
   EXPECT_TRUE(admission.TryAcquireBacklogSlot());
@@ -209,7 +254,8 @@ TEST(AdmissionControllerTest, BacklogSlotsBoundTheDispatchPipeline) {
 }
 
 TEST(AdmissionControllerTest, AutoOptionsFollowTheSharedPool) {
-  AdmissionController admission(AdmissionOptions{});
+  ResultCache cache(1 << 20);  // empty: every re-check misses
+  AdmissionController admission(AdmissionOptions{}, cache);
   EXPECT_EQ(admission.pool_size(), ThreadPool::Shared().size());
   EXPECT_EQ(admission.max_concurrent(), ThreadPool::Shared().size());
 }

@@ -5,11 +5,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/diff/cascading_analysts.h"
+#include "tests/cascading_analysts_test_peer.h"
 
 namespace tsexplain {
 namespace {
@@ -315,6 +320,137 @@ TEST(CascadingAnalysts, RestrictedHandlesHighOrderCandidates) {
   EXPECT_EQ(restricted.ids, masked.ids);
   EXPECT_EQ(restricted.best, masked.best);
   EXPECT_EQ(restricted.TotalScore(), 10.0);
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    std::memcpy(&bits[i], &values[i], sizeof(double));
+  }
+  return bits;
+}
+
+// `actual` equals `expected` bit for bit: ids, gammas and Best.
+void ExpectSameBits(const TopExplanations& actual,
+                    const TopExplanations& expected,
+                    const std::string& where) {
+  EXPECT_EQ(actual.ids, expected.ids) << where;
+  EXPECT_EQ(Bits(actual.gammas), Bits(expected.gammas)) << where;
+  EXPECT_EQ(Bits(actual.best), Bits(expected.best)) << where;
+}
+
+TEST(CascadingAnalysts, FlatOnlyWithOneAttribute) {
+  // Flat: one root group and no node with children. One attribute at any
+  // order is flat; two attributes are not, even at order 1, where the
+  // root drills into one attribute or the other.
+  const Table one = MakeSingleAttrTable(4);
+  const auto one_order_1 = ExplanationRegistry::Build(one, {0}, 1);
+  EXPECT_TRUE(CascadingAnalysts(one_order_1).flat());
+  const auto one_order_3 = ExplanationRegistry::Build(one, {0}, 3);
+  EXPECT_TRUE(CascadingAnalysts(one_order_3).flat());
+  const Table two = MakeTwoAttrTable();
+  const auto two_order_1 = ExplanationRegistry::Build(two, {0, 1}, 1);
+  EXPECT_FALSE(CascadingAnalysts(two_order_1).flat());
+  const auto nested = ExplanationRegistry::Build(two, {0, 1}, 2);
+  EXPECT_FALSE(CascadingAnalysts(nested).flat());
+}
+
+TEST(CascadingAnalysts, FlatPassMatchesGeneralDpBitForBit) {
+  // One-attribute registries of 1 to 80 cells. Each cell's gamma is drawn
+  // from a cluster of near-ties around 1 (spaced 2.5e-13, inside the DP's
+  // 1e-12 tolerance), exact ties, zeros, negatives and values at or below
+  // 1e-12, or a uniform draw. Every m from 1 to k + 2 (k = positive cells)
+  // is solved with no mask, a random mask, and the same mask as an id list
+  // (shuffled in half the trials), each by one reused solver's flat pass
+  // and by the general DP. They must agree bit for bit.
+  using Peer = CascadingAnalystsTestPeer;
+  const double kTiny[] = {0.0, -1.0, 1e-12, 5e-13, -1e-13, 0.0};
+  Rng rng(2211);
+  int near_tie_trials = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const int cells = static_cast<int>(rng.UniformInt(1, 80));
+    const Table t = MakeSingleAttrTable(cells);
+    const auto reg = ExplanationRegistry::Build(t, {0}, 1);
+    std::vector<double> gamma(reg.num_explanations());
+    int cluster = 0;
+    for (double& g : gamma) {
+      const double draw = rng.NextDouble();
+      if (draw < 0.4) {
+        g = 1.0 + 2.5e-13 * static_cast<double>(rng.UniformInt(0, 8));
+        ++cluster;
+      } else if (draw < 0.55) {
+        g = rng.NextBool() ? 2.0 : 5.0;
+      } else if (draw < 0.7) {
+        g = kTiny[rng.UniformInt(0, 5)];
+      } else {
+        g = rng.Uniform(0.0, 10.0);
+      }
+    }
+    if (cluster >= 2) ++near_tie_trials;
+    std::vector<bool> mask(gamma.size());
+    std::vector<ExplId> ids;
+    for (size_t e = 0; e < gamma.size(); ++e) {
+      mask[e] = rng.NextBool(0.7);
+      if (mask[e]) ids.push_back(static_cast<ExplId>(e));
+    }
+    if (trial % 2 == 1) rng.Shuffle(&ids);
+    const int k = static_cast<int>(
+        std::count_if(gamma.begin(), gamma.end(),
+                      [](double g) { return g > 1e-12; }));
+
+    CascadingAnalysts flat(reg);
+    ASSERT_TRUE(flat.flat());
+    CascadingAnalysts general(reg);
+    for (int m = 1; m <= k + 2; ++m) {
+      const std::string where = "trial " + std::to_string(trial) +
+                                " cells " + std::to_string(cells) + " m " +
+                                std::to_string(m);
+      ExpectSameBits(flat.TopM(gamma, m),
+                     Peer::GeneralTopM(general, gamma, m, nullptr),
+                     where + " no mask");
+      const TopExplanations masked =
+          Peer::GeneralTopM(general, gamma, m, &mask);
+      ExpectSameBits(flat.TopM(gamma, m, &mask), masked, where + " mask");
+      ExpectSameBits(flat.TopMRestricted(gamma, m, ids), masked,
+                     where + " id list");
+    }
+  }
+  EXPECT_GT(near_tie_trials, 40);
+}
+
+TEST(CascadingAnalysts, FlatNearTieKeepsTheDpsPick) {
+  // Two cells within the DP's 1e-12 tolerance, at m = 1: Best holds the
+  // larger gamma, but walking back from the last cell, the first cell
+  // reaches that value within the tolerance, so the lower id is kept.
+  const Table t = MakeSingleAttrTable(2);
+  const auto reg = ExplanationRegistry::Build(t, {0}, 1);
+  CascadingAnalysts ca(reg);
+  const std::vector<double> gamma{1.0, 1.0 + 5e-13};
+  const TopExplanations top = ca.TopM(gamma, 1);
+  EXPECT_EQ(top.ids, std::vector<ExplId>{0});
+  EXPECT_EQ(top.best[1], gamma[1]);
+  ExpectSameBits(top,
+                 CascadingAnalystsTestPeer::GeneralTopM(ca, gamma, 1, nullptr),
+                 "near tie");
+}
+
+TEST(CascadingAnalysts, IntMaxQuotaThrowsOnBothPaths) {
+  // m + 1 quota levels overflow int at m = INT_MAX: the flat pass (TopM
+  // and TopMRestricted) and the general DP each throw, and the solver
+  // answers the next call.
+  constexpr int kMax = std::numeric_limits<int>::max();
+  const Table t = MakeSingleAttrTable(3);
+  const auto reg = ExplanationRegistry::Build(t, {0}, 1);
+  CascadingAnalysts ca(reg);
+  const std::vector<double> gamma{3.0, 1.0, 2.0};
+  EXPECT_THROW(ca.TopM(gamma, kMax), std::length_error);
+  EXPECT_THROW(ca.TopMRestricted(gamma, kMax, {0, 2}), std::length_error);
+  EXPECT_THROW(
+      CascadingAnalystsTestPeer::GeneralTopM(ca, gamma, kMax, nullptr),
+      std::length_error);
+  ExpectSameBits(ca.TopM(gamma, 2),
+                 CascadingAnalystsTestPeer::GeneralTopM(ca, gamma, 2, nullptr),
+                 "after the throw");
 }
 
 TEST(SortByGammaDescTest, DeterministicTieBreak) {

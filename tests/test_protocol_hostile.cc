@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -24,6 +25,7 @@
 
 #include "src/common/json.h"
 #include "src/common/metrics.h"
+#include "src/common/metrics_history.h"
 #include "src/service/explain_service.h"
 #include "src/service/protocol.h"
 #include "src/service/watchdog.h"
@@ -254,16 +256,21 @@ TEST_F(HostileProtocolTest, RegisterFromCraftedCsvPathIsStructured) {
 }
 
 TEST_F(HostileProtocolTest, ThrowingRequestAnswersOnceAndLeavesNoStuckQuery) {
-  // m = INT_MAX makes the engine throw std::length_error mid-run, with
-  // guess-and-verify off and on (its prefix bound guess + m must not
-  // overflow on the way there). The handler catches it at its one
-  // boundary: each request gets exactly one structured `internal` answer,
-  // its watchdog entry is released, and a counter records it.
+  // A metrics_history tick whose sample prologue throws: the exception
+  // escapes the op's handler. The handler catches it at its one boundary:
+  // each such request gets exactly one structured `internal` answer, its
+  // watchdog entry is released, a counter records it, and the next
+  // request is served.
   QueryWatchdog::Options watchdog_options;
   watchdog_options.stuck_after_ms = 50.0;
   QueryWatchdog watchdog(watchdog_options);
+  MetricRegistry registry;
+  MetricsHistory history(registry, MetricsHistory::Options{});
+  history.SetSamplePrologue(
+      [] { throw std::runtime_error("sample prologue failed"); });
   ProtocolHandler::Introspection introspection;
   introspection.watchdog = &watchdog;
+  introspection.history = &history;
   handler_.set_introspection(introspection);
   const auto internal_errors = [] {
     const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
@@ -272,22 +279,20 @@ TEST_F(HostileProtocolTest, ThrowingRequestAnswersOnceAndLeavesNoStuckQuery) {
   };
   const uint64_t errors_before = internal_errors();
 
-  const std::string response = Roundtrip(
-      R"({"op":"explain","id":7,"dataset":"ds","measure":"value",)"
-      R"("explain_by":["region"],"m":2147483647})");
-  EXPECT_EQ(response.find("{\"id\":7,\"ok\":false"), 0u) << response;
-  EXPECT_NE(response.find("\"code\":\"internal\""), std::string::npos)
-      << response;
-  EXPECT_EQ(internal_errors(), errors_before + 1);
-
-  const std::string guess_verify = Roundtrip(
-      R"({"op":"explain","id":8,"dataset":"ds","measure":"value",)"
-      R"("explain_by":["region"],"guess_verify":true,"m":2147483647})");
-  EXPECT_EQ(guess_verify.find("{\"id\":8,\"ok\":false"), 0u)
-      << guess_verify;
-  EXPECT_NE(guess_verify.find("\"code\":\"internal\""), std::string::npos)
-      << guess_verify;
-  EXPECT_EQ(internal_errors(), errors_before + 2);
+  for (int id = 7; id <= 8; ++id) {
+    const std::string response =
+        Roundtrip(R"({"op":"metrics_history","id":)" + std::to_string(id) +
+                  R"(,"sample":true})");
+    EXPECT_EQ(response.find("{\"id\":" + std::to_string(id) +
+                            ",\"ok\":false"),
+              0u)
+        << response;
+    EXPECT_NE(response.find("\"code\":\"internal\""), std::string::npos)
+        << response;
+    EXPECT_NE(response.find("sample prologue failed"), std::string::npos)
+        << response;
+    EXPECT_EQ(internal_errors(), errors_before + static_cast<uint64_t>(id - 6));
+  }
 
   ExpectStillServing();
   // Past the stuck deadline, only healthz itself is in flight.
@@ -296,6 +301,62 @@ TEST_F(HostileProtocolTest, ThrowingRequestAnswersOnceAndLeavesNoStuckQuery) {
   EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos) << health;
   EXPECT_NE(health.find("\"inflight\":1,"), std::string::npos) << health;
   EXPECT_NE(health.find("\"stuck\":0"), std::string::npos) << health;
+}
+
+TEST_F(HostileProtocolTest, HugeMIsRejectedBeforeAnyEngineRuns) {
+  // `m` above kMaxTopM is invalid_query, answered at validation: no engine
+  // runs, nothing is cached and nothing throws. The dataset is explained
+  // by one attribute, so an admitted run would take the flat pass, whose
+  // Best list holds m + 1 values (16 GiB at INT_MAX - 1). Guess-and-verify
+  // on and off; each answer comes back at once.
+  const auto internal_errors = [] {
+    const MetricsSnapshot snapshot = MetricRegistry::Global().Snapshot();
+    const uint64_t* value = snapshot.FindCounter("protocol.internal_errors");
+    return value ? *value : 0;
+  };
+  const uint64_t errors_before = internal_errors();
+  const ServiceStats before = service_.Stats();
+  int id = 20;
+  for (const long long m :
+       {static_cast<long long>(kMaxTopM) + 1, 100000LL, 1000000LL,
+        2147483646LL, 2147483647LL}) {
+    for (const char* guess_verify : {"false", "true"}) {
+      const std::string line =
+          R"({"op":"explain","id":)" + std::to_string(id) +
+          R"(,"dataset":"ds","measure":"value","explain_by":["region"],)"
+          R"("guess_verify":)" +
+          guess_verify + R"(,"m":)" + std::to_string(m) + "}";
+      const auto start = std::chrono::steady_clock::now();
+      const std::string response = Roundtrip(line);
+      const double seconds = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+      EXPECT_LT(seconds, 5.0) << line;
+      EXPECT_EQ(response.find("{\"id\":" + std::to_string(id) +
+                              ",\"ok\":false"),
+                0u)
+          << response;
+      EXPECT_NE(response.find("\"code\":\"invalid_query\""),
+                std::string::npos)
+          << response;
+      EXPECT_NE(response.find("m must be <= " + std::to_string(kMaxTopM)),
+                std::string::npos)
+          << response;
+      ++id;
+    }
+  }
+  EXPECT_EQ(internal_errors(), errors_before);
+  const ServiceStats after = service_.Stats();
+  EXPECT_EQ(after.cache.entries, before.cache.entries);
+  EXPECT_EQ(after.hot_engines, before.hot_engines);
+
+  // The cap itself is served.
+  const std::string at_cap = Roundtrip(
+      R"({"op":"explain","id":40,"dataset":"ds","measure":"value",)"
+      R"("explain_by":["region"],"m":)" +
+      std::to_string(kMaxTopM) + "}");
+  EXPECT_EQ(at_cap.find("{\"id\":40,\"ok\":true"), 0u) << at_cap;
+  ExpectStillServing();
 }
 
 TEST_F(HostileProtocolTest, StructurallyWrongRequestsAnswerOnce) {

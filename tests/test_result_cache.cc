@@ -31,14 +31,16 @@ TEST(ResultCache, HitAfterMiss) {
   const ResultCache::ValuePtr value = MakeValue("payload");
   cache.Put("k", value);
   EXPECT_EQ(cache.Lookup("k").get(), value.get());  // the same object
-  // An uncounted re-check sees the entry without moving the counters.
-  EXPECT_EQ(cache.Lookup("k", /*count=*/false).get(), value.get());
-  EXPECT_EQ(cache.Lookup("absent", /*count=*/false), nullptr);
   const ResultCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.bytes_used, CostOf("payload"));
+  // A re-check of a key already missed on counts a hit, never a miss.
+  EXPECT_EQ(cache.Recheck("k").get(), value.get());
+  EXPECT_EQ(cache.Recheck("absent"), nullptr);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(ResultCache, LruEvictionAndAccounting) {

@@ -106,7 +106,8 @@ TEST(TsanStressTest, AdmissionAdmitShedReleaseChurn) {
   options.queue_depth = 4;
   options.per_tenant_inflight = 2;
   options.pool_size = 8;
-  AdmissionController admission(options);
+  ResultCache cache(1 << 20);  // empty: every re-check misses
+  AdmissionController admission(options, cache);
 
   const auto deadline = std::chrono::steady_clock::now() + kBudget;
   std::atomic<size_t> served{0};

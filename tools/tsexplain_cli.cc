@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -209,9 +210,7 @@ AggregateFunction ParseAggregate(const std::string& name, bool* ok) {
   return AggregateFunction::kSum;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(int argc, char** argv) {
   CliOptions options;
   bool want_help = false;
   if (!ParseArgs(argc, argv, &options, &want_help)) return Usage(argv[0]);
@@ -382,4 +381,19 @@ int main(int argc, char** argv) {
     std::printf("%s", RenderTextReport(engine, result).c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A run that throws (m = INT_MAX overflows Cascading Analysts' quota
+  // levels, for one) prints one error line plus usage and exits 1, as the
+  // service's dispatch boundary answers it `internal`.
+  try {
+    return Run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    PrintUsage(stderr, argv[0]);
+    return 1;
+  }
 }
