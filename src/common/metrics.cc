@@ -23,6 +23,39 @@ double BitsToDouble(uint64_t bits) {
   return value;
 }
 
+// The one percentile interpolation, over `buckets` bucket counts read by
+// `count_at(i)` (the last bucket is the overflow) that sum to `total`:
+// linear inside the landing bucket, and the overflow bucket reports its
+// lower bound. A template, so the live histogram's read allocates nothing.
+template <typename CountAt>
+double InterpolatePercentile(const std::vector<double>& bounds,
+                             size_t buckets, uint64_t total, double p,
+                             CountAt count_at) {
+  if (total == 0) return 0.0;
+  double rank = p * static_cast<double>(total);
+  if (rank < 0.0) rank = 0.0;
+  if (rank > static_cast<double>(total)) rank = static_cast<double>(total);
+
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < buckets; ++i) {
+    const uint64_t n = count_at(i);
+    if (n == 0) continue;
+    const uint64_t before = cumulative;
+    cumulative += n;
+    if (static_cast<double>(cumulative) >= rank) {
+      const double lower = i == 0 ? 0.0 : bounds[i - 1];
+      if (i + 1 == buckets) return lower;  // overflow bucket
+      const double upper = bounds[i];
+      double fraction =
+          (rank - static_cast<double>(before)) / static_cast<double>(n);
+      if (fraction < 0.0) fraction = 0.0;
+      if (fraction > 1.0) fraction = 1.0;
+      return lower + fraction * (upper - lower);
+    }
+  }
+  return bounds.back();
+}
+
 }  // namespace
 
 std::string FormatMetricValue(double value) {
@@ -74,55 +107,14 @@ double Histogram::Sum() const {
 }
 
 double Histogram::ApproxPercentile(double p) const {
-  const uint64_t total = TotalCount();
-  if (total == 0) return 0.0;
-  double rank = p * static_cast<double>(total);
-  if (rank < 0.0) rank = 0.0;
-  if (rank > static_cast<double>(total)) rank = static_cast<double>(total);
-
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const uint64_t n = counts_[i].load(std::memory_order_relaxed);
-    if (n == 0) continue;
-    const uint64_t before = cumulative;
-    cumulative += n;
-    if (static_cast<double>(cumulative) >= rank) {
-      const double lower = i == 0 ? 0.0 : bounds_[i - 1];
-      if (i + 1 == counts_.size()) return lower;  // overflow bucket
-      const double upper = bounds_[i];
-      double fraction =
-          (rank - static_cast<double>(before)) / static_cast<double>(n);
-      if (fraction < 0.0) fraction = 0.0;
-      if (fraction > 1.0) fraction = 1.0;
-      return lower + fraction * (upper - lower);
-    }
-  }
-  return bounds_.back();
+  return InterpolatePercentile(
+      bounds_, counts_.size(), TotalCount(), p,
+      [this](size_t i) { return counts_[i].load(std::memory_order_relaxed); });
 }
 
 double HistogramSnapshot::Percentile(double p) const {
-  if (count == 0) return 0.0;
-  double rank = p * static_cast<double>(count);
-  if (rank < 0.0) rank = 0.0;
-  if (rank > static_cast<double>(count)) rank = static_cast<double>(count);
-
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] == 0) continue;
-    const uint64_t before = cumulative;
-    cumulative += counts[i];
-    if (static_cast<double>(cumulative) >= rank) {
-      const double lower = i == 0 ? 0.0 : bounds[i - 1];
-      if (i + 1 == counts.size()) return lower;  // overflow bucket
-      const double upper = bounds[i];
-      double fraction =
-          (rank - static_cast<double>(before)) / static_cast<double>(counts[i]);
-      if (fraction < 0.0) fraction = 0.0;
-      if (fraction > 1.0) fraction = 1.0;
-      return lower + fraction * (upper - lower);
-    }
-  }
-  return bounds.back();
+  return InterpolatePercentile(bounds, counts.size(), count, p,
+                               [this](size_t i) { return counts[i]; });
 }
 
 const uint64_t* MetricsSnapshot::FindCounter(const std::string& name) const {

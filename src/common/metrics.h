@@ -113,8 +113,8 @@ class Histogram {
   /// some prefix of the in-flight updates, same contract as Snapshot().
   uint64_t TotalCount() const;
   double Sum() const;
-  /// Same interpolation as HistogramSnapshot::Percentile, computed
-  /// directly from the live buckets (two bucket walks, no allocation).
+  /// HistogramSnapshot::Percentile's routine over the live buckets (two
+  /// bucket walks, no allocation).
   double ApproxPercentile(double p) const;
 
   Histogram(const Histogram&) = delete;

@@ -44,6 +44,16 @@
 
 namespace tsexplain {
 
+/// The largest `m` (explanations per segment) the service and the CLI
+/// accept; above it a query is `invalid_query` and a `--m` a usage error.
+/// The paper's default is 3. Module (b)'s drill-down DP grows steeply
+/// with m: a cold query of liquor-cold's shape (four explain-by
+/// attributes, O1+O2, one thread) takes 0.34 s at m = 3, 2.1 s at 6,
+/// 8.3 s at 10 and 10.1 s at 12, so 10 is the largest round cap under the
+/// watchdog's default 10 s stuck threshold. Every cached segment list
+/// also holds m + 1 Best values.
+inline constexpr int kMaxTopM = 10;
+
 /// Full pipeline configuration. Defaults mirror the paper's defaults:
 /// m = 3, beta-bar = 3, absolute-change, tse variance, auto-K (elbow,
 /// K <= 20), all optimizations off (VanillaTSExplain).
@@ -56,7 +66,8 @@ struct TSExplainConfig {
   std::vector<std::string> explain_by_names;
   /// Maximum explanation order beta-bar.
   int max_order = 3;
-  /// Top-m explanations per segment.
+  /// Top-m explanations per segment (at most kMaxTopM at the service
+  /// and the CLI).
   int m = 3;
   DiffMetricKind diff_metric = DiffMetricKind::kAbsoluteChange;
   VarianceMetric variance_metric = VarianceMetric::kTse;

@@ -146,7 +146,7 @@ class AdmissionController {
 
   /// Admission keys are `cache`'s keys: a request that finds no flight is
   /// served a cached value (kCacheHit) before it takes a slot. Lock order:
-  /// this controller's mutex, then a cache shard's.
+  /// this controller's mutex, then the cache's.
   AdmissionController(AdmissionOptions options, ResultCache& cache);
 
   /// Admits, batches, serves from the cache, queues, or sheds one request.

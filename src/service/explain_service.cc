@@ -219,8 +219,7 @@ uint64_t NextServiceInstanceTag() {
 }  // namespace
 
 ExplainService::ExplainService(ServiceOptions options)
-    : cache_(options.cache_capacity_bytes, options.cache_shards,
-             options.tenant_cache_budget_bytes),
+    : cache_(options.cache_capacity_bytes, options.tenant_cache_budget_bytes),
       admission_(options.admission, cache_),
       session_log_dir_(std::move(options.session_log_dir)),
       instance_tag_(NextServiceInstanceTag()) {}
@@ -830,7 +829,7 @@ bool ExplainService::LoadCache(const std::string& path, std::string* error,
     // Warm-started entries carry the pre-rendered wire JSON only (the
     // structured result is rebuilt the first time something needs it by
     // simply recomputing on a miss); entries are re-Put least recently
-    // used first, reproducing each shard's LRU order.
+    // used first, reproducing the cache's LRU order.
     auto value = std::make_shared<CachedResult>();
     value->json = entry.json;
     cache_.Put(rewritten, value);

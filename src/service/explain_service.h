@@ -1,13 +1,13 @@
 // The embeddable explanation service (paper section 8's interactive /
 // real-time vision): amortizes dataset loading and cube construction
 // across queries, deduplicates concurrent identical queries, and serves
-// results from a sharded LRU cache.
+// results from an LRU result cache.
 //
 // Layering:
 //   DatasetRegistry    — named immutable tables + hot engines (per engine
 //                        key), built once and reused.
 //   CanonicalizeQuery  — stable cache/engine keys (query_key.h).
-//   ResultCache        — sharded LRU (result_cache.h).
+//   ResultCache        — one byte-bounded LRU (result_cache.h).
 //   AdmissionController— bounded concurrency + the one single-flight:
 //                        identical cold queries batch onto one leader
 //                        and receive its outcome (admission.h).
@@ -61,18 +61,8 @@ inline constexpr char kOverloaded[] = "overloaded";
 inline constexpr char kQuotaExceeded[] = "quota_exceeded";
 }  // namespace error_code
 
-/// The largest `m` (explanations per segment) a query may ask for; above
-/// it the query is `invalid_query`. The paper's default is 3. Module (b)'s
-/// drill-down DP grows steeply with m: a cold query of liquor-cold's shape
-/// (four explain-by attributes, O1+O2, one thread) takes 0.34 s at m = 3,
-/// 2.1 s at 6, 8.3 s at 10 and 10.1 s at 12, so 10 is the largest round
-/// cap under the watchdog's default 10 s stuck threshold. Every cached
-/// segment list also holds m + 1 Best values.
-inline constexpr int kMaxTopM = 10;
-
 struct ServiceOptions {
   size_t cache_capacity_bytes = 64ull << 20;  // 64 MiB
-  int cache_shards = 8;
   /// Overload control (admission.h): bounded concurrency + queue, load
   /// shedding, duplicate batching, per-tenant in-flight caps, adaptive
   /// thread grants. Defaults admit one running query per pool worker.

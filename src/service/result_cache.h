@@ -1,20 +1,23 @@
-// Sharded LRU result cache.
+// LRU result cache: one map, one recency list and one byte count under one
+// mutex.
 //
 // Keys are canonical query keys (see query_key.h); values are immutable
 // computed results shared out by shared_ptr, so eviction never invalidates
-// a response a client is still reading. Each shard has its own mutex, LRU
-// list, and byte accounting; a key's shard is a hash of the key, so
-// unrelated queries do not contend.
+// a response a client is still reading. The capacity and the tenant budget
+// hold exactly over the whole cache, and eviction takes the whole cache's
+// least recently used entry. Put prices an entry and reads its namespace
+// before it takes the lock, which then covers only map, list and
+// accounting work.
 //
 // The cache never computes anything: the service looks a key up, and on a
 // miss computes the value under admission control and Puts it. Concurrent
 // identical misses are deduplicated there (admission.h), not here.
 //
-// Tenants (quota.h) are key namespaces, "tenant/<id>/...". Each shard
-// reads a key's namespace once, at insert, and counts each tenant's
-// resident bytes; a tenant's count exists only while it holds entries, so
-// the cache is the one record of which tenants hold state. An optional
-// per-tenant budget bounds every tenant's bytes (LRU within the tenant).
+// Tenants (quota.h) are key namespaces, "tenant/<id>/...". The cache reads
+// a key's namespace once, at insert, and counts each tenant's resident
+// bytes; a tenant's count exists only while it holds entries, so the cache
+// is the one record of which tenants hold state. An optional per-tenant
+// budget bounds every tenant's bytes (LRU within the tenant).
 
 #ifndef TSEXPLAIN_SERVICE_RESULT_CACHE_H_
 #define TSEXPLAIN_SERVICE_RESULT_CACHE_H_
@@ -23,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -60,12 +64,10 @@ class ResultCache {
     size_t capacity_bytes = 0;
   };
 
-  /// `capacity_bytes` bounds the sum of entry costs; `num_shards` >= 1
-  /// (rounded up to a power of two). `tenant_budget_bytes` > 0 also bounds
-  /// each tenant namespace's entry costs; 0 leaves tenants to the global
-  /// LRU. Like the capacity, the budget is divided across shards, so it
-  /// should be a generous multiple of a typical entry cost.
-  explicit ResultCache(size_t capacity_bytes, int num_shards = 8,
+  /// `capacity_bytes` bounds the sum of entry costs. `tenant_budget_bytes`
+  /// > 0 also bounds each tenant namespace's entry costs; 0 leaves tenants
+  /// to the global LRU.
+  explicit ResultCache(size_t capacity_bytes,
                        size_t tenant_budget_bytes = 0);
 
   /// Un-counts resident entries from the global cache.entries /
@@ -88,20 +90,19 @@ class ResultCache {
 
   /// Insert/overwrite, evicting LRU entries until every bound holds:
   /// overwriting never double-charges `bytes_used`, and a value larger
-  /// than its shard (or its tenant budget's shard share) is not cached —
-  /// and drops any stale resident entry rather than leaving it to be
-  /// served. Over the tenant budget, the tenant's own LRU entries go.
+  /// than the capacity (or than its tenant budget) is not cached — and
+  /// drops any stale resident entry rather than leaving it to be served.
+  /// Over the tenant budget, the tenant's own LRU entries go.
   void Put(const std::string& key, const ValuePtr& value);
 
   /// Resident bytes per tenant namespace, sorted by tenant id. Only
-  /// tenants that hold entries appear. O(shards x resident tenants); the
-  /// `state` op reports it.
+  /// tenants that hold entries appear. O(resident tenants); the `state`
+  /// op reports it.
   std::vector<std::pair<std::string, size_t>> TenantBytes() const;
 
-  /// Copies every resident entry, least recently used FIRST (per shard),
-  /// so re-Putting a snapshot in order reproduces each shard's LRU
-  /// ordering (a key always rehashes to the same shard). The cache
-  /// persistence layer's export hook; O(entries).
+  /// Copies every resident entry, least recently used FIRST, so re-Putting
+  /// a snapshot in order reproduces the LRU order. The cache persistence
+  /// layer's export hook; O(entries).
   std::vector<std::pair<std::string, ValuePtr>> ExportEntries() const;
 
   /// Drops one key (no-op when absent). A computation still running for
@@ -121,48 +122,44 @@ class ResultCache {
   Stats stats() const;
 
  private:
-  // Per shard: resident bytes per tenant id, erased at zero (CostBytes
-  // is never 0, so a tenant with entries always has a count).
+  // Resident bytes per tenant id, erased at zero (CostBytes is never 0,
+  // so a tenant with entries always has a count).
   using TenantBytesMap = std::map<std::string, size_t>;
   struct Entry {
+    std::string key;
     ValuePtr value;
     size_t cost = 0;
     // Length of the key's "tenant/<id>/" namespace (0 = none) and the
-    // tenant's count (the shard map's end() when there is no tenant).
+    // tenant's count (tenant_bytes_.end() when there is no tenant).
     size_t namespace_len = 0;
     TenantBytesMap::iterator tenant;
-    std::list<std::string>::iterator lru_pos;
   };
-  struct Shard {
-    mutable Mutex mu;
-    std::unordered_map<std::string, Entry> entries TSE_GUARDED_BY(mu);
-    std::list<std::string> lru TSE_GUARDED_BY(mu);  // front = most recent
-    size_t bytes_used TSE_GUARDED_BY(mu) = 0;
-    TenantBytesMap tenant_bytes TSE_GUARDED_BY(mu);
-    size_t hits TSE_GUARDED_BY(mu) = 0;
-    size_t misses TSE_GUARDED_BY(mu) = 0;
-    size_t evictions TSE_GUARDED_BY(mu) = 0;
-    size_t budget_evictions TSE_GUARDED_BY(mu) = 0;
-    size_t invalidations TSE_GUARDED_BY(mu) = 0;
-  };
+  using EntryList = std::list<Entry>;
 
-  Shard& ShardFor(const std::string& key);
   // Lookup's body: a hit always counts, a miss when `count_miss`.
   ValuePtr Find(const std::string& key, bool count_miss);
-  // Removes one entry with exact byte/tenant accounting; `it` must be
-  // valid. Does NOT bump eviction/invalidation counters (callers do).
-  static void RemoveEntryLocked(
-      Shard& shard, std::unordered_map<std::string, Entry>::iterator it)
-      TSE_REQUIRES(shard.mu);
-  // Inserts under the shard lock, evicting (tenant-scoped first, then
-  // global LRU) until all bounds hold again.
-  void InsertLocked(Shard& shard, const std::string& key,
-                    const ValuePtr& value) TSE_REQUIRES(shard.mu);
+  // Removes one entry with exact byte/tenant accounting and returns the
+  // entry after it. Does NOT bump eviction/invalidation counters
+  // (callers do).
+  EntryList::iterator RemoveLocked(EntryList::iterator it)
+      TSE_REQUIRES(mu_);
 
-  size_t capacity_per_shard_;
-  size_t tenant_budget_per_shard_;  // 0 = tenants unbudgeted
-  size_t shard_mask_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t capacity_bytes_;
+  const size_t tenant_budget_bytes_;  // 0 = tenants unbudgeted
+
+  mutable Mutex mu_;
+  // Front = most recent. The index keys view each entry's own `key`,
+  // which a list node keeps in place until it is erased.
+  EntryList lru_ TSE_GUARDED_BY(mu_);
+  std::unordered_map<std::string_view, EntryList::iterator> index_
+      TSE_GUARDED_BY(mu_);
+  size_t bytes_used_ TSE_GUARDED_BY(mu_) = 0;
+  TenantBytesMap tenant_bytes_ TSE_GUARDED_BY(mu_);
+  size_t hits_ TSE_GUARDED_BY(mu_) = 0;
+  size_t misses_ TSE_GUARDED_BY(mu_) = 0;
+  size_t evictions_ TSE_GUARDED_BY(mu_) = 0;
+  size_t budget_evictions_ TSE_GUARDED_BY(mu_) = 0;
+  size_t invalidations_ TSE_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace tsexplain

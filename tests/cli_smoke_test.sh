@@ -7,10 +7,10 @@
 #   - missing input file   -> error + usage on stderr, non-zero exit
 #   - malformed int flags  -> diagnostic on stderr, non-zero exit
 #   - unknown or repeated explain-by, no dimension at all, unknown --diff
-#     label, or a relation too short to segment
+#     label, a relation too short to segment, or --m above 10
 #                          -> diagnostic + usage on stderr, exit 2
 #   - no input ever kills the CLI by a signal (an abort is a failure); a
-#     run that throws (m = INT_MAX) prints an error and exits 1
+#     run that throws prints an error and exits 1
 #   - --help               -> usage on stdout, exit 0
 #   - a well-formed run    -> exit 0 and a report on stdout
 #   - --diff               -> the same bytes as the recorded golden
@@ -121,12 +121,26 @@ expect_usage_error no_dimension "no dimension to explain by" -- \
     --csv "$TMPDIR_SMOKE/no_dimension.csv" --time date --measure sales
 expect_usage_error two_bucket_segmentation "at least three time buckets" -- \
     --csv "$TWO" --time date --measure sales
-# m = INT_MAX throws inside Cascading Analysts: an error and exit 1, in
-# --diff mode and in segmentation mode, never an abort.
+# --m is capped at 10 (kMaxTopM), as the service caps it: one past the cap
+# is a usage error in --diff mode and in segmentation mode, and m = INT_MAX
+# fails the same way, never by an abort.
+expect_usage_error diff_m_over_cap "m must be <= 10" -- \
+    --csv "$CSV" --time date --measure sales --m 11 --diff 0,9
+expect_usage_error segment_m_over_cap "m must be <= 10" -- \
+    --csv "$CSV" --time date --measure sales --m 11
 expect_fail diff_int_max_m -- \
     --csv "$CSV" --time date --measure sales --m 2147483647 --diff 0,9
 expect_fail segment_int_max_m -- \
     --csv "$CSV" --time date --measure sales --m 2147483647
+for mode in "" "--diff 0,9"; do
+  # shellcheck disable=SC2086  # $mode splits into its flag and value
+  if ! "$CLI" --csv "$CSV" --time date --measure sales --m 10 $mode \
+      >/dev/null 2>"$TMPDIR_SMOKE/m_at_cap.err"; then
+    echo "FAIL [m_at_cap]: --m 10 must run (${mode:-segmentation})" >&2
+    cat "$TMPDIR_SMOKE/m_at_cap.err" >&2
+    failures=$((failures + 1))
+  fi
+done
 
 # --diff golden: the two-relations diff prints these exact bytes (forward
 # over every bucket; reversed on the two-bucket relation, where the last

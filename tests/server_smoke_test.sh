@@ -257,19 +257,32 @@ echo "$LONG_3" | grep -q '"id":62,"ok":false' || fail long_unknown "$LONG_3"
 # The TCP read loop must reassemble lines split across arbitrary recv()
 # boundaries, survive a multi-MB garbage line with a structured error
 # (connection stays alive), and accept the new overload-control flags.
-TCP_PORT=$(( (RANDOM % 20000) + 20000 ))
-"$SERVE" --port "$TCP_PORT" --max-inflight 2 --queue-depth 2 \
-         --tenant-cache-budget 8 --tenant-inflight 4 \
-         2>"$TMPDIR_SMOKE/tcp.err" &
-SERVE_PID=$!
-
+#
+# The port is drawn below the kernel's ephemeral range (32768 when it
+# cannot be read), where outgoing connections take their ports; a bind
+# that still finds the port taken retries with a fresh one, 5 times at
+# most.
+ephemeral_low=32768
+read -r ephemeral_low _ 2>/dev/null </proc/sys/net/ipv4/ip_local_port_range
+case "$ephemeral_low" in ''|*[!0-9]*) ephemeral_low=32768 ;; esac
 tcp_up=0
-for _ in $(seq 1 100); do
-  if (exec 3<>"/dev/tcp/127.0.0.1/$TCP_PORT") 2>/dev/null; then
-    tcp_up=1
-    break
-  fi
-  sleep 0.1
+for _ in 1 2 3 4 5; do
+  TCP_PORT=$(( ephemeral_low / 2 + RANDOM % (ephemeral_low / 2) ))
+  "$SERVE" --port "$TCP_PORT" --max-inflight 2 --queue-depth 2 \
+           --tenant-cache-budget 8 --tenant-inflight 4 \
+           2>"$TMPDIR_SMOKE/tcp.err" &
+  SERVE_PID=$!
+  for _ in $(seq 1 100); do
+    grep -q "Address already in use" "$TMPDIR_SMOKE/tcp.err" && break
+    if (exec 3<>"/dev/tcp/127.0.0.1/$TCP_PORT") 2>/dev/null; then
+      tcp_up=1
+      break
+    fi
+    sleep 0.1
+  done
+  [ "$tcp_up" -eq 1 ] && break
+  grep -q "Address already in use" "$TMPDIR_SMOKE/tcp.err" || break
+  wait "$SERVE_PID"  # the failed bind ended that server
 done
 if [ "$tcp_up" -ne 1 ]; then
   fail tcp_listen "server did not start listening on 127.0.0.1:$TCP_PORT"

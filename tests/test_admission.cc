@@ -186,7 +186,7 @@ TEST(AdmissionControllerTest, AFinishedLeadersCachedValueIsAHit) {
   // after the request's own miss: the request is served that value and
   // counted as one cache hit, neither admitted nor coalesced. The re-check
   // of a key nobody cached counts no second miss.
-  ResultCache cache(1 << 20, /*num_shards=*/1);
+  ResultCache cache(1 << 20);
   AdmissionOptions options = SmallOptions();
   options.per_tenant_inflight = 1;
   AdmissionController admission(options, cache);

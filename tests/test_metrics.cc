@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/metrics.h"
@@ -96,6 +98,34 @@ TEST(MetricsTest, PercentileInterpolatesWithinBucket) {
       empty_registry.Snapshot().FindHistogram("test.empty_ms")->Percentile(
           0.99),
       0.0);
+}
+
+// The live read (the history sampler's) and the snapshot's percentile are
+// one routine: they agree bit for bit, overflow bucket and empty
+// histogram included.
+TEST(MetricsTest, LiveAndSnapshotPercentilesAgreeBitForBit) {
+  MetricRegistry registry;
+  Histogram& mixed = registry.GetHistogram("test.mixed_ms", {1.0, 2.5, 10.0});
+  for (double v : {0.3, 0.9, 1.7, 2.5, 4.0, 9.99, 500.0}) mixed.Observe(v);
+  Histogram& empty = registry.GetHistogram("test.empty_ms", {1.0});
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  const auto bits = [](double value) {
+    uint64_t out = 0;
+    std::memcpy(&out, &value, sizeof(out));
+    return out;
+  };
+  for (const auto& [name, live] :
+       {std::pair<const char*, const Histogram*>{"test.mixed_ms", &mixed},
+        {"test.empty_ms", &empty}}) {
+    const HistogramSnapshot* hs = snapshot.FindHistogram(name);
+    ASSERT_NE(hs, nullptr);
+    for (double p : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+      EXPECT_EQ(bits(live->ApproxPercentile(p)), bits(hs->Percentile(p)))
+          << name << " p=" << p;
+    }
+  }
+  EXPECT_DOUBLE_EQ(mixed.ApproxPercentile(1.0), 10.0);  // overflow: lower
+  EXPECT_DOUBLE_EQ(empty.ApproxPercentile(0.5), 0.0);
 }
 
 TEST(MetricsTest, DefaultLatencyBoundsAreAscendingAndWide) {

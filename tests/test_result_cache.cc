@@ -26,7 +26,7 @@ size_t CostOf(const std::string& payload) {
 using TenantList = std::vector<std::pair<std::string, size_t>>;
 
 TEST(ResultCache, HitAfterMiss) {
-  ResultCache cache(1 << 20, /*num_shards=*/1);
+  ResultCache cache(1 << 20);
   EXPECT_EQ(cache.Lookup("k"), nullptr);
   const ResultCache::ValuePtr value = MakeValue("payload");
   cache.Put("k", value);
@@ -47,7 +47,7 @@ TEST(ResultCache, LruEvictionAndAccounting) {
   const std::string payload(1000, 'x');
   const size_t cost = CostOf(payload);
   // Room for exactly three entries.
-  ResultCache cache(3 * cost, /*num_shards=*/1);
+  ResultCache cache(3 * cost);
   cache.Put("a", MakeValue(payload));
   cache.Put("b", MakeValue(payload));
   cache.Put("c", MakeValue(payload));
@@ -66,8 +66,67 @@ TEST(ResultCache, LruEvictionAndAccounting) {
   EXPECT_EQ(cache.Lookup("b"), nullptr);  // evicted
 }
 
+// The capacity bounds the whole cache, as the service builds it: an entry
+// may cost up to all of it, and eviction takes the cache's least recently
+// used key, whatever the keys hash to.
+TEST(ResultCache, CapacityBoundsTheWholeCache) {
+  const std::string payload(1000, 'x');
+  const size_t cost = CostOf(payload);
+
+  ResultCache roomy(2 * cost);
+  roomy.Put("half", MakeValue(payload));
+  EXPECT_NE(roomy.Lookup("half"), nullptr);
+  EXPECT_EQ(roomy.stats().bytes_used, cost);
+
+  ResultCache cache(3 * cost);
+  EXPECT_EQ(cache.stats().capacity_bytes, 3 * cost);
+  for (const char* key : {"a", "b", "c"}) cache.Put(key, MakeValue(payload));
+  EXPECT_EQ(cache.stats().entries, 3u);
+  EXPECT_EQ(cache.stats().bytes_used, 3 * cost);
+
+  EXPECT_NE(cache.Lookup("a"), nullptr);  // "b" is now the least recent
+  cache.Put("d", MakeValue(payload));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.Lookup("b"), nullptr);
+  for (const char* key : {"a", "c", "d"}) {
+    EXPECT_NE(cache.Lookup(key), nullptr) << key;
+  }
+  EXPECT_EQ(cache.stats().bytes_used, 3 * cost);
+}
+
+// The tenant budget bounds the tenant across the whole cache: a budget of
+// k entries keeps exactly k of the tenant's entries, and the (k+1)-th
+// evicts the tenant's least recent one.
+TEST(ResultCache, TenantBudgetBoundsTheWholeTenant) {
+  const std::string payload(1000, 'x');
+  const size_t cost = CostOf(payload);
+  constexpr size_t kBudgetEntries = 8;
+  ResultCache cache(100 * cost,
+                    /*tenant_budget_bytes=*/kBudgetEntries * cost);
+  const auto key = [](size_t i) { return "tenant/a/q" + std::to_string(i); };
+  for (size_t i = 0; i < kBudgetEntries; ++i) {
+    cache.Put(key(i), MakeValue(payload));
+    cache.Put("shared/q" + std::to_string(i), MakeValue(payload));
+  }
+  EXPECT_EQ(cache.stats().entries, 2 * kBudgetEntries);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.TenantBytes(), (TenantList{{"a", kBudgetEntries * cost}}));
+
+  EXPECT_NE(cache.Lookup(key(0)), nullptr);  // q1 is now a's least recent
+  cache.Put(key(kBudgetEntries), MakeValue(payload));
+  EXPECT_EQ(cache.stats().budget_evictions, 1u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.Lookup(key(1)), nullptr);
+  for (size_t i = 0; i <= kBudgetEntries; ++i) {
+    if (i == 1) continue;
+    EXPECT_NE(cache.Lookup(key(i)), nullptr) << i;
+  }
+  EXPECT_NE(cache.Lookup("shared/q0"), nullptr);  // older, but not a's
+  EXPECT_EQ(cache.TenantBytes(), (TenantList{{"a", kBudgetEntries * cost}}));
+}
+
 TEST(ResultCache, OversizedValueIsNotCached) {
-  ResultCache cache(64, /*num_shards=*/1);
+  ResultCache cache(64);
   cache.Put("big", MakeValue(std::string(1000, 'x')));
   EXPECT_EQ(cache.Lookup("big"), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
@@ -75,7 +134,7 @@ TEST(ResultCache, OversizedValueIsNotCached) {
 }
 
 TEST(ResultCache, InvalidateRemovesOnlyTheKey) {
-  ResultCache cache(1 << 20, 1);
+  ResultCache cache(1 << 20);
   cache.Put("keep", MakeValue("p"));
   cache.Put("drop", MakeValue("p"));
   cache.Invalidate("drop");
@@ -86,8 +145,8 @@ TEST(ResultCache, InvalidateRemovesOnlyTheKey) {
 }
 
 TEST(ResultCache, InvalidatePrefixScopes) {
-  // Many shards: the scan must cover all of them.
-  ResultCache cache(1 << 20, 8);
+  // One pass over the entries reaches every key under the prefix.
+  ResultCache cache(1 << 20);
   for (int i = 0; i < 16; ++i) {
     cache.Put("session/7/q" + std::to_string(i), MakeValue("p"));
     cache.Put("session/8/q" + std::to_string(i), MakeValue("p"));
@@ -120,7 +179,7 @@ TEST(ResultCache, InvalidatePrefixScopes) {
 // new costs — and eviction must never run against the replaced entry's
 // stale cost.
 TEST(ResultCache, ReinsertAccountingStaysExact) {
-  ResultCache cache(1 << 20, /*num_shards=*/1);
+  ResultCache cache(1 << 20);
   const std::string small(100, 's');
   const std::string large(5000, 'L');
   const std::string medium(1000, 'm');
@@ -153,7 +212,7 @@ TEST(ResultCache, ReinsertAccountingStaysExact) {
 // stale entry, not leave it to be served as if it were current.
 TEST(ResultCache, OversizedOverwriteDropsTheStaleEntry) {
   const std::string small(100, 's');
-  ResultCache cache(4 * CostOf(small), /*num_shards=*/1);
+  ResultCache cache(4 * CostOf(small));
   cache.Put("k", MakeValue(small));
   ASSERT_NE(cache.Lookup("k"), nullptr);
 
@@ -167,8 +226,7 @@ TEST(ResultCache, TenantBudgetEvictsWithinTheNamespaceOnly) {
   const std::string payload(1000, 'x');
   const size_t cost = CostOf(payload);
   // Global capacity fits everything; the tenant budget fits 3 entries.
-  ResultCache cache(100 * cost, /*num_shards=*/1,
-                    /*tenant_budget_bytes=*/3 * cost);
+  ResultCache cache(100 * cost, /*tenant_budget_bytes=*/3 * cost);
 
   cache.Put("global-1", MakeValue(payload));
   cache.Put("tenant/a/q1", MakeValue(payload));
@@ -199,7 +257,7 @@ TEST(ResultCache, TenantBudgetEvictsWithinTheNamespaceOnly) {
 TEST(ResultCache, TenantBudgetTouchKeepsHotEntriesResident) {
   const std::string payload(1000, 'x');
   const size_t cost = CostOf(payload);
-  ResultCache cache(100 * cost, 1, /*tenant_budget_bytes=*/2 * cost);
+  ResultCache cache(100 * cost, /*tenant_budget_bytes=*/2 * cost);
   cache.Put("tenant/a/hot", MakeValue(payload));
   cache.Put("tenant/a/cold", MakeValue(payload));
   EXPECT_NE(cache.Lookup("tenant/a/hot"), nullptr);  // touch
@@ -210,7 +268,7 @@ TEST(ResultCache, TenantBudgetTouchKeepsHotEntriesResident) {
 
 TEST(ResultCache, ValueOverItsTenantBudgetIsNotCached) {
   const std::string payload(1000, 'x');
-  ResultCache cache(1 << 20, 1, /*tenant_budget_bytes=*/8);  // < any entry
+  ResultCache cache(1 << 20, /*tenant_budget_bytes=*/8);  // < any entry
   cache.Put("tenant/tiny/q", MakeValue(payload));
   EXPECT_EQ(cache.Lookup("tenant/tiny/q"), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
@@ -219,7 +277,7 @@ TEST(ResultCache, ValueOverItsTenantBudgetIsNotCached) {
   // oversized tenant value drops a stale copy under the same key.
   cache.Put("shared/q", MakeValue(payload));
   EXPECT_NE(cache.Lookup("shared/q"), nullptr);
-  ResultCache roomy(1 << 20, 1, /*tenant_budget_bytes=*/2 * CostOf("p"));
+  ResultCache roomy(1 << 20, /*tenant_budget_bytes=*/2 * CostOf("p"));
   roomy.Put("tenant/a/q", MakeValue("p"));
   roomy.Put("tenant/a/q", MakeValue(payload));
   EXPECT_EQ(roomy.Lookup("tenant/a/q"), nullptr);
@@ -230,7 +288,7 @@ TEST(ResultCache, TenantCountLastsOnlyWhileTheTenantHoldsEntries) {
   const std::string payload(1000, 'x');
   const size_t cost = CostOf(payload);
   // Room for two entries: the global LRU evicts across tenants.
-  ResultCache cache(2 * cost, /*num_shards=*/1);
+  ResultCache cache(2 * cost);
   cache.Put("tenant/a/q", MakeValue(payload));
   cache.Put("tenant/b/q", MakeValue(payload));
   EXPECT_EQ(cache.TenantBytes(), (TenantList{{"a", cost}, {"b", cost}}));

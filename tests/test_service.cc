@@ -576,7 +576,6 @@ TEST(ExplainServiceTest, TenantQuotasShedAndNamespaceTheCache) {
 
 TEST(ExplainServiceTest, TenantCacheBudgetBoundsOneTenantsFootprint) {
   ServiceOptions options;
-  options.cache_shards = 1;  // exact per-shard budget math
   // A budget too small for even one entry: the budgeted tenant's results
   // are served but never cached, while untenanted queries cache fine.
   options.tenant_cache_budget_bytes = 16;

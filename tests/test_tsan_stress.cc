@@ -46,9 +46,10 @@ ResultCache::ValuePtr MakeValue(const std::string& json) {
 }
 
 TEST(TsanStressTest, ResultCacheConcurrentMix) {
-  // Small capacity forces constant eviction; few shards force contention;
-  // a tenant budget keeps the budget-eviction path hot too.
-  ResultCache cache(/*capacity_bytes=*/64 << 10, /*num_shards=*/2,
+  // Small capacity forces constant eviction; every thread contends for
+  // the cache's one lock; a tenant budget keeps the budget-eviction path
+  // hot too.
+  ResultCache cache(/*capacity_bytes=*/64 << 10,
                     /*tenant_budget_bytes=*/8 << 10);
 
   const auto deadline = std::chrono::steady_clock::now() + kBudget;

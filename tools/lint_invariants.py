@@ -99,8 +99,8 @@ MUTEX_MEMBER = re.compile(
 # An annotation use with its argument list captured, so R1b can check
 # that a given mutex NAME is referenced (not just that some annotation
 # exists somewhere in the file). `[^()]*` is enough: capability
-# arguments in this repo are member names, `*ptr_mu`, or `shard.mu` —
-# never call expressions.
+# arguments in this repo are member names or `*ptr_mu` — never call
+# expressions.
 ANNOTATION_ARGS = re.compile(
     r"TSE_(?:PT_GUARDED_BY|GUARDED_BY|REQUIRES|ACQUIRE|RELEASE|"
     r"TRY_ACQUIRE|EXCLUDES|ASSERT_CAPABILITY|RETURN_CAPABILITY|"
@@ -315,8 +315,8 @@ def check_unguarded_mutexes(root, violations):
             continue
         # Names referenced by annotation arguments, bucketed by the
         # innermost class body the annotation sits in (None = file
-        # scope). `mu_`, `*engines_mu`, `shard.mu` all count for every
-        # identifier component.
+        # scope). `mu_` and `*engines_mu` count for every identifier
+        # component.
         refs_by_span = {}
         for m in ANNOTATION_ARGS.finditer(code):
             span = innermost_span(spans, m.start())

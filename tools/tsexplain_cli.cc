@@ -13,7 +13,8 @@
 //   --agg sum|count|avg   aggregate function (default sum)
 //   --explain-by A,B,C    explain-by dimensions (default: recommend + all)
 //   --order N             max conjunction order (default 3)
-//   --m N                 top-m explanations per segment (default 3)
+//   --m N                 top-m explanations per segment (default 3, at
+//                         most kMaxTopM = 10, as the service caps it)
 //   --k N                 fixed segment count (default: elbow)
 //   --smooth N            moving-average window (default 1 = off)
 //   --fast                enable filter + guess-and-verify + sketching
@@ -197,6 +198,10 @@ bool ParseArgs(int argc, char** argv, CliOptions* options, bool* want_help) {
                    b.value);
       return false;
     }
+  }
+  if (options->m > kMaxTopM) {
+    std::fprintf(stderr, "--m must be <= %d, got %d\n", kMaxTopM, options->m);
+    return false;
   }
   return true;
 }
@@ -386,9 +391,8 @@ int Run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A run that throws (m = INT_MAX overflows Cascading Analysts' quota
-  // levels, for one) prints one error line plus usage and exits 1, as the
-  // service's dispatch boundary answers it `internal`.
+  // A run that throws prints one error line plus usage and exits 1, as
+  // the service's dispatch boundary answers it `internal`.
   try {
     return Run(argc, argv);
   } catch (const std::exception& e) {
