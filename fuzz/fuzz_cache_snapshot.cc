@@ -20,9 +20,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     FUZZ_ASSERT(!status.message.empty());
     return 0;
   }
-  // Accepted content is bounded by the input: every dataset stamp and
-  // entry was decoded from distinct payload bytes.
-  FUZZ_ASSERT(snapshot.datasets.size() <= size);
+  // Accepted content is bounded by the input: every entry was decoded
+  // from distinct payload bytes.
   FUZZ_ASSERT(snapshot.entries.size() <= size);
 
   const std::string copy = tsexplain::fuzz::TempPath("cch_rt");
@@ -31,17 +30,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   FUZZ_ASSERT(tsexplain::storage::ReadCacheSnapshot(copy, &reread).ok());
   std::remove(copy.c_str());
 
-  FUZZ_ASSERT(reread.datasets.size() == snapshot.datasets.size());
   FUZZ_ASSERT(reread.entries.size() == snapshot.entries.size());
   for (size_t i = 0; i < snapshot.entries.size(); ++i) {
     FUZZ_ASSERT(reread.entries[i].key == snapshot.entries[i].key);
     FUZZ_ASSERT(reread.entries[i].json == snapshot.entries[i].json);
-  }
-  for (size_t i = 0; i < snapshot.datasets.size(); ++i) {
-    FUZZ_ASSERT(reread.datasets[i].name == snapshot.datasets[i].name);
-    FUZZ_ASSERT(reread.datasets[i].uid == snapshot.datasets[i].uid);
-    FUZZ_ASSERT(reread.datasets[i].fingerprint ==
-                snapshot.datasets[i].fingerprint);
   }
   return 0;
 }

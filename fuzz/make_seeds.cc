@@ -179,8 +179,6 @@ void MakeTableSnapshotSeeds() {
 
 void MakeCacheSnapshotSeeds() {
   tsexplain::storage::CacheSnapshot snapshot;
-  snapshot.datasets.push_back({"covid", 7, 0x1234567890abcdefull});
-  snapshot.datasets.push_back({"stock", 9, 42});
   snapshot.entries.push_back(
       {"q/covid/7/sum(cases)", "{\"ok\":true,\"segments\":[]}"});
   snapshot.entries.push_back({"q/stock/9/avg(price)", "{\"ok\":true}"});
@@ -197,6 +195,19 @@ void MakeCacheSnapshotSeeds() {
   std::string flipped = valid;
   flipped[valid.size() / 3] ^= 0x08;
   WriteSeed("cache_snapshot", "bitflip", flipped);
+
+  // A CRC-valid version 1 file (per-dataset uid stamps): bad_version.
+  ByteWriter v1;
+  v1.WriteU32(1);                   // version
+  v1.WriteU32(1);                   // ndatasets
+  v1.WriteString("covid");
+  v1.WriteU64(7);                   // registration uid
+  v1.WriteU64(0x1234567890abcdefull);  // fingerprint
+  v1.WriteU64(1);                   // nentries
+  v1.WriteString("q/covid/7/sum(cases)");
+  v1.WriteString("{\"ok\":true}");
+  WriteSeed("cache_snapshot", "v1_rejected",
+            Frame(tsexplain::storage::kCacheSnapshotMagic, v1.TakeBuffer()));
 }
 
 void MakeSessionLogSeeds() {

@@ -1,21 +1,10 @@
 #include "src/service/dataset_registry.h"
 
-#include <atomic>
 #include <utility>
 
 #include "src/storage/table_snapshot.h"
 
 namespace tsexplain {
-namespace {
-
-// Registration ids are process-unique, never reused: cache keys built
-// from them cannot alias across drop + re-register of one name.
-uint64_t NextDatasetUid() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1) + 1;
-}
-
-}  // namespace
 
 bool DatasetRegistry::RegisterCsvFile(const std::string& name,
                                       const std::string& path,
@@ -74,7 +63,7 @@ bool DatasetRegistry::RegisterTable(const std::string& name,
     return false;
   }
   // The one full-table hash of this registration; every later consumer
-  // (session attach, cache fencing) reads the cached value.
+  // (session attach, cache keys, warm-start fencing) reads the cached value.
   const uint64_t fingerprint = storage::TableFingerprint(*table);
   return RegisterTableWithFingerprint(name, std::move(table), source,
                                       fingerprint, error, info);
@@ -104,7 +93,6 @@ bool DatasetRegistry::RegisterTableWithFingerprint(
   }
   auto dataset = std::make_shared<Dataset>();
   dataset->table = std::move(table);
-  dataset->uid = NextDatasetUid();
   dataset->fingerprint = fingerprint;
   dataset->source = source;
   MutexLock lock(mu_);
@@ -126,8 +114,7 @@ DatasetRegistry::TableRef DatasetRegistry::GetRef(
   MutexLock lock(mu_);
   const auto it = datasets_.find(name);
   if (it == datasets_.end()) return {};
-  return TableRef{it->second->table, it->second->uid,
-                  it->second->fingerprint};
+  return TableRef{it->second->table, it->second->fingerprint};
 }
 
 bool DatasetRegistry::Drop(const std::string& name) {

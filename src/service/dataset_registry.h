@@ -38,7 +38,7 @@ struct DatasetInfo {
   size_t hot_engines = 0;
   /// Content fingerprint (storage::TableFingerprint), computed exactly
   /// once at registration (snapshot loads reuse the file header's value)
-  /// and cached — consumers (session logs, cache fencing) read it from
+  /// and cached — consumers (session logs, cache keys) read it from
   /// here instead of re-serializing the table.
   uint64_t fingerprint = 0;
 };
@@ -89,14 +89,14 @@ class DatasetRegistry {
   /// nullptr when unknown.
   std::shared_ptr<const Table> Get(const std::string& name) const;
 
-  /// Get plus the registration's unique id (monotonic across the
-  /// process). A name re-registered after a Drop gets a NEW uid, so
-  /// callers embedding the uid in cache keys can never alias results
-  /// from a previous incarnation of the name — even when an in-flight
-  /// computation against the old table lands after the re-register.
+  /// Get plus the table's content fingerprint, read under one lock so
+  /// both describe the same registration. The fingerprint is the
+  /// dataset's identity in cache keys: byte-identical data registered
+  /// again under the name keys the same entries, and changed data keys
+  /// others — so a computation that finishes against a dropped table can
+  /// only land under its own content's key, even after a re-register.
   struct TableRef {
     std::shared_ptr<const Table> table;  // nullptr when unknown
-    uint64_t uid = 0;
     /// Cached content fingerprint (see DatasetInfo::fingerprint).
     uint64_t fingerprint = 0;
   };
@@ -142,7 +142,6 @@ class DatasetRegistry {
   };
   struct Dataset {
     std::shared_ptr<const Table> table;
-    uint64_t uid = 0;
     uint64_t fingerprint = 0;  // computed once at registration
     std::string source;
     // Engine build + lookup serialization (per dataset, not global).

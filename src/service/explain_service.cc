@@ -101,6 +101,13 @@ std::string ReportSuffix(bool trendlines, bool k_curve) {
   return StrFormat("|rep=t%dc%d", trendlines ? 1 : 0, k_curve ? 1 : 0);
 }
 
+// The dataset's identity in a cache key: its content fingerprint, fixed
+// width, so one value's field is never a prefix of another's. Names and
+// excludes escape '|' and '=', so the field cannot occur inside them.
+std::string FingerprintField(uint64_t fingerprint) {
+  return StrFormat("|fp=%016llx", static_cast<unsigned long long>(fingerprint));
+}
+
 ReportOptions WireReportOptions(bool trendlines, bool k_curve) {
   ReportOptions options;
   options.include_trendlines = trendlines;
@@ -344,14 +351,15 @@ ExplainResponse ExplainService::Explain(const ExplainRequest& request) {
     }
     const CanonicalQuery canonical =
         CanonicalizeQuery(request.dataset, config);
-    // The registration uid fences drop + re-register races: a computation
-    // against the old table can only ever land under the old uid's key,
-    // which no post-re-register request asks for (it ages out via LRU).
-    // The tenant prefix namespaces the entry: the cache accounts (and,
-    // with a budget, evicts) the tenant's bytes by it.
+    // The content fingerprint fences drop + re-register races: a
+    // computation against the old table can only ever land under the old
+    // content's key, which no query of other data computes, and the key
+    // survives a restart, so a warm start restores it verbatim. The
+    // tenant prefix namespaces the entry: the cache accounts (and, with a
+    // budget, evicts) the tenant's bytes by it.
     const std::string cache_key =
         TenantKeyPrefix(request.tenant) + canonical.query_key +
-        StrFormat("|uid=%llu", static_cast<unsigned long long>(ref.uid)) +
+        FingerprintField(ref.fingerprint) +
         ReportSuffix(request.include_trendlines, request.include_k_curve);
     return serve(
         cache_key, config.threads,
@@ -427,10 +435,23 @@ uint64_t ExplainService::OpenSession(const std::string& dataset,
   }
   TSExplainConfig normalized = config;
   if (!ValidateAndNormalize(*table, &normalized, error)) return 0;
+  // StreamingTSExplain copies the table: the session's view grows
+  // independently of the immutable registered dataset. The fingerprint
+  // was computed once at registration; the cached copy keeps OpenSession
+  // from re-serializing the table for the log header.
+  auto engine = std::make_unique<StreamingTSExplain>(*table, normalized);
+  return PublishSession(dataset, normalized, std::move(engine),
+                        ref.fingerprint, {}, state);
+}
 
+uint64_t ExplainService::PublishSession(
+    const std::string& dataset, const TSExplainConfig& config,
+    std::unique_ptr<StreamingTSExplain> engine, uint64_t base_fingerprint,
+    const std::vector<storage::SessionLogAppend>& replayed,
+    SessionState* state) {
   auto session = std::make_shared<Session>();
   session->dataset = dataset;
-  session->config = normalized;
+  session->config = config;
   {
     MutexLock lock(sessions_mu_);
     session->id = next_session_id_++;
@@ -439,15 +460,8 @@ uint64_t ExplainService::OpenSession(const std::string& dataset,
     // The session is still private, so its mutex is uncontended; holding
     // it makes the guarded-field writes below provable to the analysis.
     MutexLock session_lock(session->mu);
-    // StreamingTSExplain copies the table: the session's view grows
-    // independently of the immutable registered dataset.
-    session->engine =
-        std::make_unique<StreamingTSExplain>(*table, normalized);
-    if (!session_log_dir_.empty()) {
-      // The fingerprint was computed once at registration; the cached
-      // copy keeps OpenSession from re-serializing the table here.
-      AttachSessionLog(*session, ref.fingerprint, {});
-    }
+    session->engine = std::move(engine);
+    AttachSessionLog(*session, base_fingerprint, replayed);
     if (state) *state = StateOf(*session);
   }
   {
@@ -548,29 +562,14 @@ uint64_t ExplainService::RecoverSession(const std::string& log_path,
   if (replayed) {
     *replayed = static_cast<int>(recovered.contents.appends.size());
   }
-  auto session = std::make_shared<Session>();
-  session->dataset = recovered.contents.dataset;
-  session->config = validated;  // what the engine was actually built from
-  {
-    MutexLock lock(sessions_mu_);
-    session->id = next_session_id_++;
-  }
-  {
-    // Unpublished session: uncontended lock, same as OpenSession.
-    MutexLock session_lock(session->mu);
-    session->engine = std::move(recovered.engine);
-    // The recovered session gets a FRESH log under its new id (header +
-    // replayed appends), so a second crash recovers to exactly this state;
-    // the old log is superseded but left for the operator to remove.
-    AttachSessionLog(*session, recovered.contents.base_fingerprint,
-                     recovered.contents.appends);
-    if (state) *state = StateOf(*session);
-  }
-  {
-    MutexLock lock(sessions_mu_);
-    sessions_.emplace(session->id, session);
-  }
-  return session->id;
+  // The recovered session gets a FRESH log under its new id (header +
+  // replayed appends), so a second crash recovers to exactly this state;
+  // the old log is superseded but left for the operator to remove. Its
+  // config is the validated one the engine was actually built from.
+  return PublishSession(recovered.contents.dataset, validated,
+                        std::move(recovered.engine),
+                        recovered.contents.base_fingerprint,
+                        recovered.contents.appends, state);
 }
 
 std::shared_ptr<ExplainService::Session> ExplainService::FindSession(
@@ -731,17 +730,6 @@ bool ExplainService::SaveCache(const std::string& path, std::string* error,
   ScopedTimerObserver observe_save(ServiceMetrics::Get().cache_save_ms,
                                    timer);
   storage::CacheSnapshot snapshot;
-  for (const DatasetInfo& info : registry_.List()) {
-    const DatasetRegistry::TableRef ref = registry_.GetRef(info.name);
-    if (!ref.table) continue;  // dropped between List and GetRef
-    storage::CacheSnapshot::DatasetStamp stamp;
-    stamp.name = info.name;
-    stamp.uid = ref.uid;
-    // Cached at registration: SaveCache stamps every dataset without
-    // re-serializing any table.
-    stamp.fingerprint = ref.fingerprint;
-    snapshot.datasets.push_back(std::move(stamp));
-  }
   for (auto& [key, value] : cache_.ExportEntries()) {
     // Session entries are process-local (session ids restart at 1 after a
     // restart, so a stale entry could alias a NEW session's key): never
@@ -776,63 +764,39 @@ bool ExplainService::LoadCache(const std::string& path, std::string* error,
       return false;
     }
   }
-  // The uid fence: a saved uid is accepted only when the SAME dataset
-  // name is registered right now with a bit-identical table (content
-  // fingerprint match), and is then rewritten to the live registration's
-  // uid. Anything else — name gone, data changed, fingerprint forged for
-  // an unknown name — leaves its entries fenced out.
-  std::map<uint64_t, uint64_t> uid_remap;
-  for (const storage::CacheSnapshot::DatasetStamp& stamp : snapshot.datasets) {
-    const DatasetRegistry::TableRef ref = registry_.GetRef(stamp.name);
-    if (!ref.table) continue;
-    if (ref.fingerprint != stamp.fingerprint) continue;
-    uid_remap[stamp.uid] = ref.uid;
+  // The content fence: a saved key is restored verbatim when, after its
+  // tenant namespace, it opens with a registered dataset's key prefix and
+  // carries that dataset's fingerprint field. Anything else — name gone,
+  // data changed, a session key, a malformed tenant id — is fenced out.
+  // Names escape '|', so at most one dataset's prefix opens a key.
+  std::vector<std::pair<std::string, std::string>> live;  // prefix, field
+  for (const DatasetInfo& info : registry_.List()) {
+    live.emplace_back(DatasetKeyPrefix(info.name),
+                      FingerprintField(info.fingerprint));
   }
   size_t kept = 0;
   size_t dropped = 0;
   for (const storage::CacheSnapshot::Entry& entry : snapshot.entries) {
-    const std::string rewritten = [&]() -> std::string {
-      if (entry.key.rfind("session/", 0) == 0) return {};  // never restored
-      // Keys end "...|uid=<n>|rep=tXcY"; rfind tolerates hostile dataset
-      // names that embed "|uid=" themselves (the LAST occurrence is the
-      // real field).
-      const size_t uid_pos = entry.key.rfind("|uid=");
-      if (uid_pos == std::string::npos) return {};
-      const size_t digits = uid_pos + 5;
-      size_t end = digits;
-      while (end < entry.key.size() && entry.key[end] >= '0' &&
-             entry.key[end] <= '9') {
-        ++end;
-      }
-      if (end == digits) return {};
-      uint64_t saved_uid = 0;
-      for (size_t i = digits; i < end; ++i) {
-        if (saved_uid > (~0ull - 9) / 10) return {};  // overflow: reject
-        saved_uid = saved_uid * 10 + static_cast<uint64_t>(
-                                         entry.key[i] - '0');
-      }
-      const auto it = uid_remap.find(saved_uid);
-      if (it == uid_remap.end()) return {};
-      // A malformed tenant id fences the entry. A well-formed one needs
-      // nothing more: Put budgets warm-started bytes like fresh ones.
-      std::string_view tenant;
-      std::string_view rest;
-      if (!ParseTenantKey(entry.key, &tenant, &rest)) return {};
-      return entry.key.substr(0, digits) +
-             StrFormat("%llu", static_cast<unsigned long long>(it->second)) +
-             entry.key.substr(end);
-    }();
-    if (rewritten.empty()) {
+    std::string_view tenant;
+    std::string_view rest;
+    const bool known =
+        ParseTenantKey(entry.key, &tenant, &rest) &&
+        std::any_of(live.begin(), live.end(), [&](const auto& dataset) {
+          return rest.substr(0, dataset.first.size()) == dataset.first &&
+                 rest.find(dataset.second) != std::string_view::npos;
+        });
+    if (!known) {
       ++dropped;
       continue;
     }
     // Warm-started entries carry the pre-rendered wire JSON only (the
     // structured result is rebuilt the first time something needs it by
     // simply recomputing on a miss); entries are re-Put least recently
-    // used first, reproducing the cache's LRU order.
+    // used first, reproducing the cache's LRU order, and budgeted like
+    // fresh ones.
     auto value = std::make_shared<CachedResult>();
     value->json = entry.json;
-    cache_.Put(rewritten, value);
+    cache_.Put(entry.key, value);
     ++kept;
   }
   if (restored) *restored = kept;

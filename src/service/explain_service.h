@@ -151,8 +151,9 @@ class ExplainService {
   /// Dataset management (thin veneer over the registry).
   DatasetRegistry& registry() { return registry_; }
 
-  /// Drops a dataset AND its cached results, so re-registering the same
-  /// name with different data can never serve stale entries. Always
+  /// Drops a dataset AND its cached results, so they stop holding cache
+  /// bytes (their keys carry the dropped content's fingerprint, so other
+  /// data registered under the name never hits them anyway). Always
   /// prefer this over registry().Drop() when a ResultCache is in play.
   bool DropDataset(const std::string& name);
 
@@ -223,15 +224,14 @@ class ExplainService {
 
   /// Cache persistence (src/storage/cache_snapshot.h). SaveCache writes
   /// every resident dataset-level entry (session entries are skipped:
-  /// session ids do not survive a restart) plus an identity stamp
-  /// (registration uid + content fingerprint) per registered dataset.
-  /// LoadCache re-inserts entries whose dataset stamp matches a
-  /// CURRENTLY registered dataset with an identical content fingerprint,
-  /// rewriting the saved registration uid to the live one; everything
-  /// else is fenced out (counted in `fenced`), so a changed or
-  /// re-registered dataset can never serve stale warm-start entries.
-  /// Errors come back as "code: message" strings with the structured
-  /// storage code first (docs/STORAGE.md).
+  /// session ids do not survive a restart). A dataset entry's key names
+  /// its dataset by content fingerprint, so LoadCache re-inserts a saved
+  /// key verbatim when its dataset is CURRENTLY registered with that
+  /// fingerprint; everything else is fenced out (counted in `fenced`), so
+  /// a changed or unregistered dataset can never serve stale warm-start
+  /// entries. Errors come back as "code: message" strings with the
+  /// structured storage code first (docs/STORAGE.md); a version 1 file is
+  /// `bad_version` and restores nothing.
   bool SaveCache(const std::string& path, std::string* error,
                  size_t* saved = nullptr) const;
   bool LoadCache(const std::string& path, std::string* error,
@@ -275,6 +275,17 @@ class ExplainService {
   void AttachSessionLog(Session& session, uint64_t base_fingerprint,
                         const std::vector<storage::SessionLogAppend>& replayed)
       TSE_REQUIRES(session.mu);
+
+  /// The publish path OpenSession and RecoverSession share: allocates
+  /// the session's id, installs `engine` and the crash-recovery log
+  /// (AttachSessionLog) under the session's own lock, fills `state`
+  /// (optional), and only then makes the session reachable. Returns the
+  /// new id.
+  uint64_t PublishSession(
+      const std::string& dataset, const TSExplainConfig& config,
+      std::unique_ptr<StreamingTSExplain> engine, uint64_t base_fingerprint,
+      const std::vector<storage::SessionLogAppend>& replayed,
+      SessionState* state) TSE_EXCLUDES(sessions_mu_);
 
   /// The serve path Explain and ExplainSession share: the tenant check,
   /// the optional trace, then `resolve` (the caller's dataset or session

@@ -9,12 +9,6 @@ StorageStatus WriteCacheSnapshot(const CacheSnapshot& snapshot,
                                  const std::string& path) {
   ByteWriter w;
   w.WriteU32(kCacheSnapshotVersion);
-  w.WriteU32(static_cast<uint32_t>(snapshot.datasets.size()));
-  for (const CacheSnapshot::DatasetStamp& stamp : snapshot.datasets) {
-    w.WriteString(stamp.name);
-    w.WriteU64(stamp.uid);
-    w.WriteU64(stamp.fingerprint);
-  }
   w.WriteU64(snapshot.entries.size());
   for (const CacheSnapshot::Entry& entry : snapshot.entries) {
     w.WriteString(entry.key);
@@ -39,20 +33,6 @@ StorageStatus ReadCacheSnapshot(const std::string& path,
                                 path + ": unknown cache snapshot version");
   }
   CacheSnapshot out;
-  uint32_t ndatasets = 0;
-  if (!r.ReadU32(&ndatasets) ||
-      ndatasets > r.remaining() / (2 * sizeof(uint64_t))) {
-    return StorageStatus::Error(StorageErrorCode::kTruncated,
-                                path + ": truncated dataset stamps");
-  }
-  out.datasets.resize(ndatasets);
-  for (CacheSnapshot::DatasetStamp& stamp : out.datasets) {
-    if (!r.ReadString(&stamp.name) || !r.ReadU64(&stamp.uid) ||
-        !r.ReadU64(&stamp.fingerprint)) {
-      return StorageStatus::Error(StorageErrorCode::kTruncated,
-                                  path + ": truncated dataset stamps");
-    }
-  }
   uint64_t nentries = 0;
   if (!r.ReadU64(&nentries) ||
       nentries > r.remaining() / (2 * sizeof(uint32_t))) {

@@ -4,18 +4,17 @@
 //
 //   magic "TSXCCH01" | payload_len u64 | payload_crc32 u32 | payload
 //   payload:
-//     version u32 (= 1)
-//     ndatasets u32; per dataset: name str | uid u64 | fingerprint u64
+//     version u32 (= 2)
 //     nentries u64;  per entry:   key str  | json str
 //
 // This module is pure serialization: entries are (cache key, rendered
-// wire JSON) pairs in least-recently-used-first order (so re-inserting in
-// file order reproduces the LRU ordering), and `datasets` stamps each
-// registered dataset with its registration uid and content fingerprint
-// (TableFingerprint). The FENCING — matching saved uids against the
-// stamps, comparing fingerprints against the currently registered tables,
-// and rewriting uids into the new process's registrations — lives in
-// ExplainService::{SaveCache,LoadCache}, which owns the key structure.
+// wire JSON) pairs in least-recently-used-first order, so re-inserting in
+// file order reproduces the LRU ordering. A key names its dataset by
+// content fingerprint; the FENCING — restoring only keys whose dataset is
+// registered now with that fingerprint — lives in
+// ExplainService::LoadCache, which owns the key structure. A version 1
+// file is kBadVersion: its keys named datasets by a per-process id that
+// no later process can look up.
 
 #ifndef TSEXPLAIN_STORAGE_CACHE_SNAPSHOT_H_
 #define TSEXPLAIN_STORAGE_CACHE_SNAPSHOT_H_
@@ -30,20 +29,14 @@ namespace tsexplain {
 namespace storage {
 
 inline constexpr char kCacheSnapshotMagic[] = "TSXCCH01";
-inline constexpr uint32_t kCacheSnapshotVersion = 1;
+inline constexpr uint32_t kCacheSnapshotVersion = 2;
 
 struct CacheSnapshot {
-  struct DatasetStamp {
-    std::string name;
-    uint64_t uid = 0;          // registration uid at save time
-    uint64_t fingerprint = 0;  // TableFingerprint of the table served
-  };
   struct Entry {
     std::string key;   // full cache key (tenant prefix + query key + ...)
     std::string json;  // pre-rendered wire JSON payload
   };
 
-  std::vector<DatasetStamp> datasets;
   std::vector<Entry> entries;  // least recently used first
 };
 

@@ -182,7 +182,7 @@ StorageStatus ReadFileToString(const std::string& path, std::string* out) {
 }
 
 StorageStatus AtomicWriteFile(const std::string& path,
-                              const std::string& contents) {
+                              std::initializer_list<std::string_view> pieces) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (!f) {
@@ -191,14 +191,18 @@ StorageStatus AtomicWriteFile(const std::string& path,
         // NOLINTNEXTLINE(concurrency-mt-unsafe): message-only use
         StrFormat("cannot create %s: %s", tmp.c_str(), std::strerror(errno)));
   }
-  const size_t written = std::fwrite(contents.data(), 1, contents.size(), f);
+  bool written = true;
+  for (const std::string_view piece : pieces) {
+    written = written &&
+              std::fwrite(piece.data(), 1, piece.size(), f) == piece.size();
+  }
   // fflush moves bytes to the page cache; fsync makes them durable. Both
   // are required for the "old complete file OR new complete file" claim
   // to survive power loss — renaming over data still in the page cache
   // can leave a zero-length file under the REAL name after a crash.
   const bool flush_ok = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
   std::fclose(f);
-  if (written != contents.size() || !flush_ok) {
+  if (!written || !flush_ok) {
     std::remove(tmp.c_str());
     return StorageStatus::Error(StorageErrorCode::kIoError,
                                 "write failed: " + tmp);
@@ -228,15 +232,16 @@ StorageStatus AtomicWriteFile(const std::string& path,
 
 StorageStatus WriteFramedFile(const std::string& path, const char* magic,
                               const std::string& payload) {
-  std::string framed;
-  framed.reserve(kFrameBytes + payload.size());
-  framed.append(magic, kMagicBytes);
+  // The prologue is its own piece, so the payload (a whole table
+  // snapshot, say) goes to the file from the caller's buffer uncopied.
+  char prologue[kFrameBytes];
+  std::memcpy(prologue, magic, kMagicBytes);
   const uint64_t len = payload.size();
-  framed.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  std::memcpy(prologue + kMagicBytes, &len, sizeof(len));
   const uint32_t crc = Crc32(payload.data(), payload.size());
-  framed.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  framed.append(payload);
-  return AtomicWriteFile(path, framed);
+  std::memcpy(prologue + kMagicBytes + sizeof(len), &crc, sizeof(crc));
+  return AtomicWriteFile(path, {std::string_view(prologue, kFrameBytes),
+                                std::string_view(payload)});
 }
 
 StorageStatus ValidateFramedBuffer(const char* data, size_t size,

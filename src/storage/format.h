@@ -17,7 +17,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__
@@ -175,10 +177,12 @@ class ByteReader {
 /// Reads the whole file into `out`. kIoError on open/read failure.
 StorageStatus ReadFileToString(const std::string& path, std::string* out);
 
-/// Writes `contents` to `path` via `path + ".tmp"` + rename: the file at
-/// `path` is always either the previous complete version or the new one.
+/// Writes `pieces`, back to back, to `path` via `path + ".tmp"` + rename:
+/// the file at `path` is always either the previous complete version or
+/// the new one. Pieces let a caller write a header and a body without
+/// first joining them into one buffer.
 StorageStatus AtomicWriteFile(const std::string& path,
-                              const std::string& contents);
+                              std::initializer_list<std::string_view> pieces);
 
 /// Frames `payload` (magic + length + CRC) and writes it atomically.
 /// `magic` must be exactly 8 bytes.

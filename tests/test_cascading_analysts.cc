@@ -14,6 +14,7 @@
 
 #include "src/common/rng.h"
 #include "src/diff/cascading_analysts.h"
+#include "src/diff/guess_verify.h"
 #include "tests/cascading_analysts_test_peer.h"
 
 namespace tsexplain {
@@ -451,6 +452,69 @@ TEST(CascadingAnalysts, IntMaxQuotaThrowsOnBothPaths) {
   ExpectSameBits(ca.TopM(gamma, 2),
                  CascadingAnalystsTestPeer::GeneralTopM(ca, gamma, 2, nullptr),
                  "after the throw");
+}
+
+TEST(CascadingAnalysts, QuotaBeyondSelectableCellsChangesNothing) {
+  // A solve can never select more cells than the ε its mask leaves
+  // selectable, so m = ε + 1, 2ε and 4ε answer exactly as m = ε does:
+  // the same ids and gammas, the same Best up to ε, and Best[q] = Best[ε]
+  // beyond it. Two attributes take the general DP, one takes the flat
+  // pass; TopM and guess-and-verify each run with and without a mask.
+  // This is what a knapsack capped at ε must keep.
+  Table two(Schema("t", {"A", "B"}, {"m"}));
+  two.AddTimeBucket("0");
+  for (int a = 0; a < 4; ++a) {
+    for (int b = 0; b < 3; ++b) {
+      two.AppendRow(0, {"a" + std::to_string(a), "b" + std::to_string(b)},
+                    {1.0});
+    }
+  }
+  const Table one = MakeSingleAttrTable(12);
+  const auto general = ExplanationRegistry::Build(two, {0, 1}, 2);
+  const auto flat = ExplanationRegistry::Build(one, {0}, 1);
+  Rng rng(4099);
+  for (const ExplanationRegistry* reg : {&general, &flat}) {
+    CascadingAnalysts ca(*reg);
+    ASSERT_EQ(ca.flat(), reg == &flat);
+    const size_t cells = reg->num_explanations();
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<double> gamma(cells);
+      for (double& g : gamma) g = rng.Uniform(-2.0, 10.0);
+      for (const bool masked : {false, true}) {
+        std::vector<bool> mask(cells, true);
+        std::vector<ExplId> ids;
+        for (size_t e = 0; e < cells; ++e) {
+          if (masked) mask[e] = rng.NextBool(0.6);
+          if (mask[e]) ids.push_back(static_cast<ExplId>(e));
+        }
+        const std::vector<bool>* mask_arg = masked ? &mask : nullptr;
+        const std::vector<ExplId>* ids_arg = masked ? &ids : nullptr;
+        const int epsilon = static_cast<int>(ids.size());
+        const TopExplanations at_epsilon = ca.TopM(gamma, epsilon, mask_arg);
+        for (const int m : {epsilon, epsilon + 1, 2 * epsilon, 4 * epsilon}) {
+          const std::string where =
+              std::string(ca.flat() ? "flat" : "general") + " trial " +
+              std::to_string(trial) + (masked ? " masked" : " unmasked") +
+              " m " + std::to_string(m);
+          for (const TopExplanations& top :
+               {ca.TopM(gamma, m, mask_arg),
+                GuessVerifyTopM(ca, gamma, m, ids_arg)}) {
+            EXPECT_EQ(top.ids, at_epsilon.ids) << where;
+            EXPECT_EQ(Bits(top.gammas), Bits(at_epsilon.gammas)) << where;
+            ASSERT_EQ(top.best.size(), static_cast<size_t>(m) + 1) << where;
+            const std::vector<double> prefix(top.best.begin(),
+                                             top.best.begin() + epsilon + 1);
+            EXPECT_EQ(Bits(prefix), Bits(at_epsilon.best)) << where;
+            for (size_t q = static_cast<size_t>(epsilon) + 1;
+                 q < top.best.size(); ++q) {
+              EXPECT_EQ(Bits({top.best[q]}), Bits({at_epsilon.best.back()}))
+                  << where << " q " << q;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SortByGammaDescTest, DeterministicTieBreak) {

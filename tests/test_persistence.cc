@@ -1,5 +1,5 @@
 // Service-level persistence (the warm-start + crash-recovery story):
-// ExplainService::SaveCache / LoadCache with dataset-uid fencing, the
+// ExplainService::SaveCache / LoadCache with content-fingerprint fencing, the
 // per-tenant stats surface, snapshot-backed dataset registration, and
 // streaming-session recovery through the append log — i.e. everything a
 // `tsexplain_serve` restart leans on (docs/SERVICE.md, "Warm starts").
@@ -18,6 +18,7 @@
 #include "src/service/explain_service.h"
 #include "src/service/protocol.h"
 #include "src/service/quota.h"
+#include "src/storage/cache_snapshot.h"
 #include "src/storage/table_snapshot.h"
 
 namespace tsexplain {
@@ -91,9 +92,9 @@ TEST(CachePersistence, WarmStartServesByteIdenticalHits) {
     EXPECT_EQ(saved, 1u);
   }
 
-  // "Restart": a brand-new service re-registers the same data (getting a
-  // NEW registration uid) and loads the snapshot. The first query must be
-  // a hit, byte-identical to the pre-restart response.
+  // "Restart": a brand-new service re-registers the same data and loads
+  // the snapshot. The first query must be a hit, byte-identical to the
+  // pre-restart response.
   ExplainService restarted;
   RegisterSales(restarted);
   std::string error;
@@ -107,6 +108,76 @@ TEST(CachePersistence, WarmStartServesByteIdenticalHits) {
   ASSERT_TRUE(warm.ok) << warm.error;
   EXPECT_TRUE(warm.cache_hit);
   EXPECT_EQ(warm.json, cold_json);
+}
+
+TEST(CachePersistence, WarmStartRestoresKeysVerbatim) {
+  const std::string path = TempPath("verbatim");
+  ExplainResponse cold;
+  {
+    ExplainService service;
+    RegisterSales(service);
+    cold = service.Explain(SalesRequest());
+    ASSERT_TRUE(cold.ok) << cold.error;
+    std::string error;
+    ASSERT_TRUE(service.SaveCache(path, &error)) << error;
+  }
+
+  // The restarted service registers another dataset first, so nothing
+  // about the order of registrations matches the saved process: a key
+  // that names its dataset by content is restored as saved.
+  ExplainService restarted;
+  CsvOptions options;
+  options.time_column = "date";
+  options.measure_columns = {"sales"};
+  std::string error;
+  ASSERT_TRUE(restarted.registry().RegisterCsvText("other", MakeCsv(1),
+                                                   options, &error))
+      << error;
+  RegisterSales(restarted);
+  size_t restored = 0;
+  ASSERT_TRUE(restarted.LoadCache(path, &error, &restored)) << error;
+  EXPECT_EQ(restored, 1u);
+
+  const ExplainResponse warm = restarted.Explain(SalesRequest());
+  ASSERT_TRUE(warm.ok) << warm.error;
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.query_key, cold.query_key);
+  EXPECT_EQ(warm.json, cold.json);
+}
+
+TEST(CacheSnapshot, Version1FileIsRejected) {
+  // A version 1 file stamped each dataset with a registration uid that
+  // dies with its process; this build reads none of it.
+  const std::string path = TempPath("v1");
+  ExplainService service;
+  RegisterSales(service);
+  const uint64_t fingerprint =
+      service.registry().GetRef("sales").fingerprint;
+  storage::ByteWriter w;
+  w.WriteU32(1);             // version
+  w.WriteU32(1);             // one dataset stamp
+  w.WriteString("sales");
+  w.WriteU64(1);             // registration uid
+  w.WriteU64(fingerprint);
+  w.WriteU64(1);             // one entry
+  w.WriteString("v1|ds=sales|agg=sum|measure=sales|uid=1|rep=t0c1");
+  w.WriteString("{\"ok\":true}");
+  ASSERT_TRUE(
+      storage::WriteFramedFile(path, storage::kCacheSnapshotMagic, w.buffer())
+          .ok());
+
+  storage::CacheSnapshot snapshot;
+  EXPECT_EQ(storage::ReadCacheSnapshot(path, &snapshot).code,
+            storage::StorageErrorCode::kBadVersion);
+
+  std::string error;
+  EXPECT_FALSE(service.LoadCache(path, &error));
+  EXPECT_EQ(error.rfind("bad_version:", 0), 0u) << error;
+  EXPECT_EQ(service.Stats().cache.entries, 0u);
+  const ExplainResponse response = service.Explain(SalesRequest());
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_FALSE(response.cache_hit);
+  std::remove(path.c_str());
 }
 
 TEST(CachePersistence, ChangedDatasetIsFencedOut) {

@@ -105,7 +105,6 @@ TEST(DatasetRegistryTest, EngineReuseAcrossSegmentationKnobs) {
   TSExplainConfig config = BaseConfig();
   const DatasetRegistry::TableRef ref = registry.GetRef("ds");
   ASSERT_NE(ref.table, nullptr);
-  EXPECT_GT(ref.uid, 0u);
   EngineHandle h1 = registry.GetOrBuildEngine("ds", "engine-key", config,
                                               ref.table.get(), &error);
   ASSERT_TRUE(h1.ok());
@@ -127,12 +126,11 @@ TEST(DatasetRegistryTest, EngineReuseAcrossSegmentationKnobs) {
                                               ref.table.get(), &error);
   EXPECT_FALSE(h4.ok());
 
-  // Re-register under the same name: a fresh uid, and an engine build
-  // that still carries the OLD table pointer is refused (the config was
-  // never validated against the new schema).
+  // Re-register under the same name: an engine build that still carries
+  // the OLD table pointer is refused (the config was never validated
+  // against the new schema).
   ASSERT_TRUE(
       registry.RegisterTable("ds", MakeTable(43), "<table>", &error));
-  EXPECT_NE(registry.GetRef("ds").uid, ref.uid);
   EngineHandle h5 = registry.GetOrBuildEngine("ds", "engine-key", config,
                                               ref.table.get(), &error);
   EXPECT_FALSE(h5.ok());
@@ -170,6 +168,48 @@ TEST(ExplainServiceTest, DropDatasetInvalidatesItsCachedResults) {
   EXPECT_FALSE(v2.cache_hit);
   // Unrelated datasets keep their entries.
   EXPECT_TRUE(service.Explain(other_request).cache_hit);
+}
+
+// A wire report without the timing_ms block it ends with (wall clock,
+// not results): separately computed answers compare byte for byte.
+std::string Untimed(const std::string& report) {
+  return report.substr(0, report.rfind(",\"timing_ms\":{"));
+}
+
+TEST(ExplainServiceTest, ReRegisteredIdenticalDataKeepsItsKeys) {
+  // The dataset's content is its identity in cache keys: the same bytes
+  // registered again compute under the same key, other bytes under
+  // another.
+  ExplainService service;
+  std::string error;
+  ASSERT_TRUE(service.registry().RegisterTable("ds", MakeTable(29),
+                                               "<table>", &error));
+  ExplainRequest request;
+  request.dataset = "ds";
+  request.config = BaseConfig();
+  const ExplainResponse before = service.Explain(request);
+  ASSERT_TRUE(before.ok) << before.error;
+
+  // Byte-identical data: the drop invalidated the entry, so this is a
+  // miss, but it computes the same answer under the same key.
+  ASSERT_TRUE(service.DropDataset("ds"));
+  ASSERT_TRUE(service.registry().RegisterTable("ds", MakeTable(29),
+                                               "<table>", &error));
+  const ExplainResponse same = service.Explain(request);
+  ASSERT_TRUE(same.ok) << same.error;
+  EXPECT_FALSE(same.cache_hit);
+  EXPECT_EQ(same.query_key, before.query_key);
+  EXPECT_EQ(Untimed(same.json), Untimed(before.json));
+  EXPECT_TRUE(service.Explain(request).cache_hit);
+
+  // Different data under the name: another key, and nothing hits.
+  ASSERT_TRUE(service.DropDataset("ds"));
+  ASSERT_TRUE(service.registry().RegisterTable("ds", MakeTable(37),
+                                               "<table>", &error));
+  const ExplainResponse changed = service.Explain(request);
+  ASSERT_TRUE(changed.ok) << changed.error;
+  EXPECT_FALSE(changed.cache_hit);
+  EXPECT_NE(changed.query_key, before.query_key);
 }
 
 TEST(ExplainServiceTest, ErrorResponsesInsteadOfAborts) {
@@ -1011,9 +1051,7 @@ TEST(ProtocolTest, HandlerEndToEnd) {
 std::string UntimedResult(const std::string& envelope) {
   const size_t at = envelope.find("\"result\":");
   if (at == std::string::npos) return "no result in " + envelope;
-  const std::string report =
-      envelope.substr(at + 9, envelope.size() - at - 10);
-  return report.substr(0, report.rfind(",\"timing_ms\":{"));
+  return Untimed(envelope.substr(at + 9, envelope.size() - at - 10));
 }
 
 TEST(ProtocolTest, SessionAnswersLikeExplainWithExclude) {

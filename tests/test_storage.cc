@@ -132,6 +132,19 @@ TEST(Format, FramedFileRoundTrip) {
             StorageErrorCode::kIoError);
 }
 
+TEST(Format, FramedFileBytesAreMagicLengthCrcPayload) {
+  const std::string path = TempPath("framebytes");
+  const std::string payload("framed\0bytes", 12);
+  ASSERT_TRUE(WriteFramedFile(path, kTestMagic, payload).ok());
+  std::string expected(kTestMagic, 8);
+  const uint64_t len = payload.size();
+  expected.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  expected.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  expected += payload;
+  EXPECT_EQ(ReadRawFile(path), expected);
+}
+
 TEST(Format, WrongMagicIsRejected) {
   const std::string path = TempPath("magic");
   ASSERT_TRUE(WriteFramedFile(path, kTestMagic, "payload").ok());
@@ -721,10 +734,8 @@ TEST(SessionLog, MalformedHeaderIsStructural) {
 
 // --- CacheSnapshot ---------------------------------------------------------
 
-TEST(CacheSnapshot, RoundTripPreservesStampsAndOrder) {
+TEST(CacheSnapshot, RoundTripPreservesEntriesAndOrder) {
   CacheSnapshot snapshot;
-  snapshot.datasets.push_back({"sales", 7, 0xabcdef0123456789ull});
-  snapshot.datasets.push_back({"ops", 9, 42});
   snapshot.entries.push_back({"key-lru-oldest", "{\"a\":1}"});
   snapshot.entries.push_back({"key-newer", std::string("\0binary\1", 8)});
   snapshot.entries.push_back({"", ""});  // empty key/json must survive
@@ -733,10 +744,6 @@ TEST(CacheSnapshot, RoundTripPreservesStampsAndOrder) {
 
   CacheSnapshot loaded;
   ASSERT_TRUE(ReadCacheSnapshot(path, &loaded).ok());
-  ASSERT_EQ(loaded.datasets.size(), 2u);
-  EXPECT_EQ(loaded.datasets[0].name, "sales");
-  EXPECT_EQ(loaded.datasets[0].uid, 7u);
-  EXPECT_EQ(loaded.datasets[0].fingerprint, 0xabcdef0123456789ull);
   ASSERT_EQ(loaded.entries.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(loaded.entries[i].key, snapshot.entries[i].key);
@@ -746,7 +753,6 @@ TEST(CacheSnapshot, RoundTripPreservesStampsAndOrder) {
 
 TEST(CacheSnapshot, CorruptedFilesFailStructurally) {
   CacheSnapshot snapshot;
-  snapshot.datasets.push_back({"sales", 1, 2});
   snapshot.entries.push_back({"k", "v"});
   const std::string path = TempPath("cachecorrupt");
   ASSERT_TRUE(WriteCacheSnapshot(snapshot, path).ok());
@@ -766,7 +772,6 @@ TEST(CacheSnapshot, CorruptedFilesFailStructurally) {
   // Valid frame, hostile entry count: caught before any huge allocation.
   ByteWriter w;
   w.WriteU32(kCacheSnapshotVersion);
-  w.WriteU32(0);                      // no datasets
   w.WriteU64(0xffffffffffffull);      // absurd entry count
   ASSERT_TRUE(WriteFramedFile(path, kCacheSnapshotMagic, w.buffer()).ok());
   EXPECT_EQ(ReadCacheSnapshot(path, &loaded).code,

@@ -47,10 +47,12 @@
 //   --time NAME       time column for CSV --preload datasets
 //   --measure NAME    measure column for CSV --preload datasets (optional)
 //   --cache-load PATH warm-start: restore a result-cache snapshot saved
-//                     by --cache-save / the save_cache op. Entries are
-//                     uid-fenced against the preloaded datasets
-//                     (docs/SERVICE.md, "Warm starts"); a missing or
-//                     corrupt file warns and starts cold, never aborts.
+//                     by --cache-save / the save_cache op. An entry is
+//                     restored only while its dataset is preloaded with
+//                     the content fingerprint its key carries
+//                     (docs/SERVICE.md, "Warm starts"); a missing,
+//                     corrupt or old-version file warns and starts cold,
+//                     never aborts.
 //   --cache-save PATH write the result cache to PATH on clean shutdown
 //                     (the shutdown op); pairs with --cache-load.
 //   --session-log-dir DIR  append-log every streaming session to
